@@ -292,7 +292,8 @@ def all_diagrams(n: int) -> tuple[BrauerDiagram, ...]:
 
     ds = [diagram_from_pairs(n, pairs) for pairs in matchings(tuple(range(2 * n)))]
     ds.sort(key=lambda d: (-d.through_count, d.matching))
-    assert len(ds) == double_factorial_odd(n)
+    if len(ds) != double_factorial_odd(n):
+        raise RuntimeError(f"enumerated {len(ds)} diagrams at n = {n}, expected (2n-1)!!")
     return tuple(ds)
 
 
@@ -427,11 +428,6 @@ def markov_trace(x: AlgebraElement, delta):
     return 0 if total is None else total
 
 
-def trace_of_diagram_exponent(d: BrauerDiagram) -> int:
-    """The integer k with tr(d) = delta^k, namely c(d) - n."""
-    return full_closure_cycles(d) - d.n
-
-
 def _pairings(values: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
     """Perfect matchings of a sorted tuple, arcs (lo, hi) sorted by lo."""
     if not values:
@@ -456,7 +452,8 @@ def gen_D(n: int, s: int) -> tuple[Perm, ...]:
         for arcs in _pairings(rest):
             out.append(through + tuple(v for arc in arcs for v in arc))
     out.sort()
-    assert len(out) == comb(n, ell) * double_factorial_odd(s)
+    if len(out) != comb(n, ell) * double_factorial_odd(s):
+        raise RuntimeError(f"enumerated {len(out)} coset representatives at n = {n}, s = {s}")
     return tuple(out)
 
 
@@ -472,7 +469,8 @@ def gen_Dprime(n: int, s: int) -> tuple[Perm, ...]:
         for arcs in _pairings(rest):
             out.append(tuple(v for arc in arcs for v in arc) + through)
     out.sort()
-    assert len(out) == comb(n, ell) * double_factorial_odd(s)
+    if len(out) != comb(n, ell) * double_factorial_odd(s):
+        raise RuntimeError(f"enumerated {len(out)} coset representatives at n = {n}, s = {s}")
     return tuple(out)
 
 

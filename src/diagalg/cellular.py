@@ -180,7 +180,8 @@ def gl_basis(n: int) -> tuple[CellularBasisElement, ...]:
                         right = AlgebraElement.from_diagram(perm_diagram(perm_inverse(v)))
                         c = multiply(m, right, DELTA)
                         out.append(CellularBasisElement(label, sa, t, u, v, c))
-    assert len(out) == len(all_diagrams(n))
+    if len(out) != len(all_diagrams(n)):
+        raise RuntimeError(f"built {len(out)} cellular basis elements at n = {n}, expected (2n-1)!!")
     return tuple(out)
 
 

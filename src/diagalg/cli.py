@@ -20,6 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .brauer import all_diagrams
 from .criteria import (
     UNBOUNDED,
     Constituent,
@@ -29,7 +30,7 @@ from .criteria import (
     decide_qbrauer,
 )
 from .exactalg import PrimeFieldElement, RootSpec
-from .gram import first_degenerate_level, gram_matrix, rank
+from .gram import first_degenerate_level, level_rank
 from .partitions import partitions_of
 from .verify import SUITE_NAMES, run_all, run_suite
 from .weights import (
@@ -302,13 +303,8 @@ def cmd_gram(args, out=None) -> int:
         else:
             print(f"first degenerate level: n = {level}", file=out)
         return 0
-    from .weights import validate_params
-
-    validate_params(spec)
-    point = PrimeFieldElement(args.char, args.delta) if args.char else Fraction(args.delta)
-    matrix = gram_matrix(args.n, point, scaled=True)
-    r = rank(matrix)
-    dim = len(matrix)
+    r = level_rank(spec, args.n)
+    dim = len(all_diagrams(args.n))
     print(f"n = {args.n}: dimension {dim}, rank {r}, corank {dim - r}", file=out)
     return 0
 

@@ -3,9 +3,12 @@
 Each algebra in the family is semisimple exactly up to a level m computed
 as a minimum of simple quantities: the cap n_1 (where weights stop being
 evaluable) and the first levels at which specific box statistics make a
-weight factor vanish.  The m-functions are DEFINED by brute-force search
-(the least n >= 2 admitting a witness box); the closed forms implemented
-here are theorems, and the test suite verifies them against the search.
+weight factor vanish.  The closed forms here build each such level together
+with its witness, the (shape, box) attaining it, in time linear in the
+level.  The brute-force searches `m_bruteforce` and `mprime_bruteforce`
+find the same pairs by scanning every partition up to a limit; they are the
+reference that the tests and `verify` compare the closed forms against, and
+no decision calls them.
 
 Box-statistic kinds (for a shape la of size n with box (i, j)):
   kind 0 - any box with d(i,j) = -arg,
@@ -60,6 +63,7 @@ UNBOUNDED = UnboundedType()
 
 Bound = int | UnboundedType
 Witness = tuple[Partition, Box]
+Attained = tuple[Bound, Witness | None]
 
 
 def is_bounded(b) -> bool:
@@ -142,52 +146,39 @@ def mprime_bruteforce(kind: int, N: int, eps: int, spec: RootSpec, char2: bool, 
 
 
 # --- closed forms ----------------------------------------------------------
+#
+# Each form returns what the search returns: the least level, and the first
+# witness there in the search's order (shapes as partitions_of lists them,
+# boxes row-major), or (UNBOUNDED, None).
 
 
-def _m1_any(x: int):
-    """First level with an off-diagonal box of d-value -x (x = 0 allowed)."""
-    if x == 0:
-        return 3
-    return x + 1 if x > 0 else -x + 3
+def _first(*candidates: Attained) -> Attained:
+    """The candidate the search meets first: the least level, then the
+    lexicographically largest shape, then the first box in row-major order."""
+    found = [c for c in candidates if c[1] is not None]
+    if not found:
+        return UNBOUNDED, None
+    return min(found, key=lambda c: (c[0], tuple(-part for part in c[1][0]), c[1][1]))
 
 
-def _m2_any(x: int):
-    """First level with a diagonal box of d-value -x; diagonal d-values are
-    the nonnegative even integers, least size max(2, -x/2 + 1)."""
-    if x > 0 or x % 2:
-        return UNBOUNDED
-    return max(2, -x // 2 + 1)
-
-
-def _nonzero(delta: int) -> None:
-    if delta == 0:
-        raise ParameterError("the closed forms exclude delta = 0 (use m_bruteforce)")
-
-
-def m1(delta: int):
-    """-delta+3 for negative delta, delta+1 for positive."""
-    _nonzero(delta)
-    return _m1_any(delta)
-
-
-def m2(delta: int):
-    """-delta/2+1 for negative even delta, UNBOUNDED otherwise."""
-    _nonzero(delta)
-    return _m2_any(delta)
-
-
-def m0(delta: int):
-    """min(m1, m2): first level with any box of d-value -delta."""
-    _nonzero(delta)
-    return bound_min(_m1_any(delta), _m2_any(delta))
-
-
-def m3(N: int):
-    """First level with a diagonal box of b-value -N: diagonal b-values are
-    the even integers <= -2, least size max(2, N/2) for positive even N."""
-    if N <= 0 or N % 2:
-        return UNBOUNDED
-    return max(2, N // 2)
+def m_closed(kind: int, arg: int) -> Attained:
+    """Closed form of m_bruteforce(kind, arg), with no search limit: the
+    same level and witness, built in O(level)."""
+    if kind == 0:
+        return _first(m_closed(1, arg), m_closed(2, arg))
+    if kind == 1:  # box (1,2) of one row, or (2,1) of (2, ..., 2[, 1])
+        if arg <= 1:
+            return 3 - arg, ((3 - arg,), (1, 2))
+        return arg + 1, ((2,) * ((arg + 1) // 2) + (1,) * ((arg + 1) % 2), (2, 1))
+    if kind == 2:  # d(i,i) runs over the even integers >= 0
+        if arg > 0 or arg % 2:
+            return UNBOUNDED, None
+        return (2, ((1, 1), (1, 1))) if arg == 0 else (1 - arg // 2, ((1 - arg // 2,), (1, 1)))
+    if kind == 3:  # b(i,i) runs over the even integers <= -2
+        if arg <= 0 or arg % 2:
+            return UNBOUNDED, None
+        return (2, ((2,), (1, 1))) if arg == 2 else (arg // 2, ((1,) * (arg // 2), (1, 1)))
+    raise ParameterError(f"kind must be 0..3, got {kind}")
 
 
 def _check_prime_range(N: int, e: int) -> None:
@@ -195,41 +186,81 @@ def _check_prime_range(N: int, e: int) -> None:
         raise ParameterError(f"normalized exponent must satisfy -e < N <= 0, got N = {N}, e = {e}")
 
 
+def _shifted_kind1(N: int, e: int) -> Attained:
+    """Off-diagonal box with e | N + d: only the shifts N, N-e, N+e can be
+    attained minimally."""
+    return _first(*(m_closed(1, x) for x in (N, N - e, N + e)))
+
+
+def mprime_closed(kind: int, N: int, eps: int, spec: RootSpec, char2: bool) -> Attained:
+    """Closed form of mprime_bruteforce(kind, N, eps, spec, char2) for
+    -e < N <= 0, with no search limit.
+
+    For kinds 2 and 3 the sign condition on the diagonal statistic s = -x
+    reads f | N + s, or N + s = f/2 mod f when eps has the other sign
+    (impossible for odd f); either way x runs over one class mod f.  The
+    level grows with |x| except that d = 0, 2 and b = -2, -4 all sit at
+    level 2, so the two values of the class nearest the admissible range
+    decide the minimum and its tie."""
+    _check_prime_range(N, spec.e)
+    if kind == 1:
+        return _shifted_kind1(N, spec.e)
+    if kind not in (2, 3):
+        raise ParameterError(f"kind must be 1..3, got {kind}")
+    f = spec.f
+    plain = char2 or eps == (1 if kind == 2 else -1)
+    if not plain and f % 2:
+        return UNBOUNDED, None
+    shift = 0 if plain else f // 2
+    if kind == 2:
+        x = -((shift - N) % f)  # the largest x <= 0 in the class
+        return _first(m_closed(2, x), m_closed(2, x - f))
+    x = (N - shift - 1) % f + 1  # the least x >= 1 in the class
+    return _first(m_closed(3, x), m_closed(3, x + f))
+
+
+def _nonzero(delta: int) -> None:
+    if delta == 0:
+        raise ParameterError("the closed forms exclude delta = 0 (use m_closed or m_bruteforce)")
+
+
+def m1(delta: int):
+    """-delta+3 for negative delta, delta+1 for positive."""
+    _nonzero(delta)
+    return m_closed(1, delta)[0]
+
+
+def m2(delta: int):
+    """-delta/2+1 for negative even delta, UNBOUNDED otherwise."""
+    _nonzero(delta)
+    return m_closed(2, delta)[0]
+
+
+def m0(delta: int):
+    """min(m1, m2): first level with any box of d-value -delta."""
+    _nonzero(delta)
+    return m_closed(0, delta)[0]
+
+
+def m3(N: int):
+    """max(2, N/2) for positive even N, UNBOUNDED otherwise."""
+    return m_closed(3, N)[0]
+
+
 def m1p(N: int, e: int):
-    """First level with an off-diagonal box with e | N + d, for -e < N <= 0:
-    only the shifts N, N-e, N+e can be attained minimally."""
+    """First level with an off-diagonal box with e | N + d, for -e < N <= 0."""
     _check_prime_range(N, e)
-    return bound_min(_m1_any(N), _m1_any(N - e), _m1_any(N + e))
+    return _shifted_kind1(N, e)[0]
 
 
 def m2p(N: int, eps: int, spec: RootSpec, char2: bool):
-    """First level with a diagonal box with eps*q^(N+d) = 1.
-
-    For eps = 1 (or characteristic 2) the condition is f | N + d; for
-    eps = -1 it is N + d = f/2 mod f, impossible when f is odd."""
-    _check_prime_range(N, spec.e)
-    if char2 or eps == 1:
-        return bound_min(_m2_any(N), _m2_any(N - spec.f))
-    if spec.f % 2:
-        return UNBOUNDED
-    rem = (N - spec.f // 2) % spec.f
-    return _m2_any(rem - spec.f if rem else 0)
+    """First level with a diagonal box with eps*q^(N+d) = 1."""
+    return mprime_closed(2, N, eps, spec, char2)[0]
 
 
 def m3p(N: int, eps: int, spec: RootSpec, char2: bool):
-    """First level with a diagonal box with eps*q^(N+b) = -1.
-
-    For eps = -1 (or characteristic 2) the condition is f | N + b; for
-    eps = 1 it is N + b = f/2 mod f, impossible when f is odd.  Diagonal
-    b-values run over even integers <= -2, so only the first two shifts
-    in the progression can attain the minimum."""
-    _check_prime_range(N, spec.e)
-    if char2 or eps == -1:
-        return bound_min(m3(N + spec.f), m3(N + 2 * spec.f))
-    if spec.f % 2:
-        return UNBOUNDED
-    half = spec.f // 2
-    return bound_min(m3(N + half), m3(N + half + spec.f))
+    """First level with a diagonal box with eps*q^(N+b) = -1."""
+    return mprime_closed(3, N, eps, spec, char2)[0]
 
 
 # --- verdicts --------------------------------------------------------------
@@ -254,36 +285,23 @@ class Verdict:
     normalized: tuple[tuple[str, int], ...] = ()
 
 
-def _verdict(constituents: list[tuple[str, object, object]], normalized=()) -> Verdict:
-    """Builds a Verdict from (name, value, witness_probe) triples, where
-    witness_probe is a zero-argument callable producing a Witness (or None
-    for cap-type constituents)."""
-    m = bound_min(*(value for _, value, _ in constituents))
-    witness = None
-    if isinstance(m, int):
-        for _, value, probe in constituents:
-            if value == m and probe is not None:
-                witness = probe()
-                break
-    return Verdict(m, tuple(Constituent(nm, v) for nm, v, _ in constituents), witness, tuple(normalized))
+def _verdict(parts: list[tuple[str, Bound, Witness | None]], normalized=()) -> Verdict:
+    """Builds a Verdict from (name, level, witness) triples; the witness is
+    that of the first constituent attaining the minimum with one (the cap
+    n1 has none)."""
+    m = bound_min(*(level for _, level, _ in parts))
+    witness = next((w for _, level, w in parts if level == m and w is not None), None)
+    return Verdict(m, tuple(Constituent(name, level) for name, level, _ in parts), witness, tuple(normalized))
 
 
-def _brute_witness(kind: int, arg: int, expected: int):
-    def probe() -> Witness:
-        level, wit = m_bruteforce(kind, arg, expected)
-        assert level == expected and wit is not None
-        return wit
-
-    return probe
+def _m0_parts(*args: int) -> list[tuple[str, Bound, Witness | None]]:
+    return [(f"m0({a})", *m_closed(0, a)) for a in args]
 
 
-def _brute_witness_prime(kind: int, N: int, eps: int, spec: RootSpec, char2: bool, expected: int):
-    def probe() -> Witness:
-        level, wit = mprime_bruteforce(kind, N, eps, spec, char2, expected)
-        assert level == expected and wit is not None
-        return wit
-
-    return probe
+def _cap_only(cap: int | None) -> Verdict:
+    """The verdict when nothing but the cap n1 (None: no cap) bounds m."""
+    parts = [] if cap is None else [("n1", cap, None)]
+    return _verdict(parts + [("n0", UNBOUNDED, None)])
 
 
 def decide_brauer(spec: BrauerParams) -> Verdict:
@@ -291,70 +309,56 @@ def decide_brauer(spec: BrauerParams) -> Verdict:
     validate_params(spec)
     p = spec.characteristic
     if not isinstance(spec.delta, IntegerDelta):
-        if p == 0:
-            return _verdict([("n0", UNBOUNDED, None)])
-        return _verdict([("n1", p - 1, None), ("n0", UNBOUNDED, None)])
+        return _cap_only(p - 1 if p else None)
     N = spec.delta.value
     if p == 0:
-        v = m0(N)
-        return _verdict([(f"m0({N})", v, _brute_witness(0, N, v) if isinstance(v, int) else None)])
+        return _verdict(_m0_parts(N))
     N0 = N % p  # in (0, p); N0 = 0 is rejected by validation
-    parts: list[tuple[str, object, object]] = [("n1", p - 1, None)]
-    for arg in (N0, N0 - p):
-        v = m0(arg)
-        parts.append((f"m0({arg})", v, _brute_witness(0, arg, v) if isinstance(v, int) else None))
-    return _verdict(parts, normalized=(("N", N0),))
+    return _verdict([("n1", p - 1, None), *_m0_parts(N0, N0 - p)], normalized=(("N", N0),))
+
+
+def _shared_regimes(spec: QBrauerParams | BMWParams) -> Verdict | None:
+    """The q-Brauer and BMW regimes that do not depend on the family: q = +-1
+    reduces to the Brauer algebra, and a generic r leaves only the cap."""
+    if isinstance(spec.q, PlusMinusOne):
+        return decide_brauer(BrauerParams(spec.characteristic, spec.q.delta))
+    if isinstance(spec.r, GenericR):
+        return _cap_only(None if isinstance(spec.q, NotRootOfUnity) else spec.q.spec.e - 1)
+    return None
 
 
 def decide_qbrauer(spec: QBrauerParams) -> Verdict:
     """Semisimplicity bound for the q-Brauer algebras (r = +-q^N regime)."""
     validate_params(spec)
-    if isinstance(spec.q, PlusMinusOne):
-        return decide_brauer(BrauerParams(spec.characteristic, spec.q.delta))
-    if isinstance(spec.r, GenericR):
-        if isinstance(spec.q, NotRootOfUnity):
-            return _verdict([("n0", UNBOUNDED, None)])
-        return _verdict([("n1", spec.q.spec.e - 1, None), ("n0", UNBOUNDED, None)])
+    shared = _shared_regimes(spec)
+    if shared is not None:
+        return shared
     N = spec.r.N
     if isinstance(spec.q, NotRootOfUnity):
-        v = m0(N)
-        return _verdict([(f"m0({N})", v, _brute_witness(0, N, v) if isinstance(v, int) else None)])
+        return _verdict(_m0_parts(N))
     e = spec.q.spec.e
     N0 = N % e - e  # in (-e, 0); e | N is rejected by validation
-    parts: list[tuple[str, object, object]] = [("n1", e - 1, None)]
-    for arg in (N0, N0 - e, N0 + e):
-        v = m0(arg)
-        parts.append((f"m0({arg})", v, _brute_witness(0, arg, v) if isinstance(v, int) else None))
-    return _verdict(parts, normalized=(("N", N0),))
+    return _verdict([("n1", e - 1, None), *_m0_parts(N0, N0 - e, N0 + e)], normalized=(("N", N0),))
 
 
 def decide_bmw(spec: BMWParams) -> Verdict:
     """Semisimplicity bound for the BMW algebras (r = eps*q^(N-1) regime)."""
     validate_params(spec)
-    p = spec.characteristic
-    char2 = p == 2
-    if isinstance(spec.q, PlusMinusOne):
-        return decide_brauer(BrauerParams(p, spec.q.delta))
-    if isinstance(spec.r, GenericR):
-        if isinstance(spec.q, NotRootOfUnity):
-            return _verdict([("n0", UNBOUNDED, None)])
-        return _verdict([("n1", spec.q.spec.e - 1, None), ("n0", UNBOUNDED, None)])
+    shared = _shared_regimes(spec)
+    if shared is not None:
+        return shared
+    char2 = spec.characteristic == 2
     eps, N = spec.r.eps, spec.r.N
     if char2:
         eps = 1
     if isinstance(spec.q, NotRootOfUnity):
-        parts = []
         if eps == 1:
-            v = m0(N)
-            parts.append((f"m0({N})", v, _brute_witness(0, N, v) if isinstance(v, int) else None))
+            parts = _m0_parts(N)
         else:
-            v1, v3 = m1(N), m3(N)
-            parts.append((f"m1({N})", v1, _brute_witness(1, N, v1) if isinstance(v1, int) else None))
-            parts.append((f"m3({N})", v3, _brute_witness(3, N, v3) if isinstance(v3, int) else None))
+            parts = [(f"m1({N})", *m_closed(1, N)), (f"m3({N})", *m_closed(3, N))]
         if char2:
             # +-1 coincide, so the kind-3 vanishing applies as well
-            v3 = m3(N)
-            parts.append((f"m3({N})", v3, _brute_witness(3, N, v3) if isinstance(v3, int) else None))
+            parts.append((f"m3({N})", *m_closed(3, N)))
         return _verdict(parts)
     rs = spec.q.spec
     e, f = rs.e, rs.f
@@ -362,13 +366,6 @@ def decide_bmw(spec: BMWParams) -> Verdict:
     N0 = rem - e if rem else 0  # in (-e, 0]
     k = (N - N0) // e
     eps0 = eps * (-1) ** k if (f == 2 * e and not char2) else eps
-    v1 = m1p(N0, e)
-    v2 = m2p(N0, eps0, rs, char2)
-    v3 = m3p(N0, eps0, rs, char2)
-    parts = [
-        ("n1", e - 1, None),
-        (f"m1'({N0})", v1, _brute_witness_prime(1, N0, eps0, rs, char2, v1) if isinstance(v1, int) else None),
-        (f"m2'({N0})", v2, _brute_witness_prime(2, N0, eps0, rs, char2, v2) if isinstance(v2, int) else None),
-        (f"m3'({N0})", v3, _brute_witness_prime(3, N0, eps0, rs, char2, v3) if isinstance(v3, int) else None),
-    ]
+    parts = [("n1", e - 1, None)]
+    parts += [(f"m{kind}'({N0})", *mprime_closed(kind, N0, eps0, rs, char2)) for kind in (1, 2, 3)]
     return _verdict(parts, normalized=(("eps", eps0), ("N", N0)))

@@ -605,33 +605,6 @@ def qint(d: int, variable: str = "q") -> LaurentPoly:
     return LaurentPoly({d - 1 - 2 * k: 1 for k in range(d)}, variable)
 
 
-def qint_at_pm_one(d: int, sign: int) -> int:
-    """Returns [d]_q at q = 1 (d) or q = -1 ((-1)^d * d, by convention).
-
-    The q = -1 value is a definition, not the limit of the symbolic quotient
-    (the limit is (-1)^(d-1) * d); only its vanishing matters downstream.
-    """
-    if sign == 1:
-        return d
-    if sign == -1:
-        return d if d % 2 == 0 else -d
-    raise ValueError(f"sign must be +-1, got {sign}")
-
-
-def e_of_q(q: "RootSpec | int", characteristic: int = 0) -> int | None:
-    """Returns e(q), the least d >= 1 with [d]_q = 0, or None if unbounded.
-
-    q is either a RootSpec or the literal +-1; for q = +-1 the q-integer [d]
-    is +-d, which vanishes first at d = p in characteristic p and never in
-    characteristic 0.
-    """
-    if isinstance(q, RootSpec):
-        return q.e
-    if q in (1, -1):
-        return characteristic if characteristic else None
-    raise ValueError("q must be a RootSpec or +-1")
-
-
 def is_prime(n: int) -> bool:
     """Trial-division primality test, adequate for the small moduli here."""
     if n < 2:

@@ -9,22 +9,25 @@ used.  Matrices are plain lists of rows; entries may be int, Fraction,
 PrimeFieldElement, or LaurentPoly, and the elimination dispatches on the
 entry type for exact division.
 
-`first_degenerate_level` walks n = 2, 3, ... and reports the first level at
-which the form degenerates; for characteristic zero it screens each level
-with a fast modular rank (full rank mod P certifies full rank over Q) and
-only confirms genuine deficiencies with the integer Bareiss elimination.
+`level_rank` is the rank of one level at an integer delta: for characteristic
+zero it screens the level with a fast modular rank (full rank mod P
+certifies full rank over Q) and only confirms genuine deficiencies with the
+integer Bareiss elimination.  `first_degenerate_level` walks n = 2, 3, ...
+and reports the first level at which the form degenerates.  Both refuse
+levels past MAX_LEVEL before enumerating anything.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
+from .branching import double_factorial_odd
 from .brauer import all_diagrams, compose_diagrams, full_closure_cycles, involute_diagram
 from .exactalg import LaurentPoly, PrimeFieldElement
 from .weights import BrauerParams, IntegerDelta, ParameterError, validate_params
 
 _SCREEN_PRIME = 2**61 - 1  # a Mersenne prime, used only as a rank screen
+MAX_LEVEL = 5  # (2*5-1)!! = 945 diagrams: the largest dense matrix built
 
 
 @cache
@@ -194,6 +197,35 @@ def generic_nonsingularity(n: int) -> bool:
     return _rank_over_q(n, 5) == len(all_diagrams(n))
 
 
+def _integer_delta(params) -> int:
+    if not isinstance(params, BrauerParams) or not isinstance(params.delta, IntegerDelta):
+        raise ParameterError("Gram ranks need a Brauer spec with integer delta")
+    validate_params(params)
+    return params.delta.value
+
+
+def _check_budget(n: int) -> None:
+    """Rejects a level past MAX_LEVEL before any diagram is enumerated."""
+    if n > MAX_LEVEL:
+        count = double_factorial_odd(n) if n < 64 else f"{2 * n - 1}!!"
+        raise ParameterError(
+            f"level n = {n} has (2n-1)!! = {count} diagrams; Gram matrices are limited "
+            f"to {double_factorial_odd(MAX_LEVEL)} diagrams (n <= {MAX_LEVEL})"
+        )
+
+
+def level_rank(params: BrauerParams, n: int) -> int:
+    """Rank of the scaled Gram matrix of Br_n(delta) at the integer delta of
+    `params`: over F_p by rank_mod_p on delta mod p in characteristic p,
+    over Q by a modular screen confirmed by Bareiss in characteristic 0."""
+    delta = _integer_delta(params)
+    _check_budget(n)
+    p = params.characteristic
+    if p:
+        return rank_mod_p(_scaled_integer_gram(n, delta % p), p)
+    return _rank_over_q(n, delta)
+
+
 def first_degenerate_level(params, n_max: int) -> int | None:
     """The first level 2 <= n <= n_max at which the trace form on Br_n(delta)
     degenerates, or None if it stays nondegenerate.
@@ -202,19 +234,12 @@ def first_degenerate_level(params, n_max: int) -> int | None:
     p restricts to n_max <= p - 1 (beyond that the form's hook denominators
     are meaningless).
     """
-    if not isinstance(params, BrauerParams) or not isinstance(params.delta, IntegerDelta):
-        raise ParameterError("degeneracy sweeps need a Brauer spec with integer delta")
-    validate_params(params)
+    _integer_delta(params)
     p = params.characteristic
-    delta = params.delta.value
     if p and n_max > p - 1:
         raise ParameterError(f"n_max = {n_max} exceeds n_1 = {p - 1} in characteristic {p}")
+    _check_budget(n_max)
     for n in range(2, n_max + 1):
-        dim = len(all_diagrams(n))
-        if p:
-            r = rank_mod_p(_scaled_integer_gram(n, delta % p), p)
-        else:
-            r = _rank_over_q(n, delta)
-        if r < dim:
+        if level_rank(params, n) < len(all_diagrams(n)):
             return n
     return None

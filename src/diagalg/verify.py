@@ -3,7 +3,8 @@
 Each suite runs a family of exact checks (no floating point anywhere) and
 returns structured results; `run_suite` dispatches by name.  Default depths
 keep every suite in the seconds range; the caps can be raised through
-`max_n` (interpreted per suite: diagram level or partition size).
+`max_n` (interpreted per suite: diagram level or partition size), which must
+be at least 2 so that every check covers at least one case.
 
 Suites:
   counting           dimension and coset identities, factorization round-trip
@@ -11,8 +12,8 @@ Suites:
                      conditional expectations, weight normalization
   cellular           basis transition, triangularity, involution, ideals,
                      weak coherence of layers
-  oracle-equivalence closed-form bounds against brute-force search, decision
-                     witnesses against actual weight vanishing
+  oracle-equivalence closed-form bounds and witnesses against brute-force
+                     search, decision witnesses against actual weight vanishing
   specialization     q = 1 degeneration of q-weights to classical weights
 """
 
@@ -56,7 +57,9 @@ from .criteria import (
     m3,
     m3p,
     m_bruteforce,
+    m_closed,
     mprime_bruteforce,
+    mprime_closed,
 )
 from .exactalg import LaurentPoly, RationalFunction, RootSpec, qint
 from .partitions import partitions_of, size
@@ -204,18 +207,16 @@ def suite_cellular(max_n: int = 3) -> list[CheckResult]:
 
 
 def suite_oracle_equivalence(max_n: int = 10) -> list[CheckResult]:
-    """Closed-form bounds against brute-force search; witnesses against
-    actual weight vanishing."""
+    """Closed-form bounds and their witnesses against brute-force search;
+    decision witnesses against actual weight vanishing."""
     out = []
     limit = 2 * max_n + 10
     ok = True
     for x in range(-max_n, max_n + 1):
-        if x != 0:
-            for fn, kind in ((m0, 0), (m1, 1), (m2, 2)):
-                if fn(x) != m_bruteforce(kind, x, limit)[0]:
-                    ok = False
-        if m3(x) != m_bruteforce(3, x, limit)[0]:
-            ok = False
+        for kind, fn in enumerate((m0, m1, m2, m3)):
+            searched = m_bruteforce(kind, x, limit)
+            if m_closed(kind, x) != searched or ((x or kind == 3) and fn(x) != searched[0]):
+                ok = False
     out.append(_result("oracle-equivalence", f"m0/m1/m2/m3 closed form = search, |arg| <= {max_n}", ok))
     ok = True
     e_cap = min(max_n, 8)
@@ -223,14 +224,16 @@ def suite_oracle_equivalence(max_n: int = 10) -> list[CheckResult]:
         for f in (e, 2 * e):
             rs = RootSpec(e, f)
             for N in range(-e + 1, 1):
-                if m1p(N, e) != mprime_bruteforce(1, N, 1, rs, False, limit)[0]:
+                searched = mprime_bruteforce(1, N, 1, rs, False, limit)
+                if mprime_closed(1, N, 1, rs, False) != searched or m1p(N, e) != searched[0]:
                     ok = False
                 for eps in (1, -1):
                     for char2 in (False, True):
-                        if m2p(N, eps, rs, char2) != mprime_bruteforce(2, N, eps, rs, char2, limit)[0]:
-                            ok = False
-                        if m3p(N, eps, rs, char2) != mprime_bruteforce(3, N, eps, rs, char2, limit)[0]:
-                            ok = False
+                        for kind, fn in ((2, m2p), (3, m3p)):
+                            searched = mprime_bruteforce(kind, N, eps, rs, char2, limit)
+                            closed = mprime_closed(kind, N, eps, rs, char2)
+                            if closed != searched or fn(N, eps, rs, char2) != searched[0]:
+                                ok = False
     out.append(_result("oracle-equivalence", f"m1'/m2'/m3' closed form = search, e <= {e_cap}", ok))
     ok = True
     cases = (
@@ -296,6 +299,8 @@ def run_suite(name: str, max_n: int | None = None) -> list[CheckResult]:
     }
     if name not in table:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if max_n is not None and max_n < 2:
+        raise ValueError(f"max_n must be >= 2, got {max_n}: below it some checks cover no case")
     fn = table[name]
     return fn() if max_n is None else fn(max_n)
 

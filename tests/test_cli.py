@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,29 @@ def test_decide_bmw_json(capsys):
     assert names[0] == "n1"
     assert data["witness"] == {"partition": [2, 2], "box": [2, 1]}
     assert ["eps", -1] in data["normalized"] and ["N", -2] in data["normalized"]
+
+
+def test_decide_bmw_not_root_at_N_zero(capsys):
+    argv = ["decide", "bmw", "--not-root", "--eps", "-1", "--N", "0", "--format", "json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["m"] == 3 and data["witness"] == {"partition": [3], "box": [1, 2]}
+
+
+def test_decide_deep_witnesses_are_built_not_searched():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for argv, m, partition in (
+        (["--delta", "-1000"], 501, [501]),
+        (["--char", "1009", "--delta", "504"], 505, [2] * 252 + [1]),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "diagalg.cli", "decide", "brauer", *argv, "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=5,
+        )
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["m"] == m and data["witness"]["partition"] == partition
 
 
 def test_decide_json_unbounded_flag(capsys):
@@ -155,10 +182,26 @@ def test_gram_requires_a_mode(capsys):
     assert code == 2
 
 
+def test_gram_rejects_levels_past_the_budget(capsys):
+    for argv in (["--char", "5", "--n", "6"], ["--n", "6"], ["--n-max", "6"]):
+        code, _, err = run(["gram", "--delta", "2", *argv], capsys)
+        assert code == 2 and "10395" in err
+    code, out, _ = run(["gram", "--char", "7", "--delta", "2", "--n", "3"], capsys)
+    assert code == 0 and "dimension 15, rank 10, corank 5" in out
+
+
 def test_verify_suite_exit_zero(capsys):
     code, out, _ = run(["verify", "--suite", "counting", "--max-n", "5"], capsys)
     assert code == 0
     assert "4/4 checks passed" in out
+
+
+def test_verify_rejects_depths_that_check_nothing(capsys):
+    for suite, max_n in (("counting", "0"), ("oracle-equivalence", "1"), ("all", "-3")):
+        code, out, err = run(["verify", "--suite", suite, "--max-n", max_n], capsys)
+        assert code == 2 and "max_n must be >= 2" in err and "PASS" not in out
+    code, out, _ = run(["verify", "--suite", "oracle-equivalence", "--max-n", "2"], capsys)
+    assert code == 0 and "3/3 checks passed" in out
 
 
 def test_verify_all_small(capsys):

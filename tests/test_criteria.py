@@ -1,9 +1,8 @@
 """Tests for the closed-form bounds, brute-force oracles, and decisions."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from diagalg import criteria
 from diagalg.criteria import (
     UNBOUNDED,
     Constituent,
@@ -22,10 +21,12 @@ from diagalg.criteria import (
     m3,
     m3p,
     m_bruteforce,
+    m_closed,
     mprime_bruteforce,
+    mprime_closed,
 )
 from diagalg.exactalg import RootSpec
-from diagalg.partitions import dvalue, size
+from diagalg.partitions import contains_box, dvalue, size
 from diagalg.weights import (
     BMWParams,
     BrauerParams,
@@ -40,6 +41,7 @@ from diagalg.weights import (
     RootOfUnity,
     SignedPower,
     evaluate_weight,
+    validate_params,
 )
 
 
@@ -76,14 +78,14 @@ def test_closed_form_examples():
     assert m3(5) is UNBOUNDED
 
 
-@given(st.integers(-12, 12))
-@settings(max_examples=50, deadline=None)
-def test_closed_forms_match_bruteforce(x):
-    if x != 0:
-        assert m0(x) == m_bruteforce(0, x, 30)[0]
-        assert m1(x) == m_bruteforce(1, x, 30)[0]
-        assert m2(x) == m_bruteforce(2, x, 30)[0]
-    assert m3(x) == m_bruteforce(3, x, 30)[0]
+def test_closed_forms_match_bruteforce():
+    # levels and witnesses, |arg| <= 20 with search limit 40
+    for x in range(-20, 21):
+        for kind, fn in enumerate((m0, m1, m2, m3)):
+            searched = m_bruteforce(kind, x, 40)
+            assert m_closed(kind, x) == searched, (kind, x)
+            if x or kind == 3:
+                assert fn(x) == searched[0]
 
 
 def test_bruteforce_witnesses_are_valid():
@@ -127,16 +129,31 @@ def test_primed_examples():
         m1p(-5, 5)
 
 
-@given(st.integers(2, 9), st.booleans(), st.booleans(), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_primed_closed_forms_match_bruteforce(e, doubled, eps_plus, char2):
-    f = 2 * e if doubled else e
-    rs = RootSpec(e, f)
-    eps = 1 if eps_plus else -1
-    for N in range(-e + 1, 1):
-        assert m1p(N, e) == mprime_bruteforce(1, N, eps, rs, char2, 36)[0]
-        assert m2p(N, eps, rs, char2) == mprime_bruteforce(2, N, eps, rs, char2, 36)[0]
-        assert m3p(N, eps, rs, char2) == mprime_bruteforce(3, N, eps, rs, char2, 36)[0]
+def test_primed_closed_forms_match_bruteforce():
+    # levels and witnesses, e <= 12, f in {e, 2e}, both signs, char 2 or not
+    for e in range(2, 13):
+        for f in (e, 2 * e):
+            rs = RootSpec(e, f)
+            for N in range(-e + 1, 1):
+                searched = mprime_bruteforce(1, N, 1, rs, False, 40)
+                assert mprime_closed(1, N, 1, rs, False) == searched and m1p(N, e) == searched[0]
+                for eps in (1, -1):
+                    for char2 in (False, True):
+                        for kind, fn in ((2, m2p), (3, m3p)):
+                            searched = mprime_bruteforce(kind, N, eps, rs, char2, 40)
+                            assert mprime_closed(kind, N, eps, rs, char2) == searched, (kind, N, eps, rs, char2)
+                            assert fn(N, eps, rs, char2) == searched[0]
+    # d = 0 and d = 2 both sit at level 2; the search meets the row (2) first
+    assert mprime_closed(2, -1, -1, RootSpec(2, 2), False) == (2, ((2,), (1, 1)))
+
+
+def test_closed_forms_reject_bad_arguments():
+    with pytest.raises(ParameterError):
+        m_closed(4, 1)
+    with pytest.raises(ParameterError):
+        mprime_closed(0, 0, 1, RootSpec(3, 3), False)
+    with pytest.raises(ParameterError):
+        mprime_closed(2, 1, 1, RootSpec(3, 3), False)
 
 
 def test_decide_brauer_cases():
@@ -181,6 +198,9 @@ def test_decide_bmw_cases():
     assert [c.value for c in v.constituents] == [4, 4, UNBOUNDED, 4]
     assert decide_bmw(BMWParams(0, NotRootOfUnity(), SignedPower(-1, 4))).m == 2
     assert decide_bmw(BMWParams(0, NotRootOfUnity(), SignedPower(1, -2))).m == 2
+    # N = 0 is admissible for eps = -1: the kind-1 form gives the one-row witness
+    zero = decide_bmw(BMWParams(0, NotRootOfUnity(), SignedPower(-1, 0)))
+    assert zero.m == 3 and zero.witness == ((3,), (1, 2))
     # normalization folds the sign through q^e = -1
     a = decide_bmw(BMWParams(0, RootOfUnity(RootSpec(5, 10)), SignedPower(1, 3)))
     assert dict(a.normalized) == {"eps": -1, "N": -2}
@@ -205,6 +225,7 @@ def test_decide_witnesses_have_vanishing_weights():
         (decide_bmw, BMWParams(0, NotRootOfUnity(), SignedPower(-1, 4))),
         (decide_bmw, BMWParams(0, NotRootOfUnity(), SignedPower(1, -2))),
         (decide_bmw, BMWParams(2, NotRootOfUnity(), SignedPower(1, 3))),
+        (decide_bmw, BMWParams(0, NotRootOfUnity(), SignedPower(-1, 0))),
     )
     for decide, spec in cases:
         verdict = decide(spec)
@@ -240,3 +261,36 @@ def test_worked_grid_spot_checks():
         want = min(e - 1, N + e + 1, -N + 3, N // 2 + e)
         got = decide_bmw(BMWParams(0, RootOfUnity(RootSpec(e, 2 * e)), SignedPower(-1, N))).m
         assert got == want
+
+
+def test_decisions_never_call_the_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decision reached the brute-force search")
+
+    for name in ("_box_tables", "m_bruteforce", "mprime_bruteforce"):
+        monkeypatch.setattr(criteria, name, refuse)
+    deltas = [GenericDelta(), NonIntegerDelta()] + [IntegerDelta(d) for d in (-1000, -29, -4, -1, 1, 2, 504)]
+    qs = [NotRootOfUnity(), *(PlusMinusOne(d) for d in deltas[:4])]
+    qs += [RootOfUnity(RootSpec(e, f)) for e in range(2, 9) for f in (e, 2 * e)]
+    rs = [GenericR()] + [SignedPower(eps, N) for eps in (1, -1) for N in range(-9, 10)]
+    specs = [BrauerParams(p, d) for p in (0, 2, 3, 5, 1009) for d in deltas]
+    for p in (0, 2, 3, 5):
+        specs += [cls(p, q, r) for cls in (QBrauerParams, BMWParams) for q in qs for r in rs]
+    decide = {BrauerParams: decide_brauer, QBrauerParams: decide_qbrauer, BMWParams: decide_bmw}
+    regimes = set()
+    for spec in specs:
+        try:
+            validate_params(spec)
+        except (ParameterError, ValueError):
+            continue
+        verdict = decide[type(spec)](spec)
+        if verdict.witness is not None:
+            la, box = verdict.witness
+            assert size(la) == verdict.m and contains_box(la, box)
+        fields = [getattr(spec, name) for name in ("delta", "q", "r") if hasattr(spec, name)]
+        regimes.add((type(spec), min(spec.characteristic, 3), *map(type, fields)))
+    # every family, characteristic 0, 2 and odd, and every delta, q and r regime
+    families = [(BrauerParams, d) for d in (GenericDelta, NonIntegerDelta, IntegerDelta)]
+    families += [(cls, q, r) for cls in (QBrauerParams, BMWParams)
+                 for q in (NotRootOfUnity, PlusMinusOne, RootOfUnity) for r in (GenericR, SignedPower)]
+    assert regimes == {(f[0], c) + f[1:] for f in families for c in (0, 2, 3)}

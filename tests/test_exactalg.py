@@ -11,13 +11,11 @@ from diagalg.exactalg import (
     PrimeFieldElement,
     RationalFunction,
     RootSpec,
-    e_of_q,
     is_prime,
     laurent_gcd,
     prime_field_root_of_unity,
     primitive_root,
     qint,
-    qint_at_pm_one,
     signed_power_is_minus_one,
     signed_power_is_one,
 )
@@ -71,10 +69,6 @@ def test_qint_examples():
     assert qint(0).is_zero
     assert qint(-3) == -qint(3)
     assert qint(4).evaluate(1) == 4
-    assert qint_at_pm_one(4, 1) == 4
-    assert qint_at_pm_one(4, -1) == 4
-    assert qint_at_pm_one(3, -1) == -3
-    assert qint_at_pm_one(5, 1) == 5
 
 
 @given(st.integers(-12, 12), st.integers(-12, 12))
@@ -209,15 +203,6 @@ def test_signed_power_congruences():
     # characteristic 2 collapses signs
     assert signed_power_is_one(-1, 0, odd, char2=True)
     assert signed_power_is_minus_one(1, 5, odd, char2=True)
-
-
-def test_e_of_q():
-    assert e_of_q(RootSpec(5, 10)) == 5
-    assert e_of_q(1, characteristic=7) == 7
-    assert e_of_q(-1, characteristic=5) == 5
-    assert e_of_q(1, characteristic=0) is None
-    with pytest.raises(ValueError):
-        e_of_q(3)
 
 
 def test_prime_utilities():
