@@ -152,57 +152,52 @@ def ex_diagram(n: int, s: int) -> BrauerDiagram:
 
 def compose_diagrams(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram, int]:
     """Stacks a over b; returns the resulting diagram and the number of
-    closed loops removed."""
+    closed loops removed.
+
+    Middle vertex m is bottom vertex n+m of a and top vertex m of b.  Each
+    strand of the product is followed from one of its ends through the
+    middle row; middle vertices no strand reaches lie on closed loops.
+    """
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     n = a.n
-    used: set[tuple[str, frozenset[int]]] = set()
+    ma, mb = a.matching, b.matching
+    seen = [False] * n  # middle vertices met so far
 
-    def follow(layer: str, idx: int) -> tuple[str, int]:
-        # `idx` is a vertex of `layer`'s diagram whose edge we are about to use
+    def end_of(v: int, in_b: bool) -> int:
+        # follows the edge at vertex v of a (or of b) to the product vertex
+        # where the strand ends: a top vertex i < n or a bottom vertex n+j
         while True:
-            d = a if layer == "a" else b
-            p = d.matching[idx]
-            used.add((layer, frozenset((idx, p))))
-            if layer == "a":
-                if p < n:
-                    return ("t", p)
-                layer, idx = "b", p - n
+            if in_b:
+                v = mb[v]
+                if v >= n:
+                    return v
+                seen[v] = True
+                v += n
             else:
-                if p >= n:
-                    return ("b", p - n)
-                layer, idx = "a", n + p
+                v = ma[v]
+                if v < n:
+                    return v
+                v -= n
+                seen[v] = True
+            in_b = not in_b
 
-    partner: dict[tuple[str, int], tuple[str, int]] = {}
-    for i in range(n):
-        if ("t", i) not in partner:
-            end = follow("a", i)
-            partner[("t", i)], partner[end] = end, ("t", i)
-    for j in range(n):
-        if ("b", j) not in partner:
-            end = follow("b", n + j)
-            partner[("b", j)], partner[end] = end, ("b", j)
-
+    out = [-1] * (2 * n)
+    for v in range(2 * n):
+        if out[v] < 0:
+            w = end_of(v, v >= n)
+            out[v], out[w] = w, v
     loops = 0
-    for m0 in range(n):
-        if ("a", frozenset((n + m0, a.matching[n + m0]))) in used:
-            continue
-        loops += 1
-        layer, idx = "a", n + m0
-        while True:
-            d = a if layer == "a" else b
-            p = d.matching[idx]
-            key = (layer, frozenset((idx, p)))
-            if key in used:
-                break
-            used.add(key)
-            layer, idx = ("b", p - n) if layer == "a" else ("a", n + p)
-
-    def vid(v: tuple[str, int]) -> int:
-        return v[1] if v[0] == "t" else n + v[1]
-
-    pairs = [(vid(v), vid(w)) for v, w in partner.items() if vid(v) < vid(w)]
-    return diagram_from_pairs(n, pairs), loops
+    for m in range(n):
+        if not seen[m]:
+            loops += 1
+            x = m
+            while not seen[x]:
+                seen[x] = True
+                x = mb[x]
+                seen[x] = True
+                x = ma[n + x] - n
+    return BrauerDiagram(tuple(out)), loops
 
 
 def involute_diagram(d: BrauerDiagram) -> BrauerDiagram:

@@ -30,9 +30,11 @@ from .brauer import (
     BrauerDiagram,
     Perm,
     all_diagrams,
+    embed,
     ex_diagram,
     gen_D,
     generator,
+    involute,
     multiply,
     perm_compose,
     perm_diagram,
@@ -215,27 +217,33 @@ def transition_matrix(n: int) -> tuple[tuple[int, ...], ...]:
 
 def transition_det(n: int) -> int:
     """det of the transition matrix; it is +-1, i.e. a unit (+-delta^0)."""
-    from .gram import bareiss_det
-
-    return bareiss_det([list(r) for r in transition_matrix(n)])
+    return _transition_inverse(n)[0]
 
 
 @cache
-def _transition_inverse(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of the transition matrix (entries are Fractions)."""
+def _transition_inverse(n: int) -> tuple[int, tuple[tuple[Fraction, ...], ...] | None]:
+    """Gauss-Jordan elimination of the transition matrix: its determinant
+    (sign times the product of the pivots) and its exact inverse (entries
+    are Fractions), or (0, None) when it is singular."""
     t = transition_matrix(n)
     size_ = len(t)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(size_)] for i, row in enumerate(t)]
+    det = Fraction(1)
     for col in range(size_):
-        piv = next(r for r in range(col, size_) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
+        piv = next((r for r in range(col, size_) if aug[r][col]), None)
+        if piv is None:
+            return 0, None
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        det *= aug[col][col]
         inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
         for r in range(size_):
             if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[size_:]) for row in aug)
+    return int(det), tuple(tuple(row[size_:]) for row in aug)
 
 
 def expand_in_gl_basis(x: AlgebraElement) -> dict[int, LaurentPoly]:
@@ -248,7 +256,9 @@ def expand_in_gl_basis(x: AlgebraElement) -> dict[int, LaurentPoly]:
         if isinstance(c, (int, Fraction)):
             c = LaurentPoly.constant(c, "delta")
         vec[ds[d]] = vec[ds[d]] + c
-    tinv = _transition_inverse(n)
+    _, tinv = _transition_inverse(n)
+    if tinv is None:
+        raise RuntimeError(f"the cellular basis transition matrix at n = {n} is singular")
     # coefficient on basis element i is sum_j vec[j] * Tinv[j][i]
     out: dict[int, LaurentPoly] = {}
     for j, vj in enumerate(vec):
@@ -316,8 +326,6 @@ def left_action_triangular(n: int) -> bool:
 
 def involution_swaps_indices(n: int) -> bool:
     """Checks c_(S,T)* = c_(T,S) exactly for the whole basis."""
-    from .brauer import involute
-
     basis = gl_basis(n)
     index = {
         (c.label, c.left_tableau, c.left_coset, c.right_tableau, c.right_coset): c
@@ -369,8 +377,6 @@ def weak_coherence_check(x: AlgebraElement, label: ReflectedLabel, n: int) -> bo
         raise ValueError(f"level {k} does not include into level {n}")
     y = x
     for _ in range(n - k):
-        from .brauer import embed
-
         y = embed(y)
     s = (n - k) // 2
     y = multiply(y, AlgebraElement.from_diagram(ex_diagram(n, s)), DELTA)

@@ -210,6 +210,9 @@ def _value_text(value) -> str:
     return str(value)
 
 
+MAX_WEIGHT_LEVEL = 20  # about 1.5k shapes at levels 20, 18, ..., 0; under 2 s on a 2-vCPU VM
+
+
 def _weight_rows(family: str, spec, n: int) -> list[dict]:
     rows = []
     N = None
@@ -245,6 +248,8 @@ def _weight_rows(family: str, spec, n: int) -> list[dict]:
 
 def cmd_weights(args, out=None) -> int:
     out = out if out is not None else sys.stdout
+    if not 0 <= args.n <= MAX_WEIGHT_LEVEL:
+        raise ParameterError(f"--n must be between 0 and {MAX_WEIGHT_LEVEL}, got {args.n}")
     spec = _spec_from_args(args.family, args)
     rows = _weight_rows(args.family, spec, args.n)
     if args.format == "csv":
@@ -351,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     for family in FAMILIES:
         p = weights_sub.add_parser(family)
         _add_param_flags(p, family)
-        p.add_argument("--n", type=int, required=True, help="top level of the table")
+        p.add_argument("--n", type=int, required=True,
+                       help=f"top level of the table, 0 to {MAX_WEIGHT_LEVEL}")
         p.add_argument("--symbolic", action="store_true",
                        help="accepted for clarity; factored forms are always shown")
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")

@@ -39,7 +39,7 @@ from .exactalg import (
     signed_power_is_minus_one,
     signed_power_is_one,
 )
-from .partitions import Box, Partition, avalue, boxes, bvalue, dvalue, hook, size
+from .partitions import Box, Partition, avalue, boxes, bvalue, dvalue, hook, partitions_of, size
 
 
 class ParameterError(ValueError):
@@ -309,16 +309,14 @@ class WeightValue:
     value: Fraction | PrimeFieldElement | None
     witness_box: Box | None
     descriptions: tuple[str, ...]
-    symbolic: RationalFunction | None
 
 
 def _evaluate_brauer(la: Partition, p: int, delta: DeltaParam) -> WeightValue:
     desc = weight_factor_descriptions("brauer", la)
-    symbolic = brauer_weight(la)
     if p and any(hook(la, b) % p == 0 for b in boxes(la)):
-        return WeightValue(la, False, None, None, None, desc, symbolic)
+        return WeightValue(la, False, None, None, None, desc)
     if not isinstance(delta, IntegerDelta):
-        return WeightValue(la, True, False, None, None, desc, symbolic)
+        return WeightValue(la, True, False, None, None, desc)
     N = delta.value
 
     def numerator_vanishes(b: Box) -> bool:
@@ -334,7 +332,7 @@ def _evaluate_brauer(la: Partition, p: int, delta: DeltaParam) -> WeightValue:
         )
     else:
         value = reduce(lambda acc, b: acc * Fraction(N + dvalue(la, b), hook(la, b)), boxes(la), Fraction(1))
-    return WeightValue(la, True, witness is not None, value, witness, desc, symbolic)
+    return WeightValue(la, True, witness is not None, value, witness, desc)
 
 
 def _realization_value(la: Partition, family: str, eps: int, N: int, rs: RootSpec) -> PrimeFieldElement:
@@ -377,16 +375,10 @@ def evaluate_weight(la: Partition, spec: ParamSpec, realize: bool = False) -> We
     family = "qbrauer" if isinstance(spec, QBrauerParams) else "bmw"
     if isinstance(spec.r, GenericR):
         desc = weight_factor_descriptions(family, la)
-        return WeightValue(la, True, False, None, None, desc, None)
+        return WeightValue(la, True, False, None, None, desc)
     eps, N = spec.r.eps, spec.r.N
     char2 = p == 2
     desc = weight_factor_descriptions(family, la, N)
-    if family == "qbrauer":
-        symbolic = qbrauer_weight_at_power(la, N)
-        if eps == -1 and size(la) % 2:
-            symbolic = symbolic * (-1)
-    else:
-        symbolic = bmw_weight_at_power(la, N, 1 if char2 else eps)
 
     def box_vanishes(b: Box, rs: RootSpec | None) -> bool:
         i, j = b
@@ -402,17 +394,17 @@ def evaluate_weight(la: Partition, spec: ParamSpec, realize: bool = False) -> We
 
     if isinstance(spec.q, NotRootOfUnity):
         witness = next((b for b in boxes(la) if box_vanishes(b, None)), None)
-        return WeightValue(la, True, witness is not None, None, witness, desc, symbolic)
+        return WeightValue(la, True, witness is not None, None, witness, desc)
     rs = spec.q.spec
     if any(hook(la, b) % rs.e == 0 for b in boxes(la)):
-        return WeightValue(la, False, None, None, None, desc, symbolic)
+        return WeightValue(la, False, None, None, None, desc)
     witness = next((b for b in boxes(la) if box_vanishes(b, rs)), None)
     value = None
     if realize:
         if char2:
             raise ParameterError("prime-field realizations have odd characteristic")
         value = _realization_value(la, family, eps, N, rs)
-    return WeightValue(la, True, witness is not None, value, witness, desc, symbolic)
+    return WeightValue(la, True, witness is not None, value, witness, desc)
 
 
 # --- levels ----------------------------------------------------------------
@@ -435,8 +427,6 @@ def vanishing_level(spec: ParamSpec, n_max: int) -> tuple[int, Partition, Box] |
     the shapes of size n, with a witness (n, la, box); None if no weight
     vanishes that low.  (A weight's vanishing depends only on the shape, so
     scanning exact sizes finds the first level.)"""
-    from .partitions import partitions_of
-
     validate_params(spec)
     if n_max < 2:
         raise ParameterError(f"n_max must be at least 2, got {n_max}")

@@ -93,6 +93,29 @@ def test_permutation_diagrams_compose_functionally():
     assert involute_diagram(perm_diagram(p)) == perm_diagram(perm_inverse(p))
 
 
+def test_composition_is_associative_with_loop_totals():
+    for n in range(4):
+        ds = all_diagrams(n)
+        for a in ds:
+            for b in ds:
+                ab, l_ab = compose_diagrams(a, b)
+                for c in ds:
+                    left, l_left = compose_diagrams(ab, c)
+                    bc, l_bc = compose_diagrams(b, c)
+                    right, l_right = compose_diagrams(a, bc)
+                    assert left == right and l_ab + l_left == l_bc + l_right
+
+
+def test_involution_reverses_composition():
+    for n in range(4):
+        ds = all_diagrams(n)
+        for a in ds:
+            for b in ds:
+                ab, loops = compose_diagrams(a, b)
+                star = compose_diagrams(involute_diagram(b), involute_diagram(a))
+                assert star == (involute_diagram(ab), loops)
+
+
 def test_involution_examples():
     e1 = generator("e", 1, 3)
     assert involute_diagram(e1) == e1

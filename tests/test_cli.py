@@ -165,6 +165,12 @@ def test_weights_json(capsys):
     assert [r["value"] for r in data] == ["2", "1", "1"]
 
 
+def test_weights_rejects_levels_outside_the_table_budget(capsys):
+    for n in ("-1", "21", "30"):
+        code, out, err = run(["weights", "brauer", "--delta", "2", "--n", n], capsys)
+        assert code == 2 and out == "" and "between 0 and 20" in err
+
+
 def test_gram_rank_output(capsys):
     code, out, _ = run(["gram", "--char", "0", "--delta", "1", "--n", "2"], capsys)
     assert code == 0
@@ -188,6 +194,18 @@ def test_gram_rejects_levels_past_the_budget(capsys):
         assert code == 2 and "10395" in err
     code, out, _ = run(["gram", "--char", "7", "--delta", "2", "--n", "3"], capsys)
     assert code == 0 and "dimension 15, rank 10, corank 5" in out
+
+
+def test_gram_rejects_levels_past_n1_in_characteristic_p(capsys):
+    for flag in ("--n", "--n-max"):
+        code, out, err = run(["gram", "--char", "3", "--delta", "1", flag, "4"], capsys)
+        assert code == 2 and out == "" and "n_1 = 2" in err
+
+
+def test_gram_rejects_scans_over_no_level(capsys):
+    for n_max in ("1", "-3"):
+        code, out, err = run(["gram", "--delta", "2", "--n-max", n_max], capsys)
+        assert code == 2 and out == "" and "at least 2" in err
 
 
 def test_verify_suite_exit_zero(capsys):

@@ -7,22 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagalg.brauer import all_diagrams, involute_diagram
-from diagalg.exactalg import LaurentPoly, PrimeFieldElement
+from diagalg.exactalg import PrimeFieldElement
 from diagalg.gram import (
-    bareiss_det,
     bareiss_rank,
     first_degenerate_level,
     generic_nonsingularity,
     generic_structure_check,
     gram_exponents,
     gram_matrix,
-    gram_matrix_symbolic,
+    level_rank,
     rank,
     rank_mod_p,
 )
 from diagalg.weights import BrauerParams, IntegerDelta, ParameterError
-
-DELTA = LaurentPoly.monomial(1, variable="delta")
 
 
 def test_gram_exponents_small():
@@ -36,6 +33,36 @@ def test_gram_exponents_small():
         for j in range(3):
             assert m[i][j] == m[j][i]
             assert m[i][j] <= 0
+
+
+def _reference_exponent(a, b) -> int:
+    """k(a, b) = cycles(a.matching + flip(b.matching)) - n, flip(v) = v +- n:
+    closing a * b joins a's top row to b's bottom row, so b read upside down
+    shares a's vertices and each cycle of the two matchings is one loop."""
+    n = a.n
+    flip = [v + n if v < n else v - n for v in range(2 * n)]
+    mb = [0] * (2 * n)
+    for v, w in enumerate(b.matching):
+        mb[flip[v]] = flip[w]
+    seen = [False] * (2 * n)
+    cycles = 0
+    for v0 in range(2 * n):
+        if seen[v0]:
+            continue
+        cycles += 1
+        v = v0
+        while not seen[v]:
+            w = a.matching[v]
+            seen[v] = seen[w] = True
+            v = mb[w]
+    return cycles - n
+
+
+def test_gram_exponents_match_cycle_count_reference():
+    for n in range(5):
+        ds = all_diagrams(n)
+        expected = tuple(tuple(_reference_exponent(a, b) for b in ds) for a in ds)
+        assert gram_exponents(n) == expected
 
 
 def test_gram_matrix_values_small():
@@ -54,17 +81,6 @@ def test_gram_structure_k_zero_iff_involute():
         assert generic_structure_check(n)
 
 
-def test_symbolic_gram_determinant_n2():
-    g = gram_matrix_symbolic(2, scaled=True)
-    det = bareiss_det(g)
-    expected = DELTA**6 - 3 * DELTA**4 + 2 * DELTA**3
-    assert det == expected
-    # det = delta^3 (delta-1)^2 (delta+2): zeros exactly at 0, 1, -2
-    assert expected.evaluate(1) == 0
-    assert expected.evaluate(-2) == 0
-    assert expected.evaluate(2) == 64 - 48 + 16
-
-
 def test_generic_nonsingularity():
     for n in range(5):
         assert generic_nonsingularity(n)
@@ -72,9 +88,9 @@ def test_generic_nonsingularity():
 
 def test_rank_examples():
     assert rank(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))) == 4
-    g1 = gram_matrix(2, Fraction(1), scaled=True)
+    g1 = gram_matrix(2, 1, scaled=True)
     assert rank(g1) == 1  # all-ones matrix
-    g5 = gram_matrix(2, Fraction(5), scaled=True)
+    g5 = gram_matrix(2, 5, scaled=True)
     assert rank(g5) == 3
 
 
@@ -141,3 +157,14 @@ def test_first_degenerate_level_char_p():
 def test_first_degenerate_level_validates():
     with pytest.raises(ParameterError):
         first_degenerate_level(BrauerParams(0, IntegerDelta(0)), 4)
+    # a scan over no level would report a vacuous pass
+    for n_max in (1, 0, -3):
+        with pytest.raises(ParameterError):
+            first_degenerate_level(BrauerParams(0, IntegerDelta(2)), n_max)
+
+
+def test_level_rank_respects_the_n1_cap():
+    spec = BrauerParams(3, IntegerDelta(1))
+    assert level_rank(spec, 2) == 1  # delta = 1: the all-ones matrix
+    with pytest.raises(ParameterError):
+        level_rank(spec, 3)
