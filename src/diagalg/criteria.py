@@ -82,31 +82,52 @@ def bound_min(*bounds):
 @cache
 def _box_tables(n: int) -> tuple[dict, dict, dict, dict]:
     """Per-level first-witness tables: maps from the value of a box
-    statistic to (shape, box), for kinds 0..3 in order."""
+    statistic to (shape, box), for kinds 0..3 in order.
+
+    Every box of every partition of n is visited, shapes in the order of
+    partitions_of and boxes row-major; in row i that is the boxes j < i
+    (b-statistic), the diagonal box (d and b), then the boxes j > i
+    (a-statistic).  A witness tuple is built only for a value not yet in
+    its table.  The off-diagonal and diagonal-d keys are subsets of the
+    any-d keys, so a value already in off_d or diag_d is in any_d too."""
     any_d: dict[int, Witness] = {}
     off_d: dict[int, Witness] = {}
     diag_d: dict[int, Witness] = {}
     diag_b: dict[int, Witness] = {}
     for la in partitions_of(n):
         conj = conjugate(la)
-        for i, row_len in enumerate(la, start=1):
-            for j in range(1, row_len + 1):
-                if i == j:
-                    dv = 2 * la[i - 1] - 2 * i
-                    bv = -2 * conj[i - 1] + 2 * i - 2
-                    any_d.setdefault(dv, (la, (i, j)))
-                    diag_d.setdefault(dv, (la, (i, j)))
-                    diag_b.setdefault(bv, (la, (i, j)))
-                elif i < j:
-                    lj = la[j - 1] if j <= len(la) else 0
-                    dv = la[i - 1] + lj - i - j
-                    any_d.setdefault(dv, (la, (i, j)))
-                    off_d.setdefault(dv, (la, (i, j)))
-                else:
-                    ci = conj[i - 1] if i <= len(conj) else 0
-                    dv = -ci - conj[j - 1] + i + j - 2
-                    any_d.setdefault(dv, (la, (i, j)))
-                    off_d.setdefault(dv, (la, (i, j)))
+        rows, cols = len(la), len(conj)
+        padded = la + (0,) * (cols - rows)  # la_j for j <= la_1, 0 past the last row
+        lower = [j - cj for j, cj in enumerate(conj, start=1)]  # b(i, j) = i - 2 - la'_i + lower[j-1]
+        for i, li, ci in zip(range(1, rows + 1), la, conj + (0,) * (rows - cols)):
+            base = i - 2 - ci
+            j = 0
+            for u in lower[: i - 1 if i <= li else li]:  # j < i and j <= la_i
+                j += 1
+                v = base + u
+                if v not in off_d:
+                    off_d[v] = w = (la, (i, j))
+                    if v not in any_d:
+                        any_d[v] = w
+            if li < i:
+                continue
+            v = 2 * (li - i)
+            if v not in diag_d:
+                diag_d[v] = w = (la, (i, i))
+                if v not in any_d:
+                    any_d[v] = w
+            v = 2 * (i - 1 - ci)
+            if v not in diag_b:
+                diag_b[v] = (la, (i, i))
+            base = li - i  # a(i, j) = base + la_j - j
+            j = i
+            for lj in padded[i:li]:
+                j += 1
+                v = base + lj - j
+                if v not in off_d:
+                    off_d[v] = w = (la, (i, j))
+                    if v not in any_d:
+                        any_d[v] = w
     return any_d, off_d, diag_d, diag_b
 
 

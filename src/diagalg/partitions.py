@@ -69,9 +69,13 @@ def conjugate(la: Partition) -> Partition:
 
     conjugate((3, 1)) == (2, 1, 1).
     """
-    if not la:
-        return ()
-    return tuple(sum(1 for x in la if x >= j) for j in range(1, la[0] + 1))
+    conj: list[int] = []
+    i = len(la)
+    for row in reversed(la):
+        if row > len(conj):  # the columns past the rows below have height i
+            conj += [i] * (row - len(conj))
+        i -= 1
+    return tuple(conj)
 
 
 def boxes(la: Partition) -> Iterator[Box]:
@@ -155,16 +159,28 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     """Returns all partitions of n in lexicographically decreasing order.
 
     partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)).
+
+    Each partition follows from the last in place (Knuth, TAOCP 4A,
+    7.2.1.4, Algorithm P): the rightmost part greater than 1 drops by one,
+    and the ones after it plus the freed unit are refilled greedily with
+    parts of that new size, the last part taking the remainder.
     """
     if n < 0:
         raise ValueError(f"cannot partition {n}")
-
-    def gen(remaining: int, largest: int) -> Iterator[Partition]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(n, n))
+    if n == 0:
+        return ((),)
+    a = [n]
+    out = [(n,)]
+    k = 0 if n > 1 else -1  # index of the rightmost part > 1
+    while k >= 0:
+        x = a[k] - 1
+        q, r = divmod(a[k] + len(a) - 1 - k, x)  # a[k:] is a[k] followed by ones
+        a[k:] = [x] * q + [r] if r else [x] * q
+        out.append(tuple(a))
+        if r > 1:
+            k = len(a) - 1
+        elif x > 1:
+            k += q - 1
+        else:
+            k -= 1  # every part before k is at least 2
+    return tuple(out)

@@ -4,7 +4,8 @@ Each suite runs a family of exact checks (no floating point anywhere) and
 returns structured results; `run_suite` dispatches by name.  Default depths
 keep every suite in the seconds range; the caps can be raised through
 `max_n` (interpreted per suite: diagram level or partition size), which must
-be at least 2 so that every check covers at least one case.
+be at least 2 so that every check covers at least one case, and at most the
+suite's entry in MAX_DEPTH where some check grows with it unbounded.
 
 Suites:
   counting           dimension and coset identities, factorization round-trip
@@ -92,6 +93,13 @@ class CheckResult:
 
 
 SUITE_NAMES = ("counting", "trace", "cellular", "oracle-equivalence", "specialization")
+
+# The deepest max_n of the suites whose work grows without a cap in it: the
+# coset identity ~4x per level (14: about 14 s, 15: about a minute), tr(xy)
+# over all (2n-1)!! diagrams (7: 2 s, 8: 29 s and 0.8 GB), and the search to
+# level 2*max_n + 10 (20: 21 s, 21: 29 s), timed on a 2-vCPU VM.  cellular
+# and specialization cap every check themselves.
+MAX_DEPTH = {"counting": 14, "trace": 7, "oracle-equivalence": 20}
 
 
 def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResult:
@@ -299,14 +307,24 @@ def run_suite(name: str, max_n: int | None = None) -> list[CheckResult]:
     }
     if name not in table:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    if max_n is not None and max_n < 2:
-        raise ValueError(f"max_n must be >= 2, got {max_n}: below it some checks cover no case")
+    _check_depth(name, max_n)
     fn = table[name]
     return fn() if max_n is None else fn(max_n)
 
 
+def _check_depth(name: str, max_n: int | None) -> None:
+    if max_n is None:
+        return
+    if max_n < 2:
+        raise ValueError(f"max_n must be >= 2, got {max_n}: below it some checks cover no case")
+    if max_n > MAX_DEPTH.get(name, max_n):
+        raise ValueError(f"max_n for suite {name!r} must be <= {MAX_DEPTH[name]}, got {max_n}")
+
+
 def run_all(max_n: int | None = None) -> list[CheckResult]:
-    """Runs every suite in order."""
+    """Runs every suite in order, after checking max_n against each."""
+    for name in SUITE_NAMES:
+        _check_depth(name, max_n)
     results = []
     for name in SUITE_NAMES:
         results.extend(run_suite(name, max_n))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from diagalg.cli import main, parse_verdict_json, render_verdict_json
 from diagalg.criteria import UNBOUNDED, decide_bmw, decide_brauer, decide_qbrauer
 from diagalg.exactalg import RootSpec
+from diagalg.verify import MAX_DEPTH
 from diagalg.weights import (
     BMWParams,
     BrauerParams,
@@ -241,3 +243,13 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     code, out, _ = run(["verify", "--suite", "counting"], capsys)
     assert code == 1
     assert "FAIL" in out and "counterexample" in out
+
+
+def test_verify_rejects_depths_past_the_suite_ceiling(capsys):
+    # the acceptance depths stay allowed
+    assert MAX_DEPTH["counting"] >= 8 and MAX_DEPTH["trace"] >= 5 and MAX_DEPTH["oracle-equivalence"] >= 15
+    for suite, ceiling in (*MAX_DEPTH.items(), ("all", min(MAX_DEPTH.values()))):
+        start = time.monotonic()
+        code, out, err = run(["verify", "--suite", suite, "--max-n", str(ceiling + 1)], capsys)
+        assert time.monotonic() - start < 5.0
+        assert code == 2 and out == "" and f"<= {ceiling}" in err

@@ -26,7 +26,7 @@ from diagalg.criteria import (
     mprime_closed,
 )
 from diagalg.exactalg import RootSpec
-from diagalg.partitions import contains_box, dvalue, size
+from diagalg.partitions import boxes, bvalue, contains_box, dvalue, partitions_of, size
 from diagalg.weights import (
     BMWParams,
     BrauerParams,
@@ -88,6 +88,29 @@ def test_closed_forms_match_bruteforce():
                 assert fn(x) == searched[0]
 
 
+def _reference_box_tables(n):
+    """The four first-witness tables straight from the box definitions."""
+    any_d, off_d, diag_d, diag_b = {}, {}, {}, {}
+    for la in partitions_of(n):
+        for i, j in boxes(la):
+            witness = (la, (i, j))
+            d = dvalue(la, (i, j))
+            any_d.setdefault(d, witness)
+            if i == j:
+                diag_d.setdefault(d, witness)
+                diag_b.setdefault(bvalue(la, (i, j)), witness)
+            else:
+                off_d.setdefault(d, witness)
+    return any_d, off_d, diag_d, diag_b
+
+
+def test_box_tables_match_the_box_definitions():
+    # values and first witnesses, in insertion order
+    for n in range(15):
+        for got, want in zip(criteria._box_tables(n), _reference_box_tables(n)):
+            assert list(got.items()) == list(want.items()), n
+
+
 def test_bruteforce_witnesses_are_valid():
     for kind, arg in ((0, 3), (0, -2), (1, -4), (2, -6), (3, 4)):
         level, witness = m_bruteforce(kind, arg, 30)
@@ -95,8 +118,6 @@ def test_bruteforce_witnesses_are_valid():
         la, box = witness
         assert size(la) == level
         if kind == 3:
-            from diagalg.partitions import bvalue
-
             assert box[0] == box[1] and bvalue(la, box) == -arg
         else:
             assert dvalue(la, box) == -arg

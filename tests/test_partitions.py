@@ -39,6 +39,11 @@ def test_conjugate_examples():
     assert conjugate(()) == ()
     assert conjugate((1, 1)) == (2,)
     assert conjugate((4, 2, 1)) == (3, 2, 1, 1)
+    # column j has la'_j = #{i : la_i >= j}
+    for n in range(13):
+        for la in partitions_of(n):
+            columns = range(1, la[0] + 1) if la else ()
+            assert conjugate(la) == tuple(sum(1 for x in la if x >= j) for j in columns)
 
 
 def test_hook_examples():
@@ -85,6 +90,19 @@ def test_partitions_of_order_and_counts():
     assert partitions_of(0) == ((),)
     # partition numbers p(0..9) = 1, 1, 2, 3, 5, 7, 11, 15, 22, 30
     assert [len(partitions_of(n)) for n in range(10)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+    assert [len(partitions_of(n)) for n in (20, 30, 40)] == [627, 5604, 37338]
+
+    def recursive(remaining, largest):
+        # largest first part, then the partitions of the rest below it
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, largest), 0, -1):
+            for rest in recursive(remaining - first, first):
+                yield (first,) + rest
+
+    for n in range(19):
+        assert partitions_of(n) == tuple(recursive(n, n)), n
 
 
 @given(partitions_st())
