@@ -271,21 +271,22 @@ def full_closure_cycles(d: BrauerDiagram) -> int:
     return cycles
 
 
+def _pairings(values: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Perfect matchings of a sorted tuple, arcs (lo, hi) sorted by lo."""
+    if not values:
+        yield ()
+        return
+    first, rest = values[0], values[1:]
+    for k, second in enumerate(rest):
+        for sub in _pairings(rest[:k] + rest[k + 1 :]):
+            yield ((first, second),) + sub
+
+
 @cache
 def all_diagrams(n: int) -> tuple[BrauerDiagram, ...]:
     """All (2n-1)!! diagrams, sorted by through-strand count (descending)
     then by partner array; this is the Gram matrix basis order."""
-
-    def matchings(verts: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
-        if not verts:
-            yield []
-            return
-        first, rest = verts[0], verts[1:]
-        for k, second in enumerate(rest):
-            for sub in matchings(rest[:k] + rest[k + 1 :]):
-                yield [(first, second)] + sub
-
-    ds = [diagram_from_pairs(n, pairs) for pairs in matchings(tuple(range(2 * n)))]
+    ds = [diagram_from_pairs(n, pairs) for pairs in _pairings(tuple(range(2 * n)))]
     ds.sort(key=lambda d: (-d.through_count, d.matching))
     if len(ds) != double_factorial_odd(n):
         raise RuntimeError(f"enumerated {len(ds)} diagrams at n = {n}, expected (2n-1)!!")
@@ -423,50 +424,25 @@ def markov_trace(x: AlgebraElement, delta):
     return 0 if total is None else total
 
 
-def _pairings(values: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Perfect matchings of a sorted tuple, arcs (lo, hi) sorted by lo."""
-    if not values:
-        yield ()
-        return
-    first, rest = values[0], values[1:]
-    for k, second in enumerate(rest):
-        for sub in _pairings(rest[:k] + rest[k + 1 :]):
-            yield ((first, second),) + sub
+def _coset_reps(n: int, s: int) -> Iterator[Perm]:
+    """Enumerates D(n, s) unsorted and uncached (see gen_D)."""
+    ell = n - 2 * s
+    if s < 0 or ell < 0:
+        raise ValueError(f"need 0 <= s <= n/2, got n={n}, s={s}")
+    for through in combinations(range(1, n + 1), ell):
+        rest = tuple(sorted(set(range(1, n + 1)) - set(through)))
+        for arcs in _pairings(rest):
+            yield through + tuple(v for arc in arcs for v in arc)
 
 
 @cache
 def gen_D(n: int, s: int) -> tuple[Perm, ...]:
-    """The coset representatives D(n, s): u(1..l) increasing on through
-    values, then arcs (min, max) with minima increasing."""
-    ell = n - 2 * s
-    if s < 0 or ell < 0:
-        raise ValueError(f"need 0 <= s <= n/2, got n={n}, s={s}")
-    out = []
-    for through in combinations(range(1, n + 1), ell):
-        rest = tuple(sorted(set(range(1, n + 1)) - set(through)))
-        for arcs in _pairings(rest):
-            out.append(through + tuple(v for arc in arcs for v in arc))
-    out.sort()
-    if len(out) != comb(n, ell) * double_factorial_odd(s):
+    """The coset representatives D(n, s), sorted: u(1..l) increasing on
+    through values, then arcs (min, max) with minima increasing."""
+    out = tuple(sorted(_coset_reps(n, s)))
+    if len(out) != comb(n, n - 2 * s) * double_factorial_odd(s):
         raise RuntimeError(f"enumerated {len(out)} coset representatives at n = {n}, s = {s}")
-    return tuple(out)
-
-
-@cache
-def gen_Dprime(n: int, s: int) -> tuple[Perm, ...]:
-    """The variant coset set D'(n, s): arcs first, through values last."""
-    ell = n - 2 * s
-    if s < 0 or ell < 0:
-        raise ValueError(f"need 0 <= s <= n/2, got n={n}, s={s}")
-    out = []
-    for through in combinations(range(1, n + 1), ell):
-        rest = tuple(sorted(set(range(1, n + 1)) - set(through)))
-        for arcs in _pairings(rest):
-            out.append(tuple(v for arc in arcs for v in arc) + through)
-    out.sort()
-    if len(out) != comb(n, ell) * double_factorial_odd(s):
-        raise RuntimeError(f"enumerated {len(out)} coset representatives at n = {n}, s = {s}")
-    return tuple(out)
+    return out
 
 
 def factorize(d: BrauerDiagram) -> tuple[Perm, Perm, Perm, int]:
@@ -506,8 +482,12 @@ def recompose(u: Perm, pi: Perm, v: Perm, s: int) -> tuple[BrauerDiagram, int]:
 
 
 def coset_counting_identity(n: int) -> bool:
-    """Checks sum over s of |D(n,s)|^2 * (n-2s)! = (2n-1)!!."""
+    """Checks sum over s of |D(n,s)|^2 * (n-2s)! = (2n-1)!!.
+
+    The representatives are counted as they are enumerated, not through the
+    gen_D cache, so a deep check holds no coset set in memory.
+    """
     total = sum(
-        len(gen_D(n, s)) ** 2 * factorial(n - 2 * s) for s in range(n // 2 + 1)
+        sum(1 for _ in _coset_reps(n, s)) ** 2 * factorial(n - 2 * s) for s in range(n // 2 + 1)
     )
     return total == double_factorial_odd(n)

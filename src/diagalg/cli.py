@@ -91,6 +91,12 @@ def _delta_from_args(args) -> object:
 def _spec_from_args(family: str, args):
     if family == "brauer":
         return BrauerParams(args.char, _delta_from_args(args))
+    if not args.q_pm_one and (args.delta is not None or args.delta_generic or args.delta_nonint):
+        raise ParameterError("--delta, --delta-generic and --delta-nonint need --q-pm-one")
+    if args.q_pm_one and args.N is not None:
+        raise ParameterError("--N has no effect with --q-pm-one: at q = +-1 only delta is a parameter")
+    if args.f is not None and args.e is None:
+        raise ParameterError("--f (the order of q) needs --e")
     if args.q_pm_one:
         q = PlusMinusOne(_delta_from_args(args))
     elif args.not_root:
@@ -366,8 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     gram = sub.add_parser("gram", help="Gram matrix rank diagnostics (Brauer)")
     gram.add_argument("--char", type=int, default=0)
     gram.add_argument("--delta", type=int, required=True)
-    gram.add_argument("--n", type=int, help="level for a single rank computation")
-    gram.add_argument("--n-max", type=int, help="scan for the first degenerate level")
+    mode = gram.add_mutually_exclusive_group()
+    mode.add_argument("--n", type=int, help="level for a single rank computation")
+    mode.add_argument("--n-max", type=int, help="scan for the first degenerate level")
     gram.set_defaults(func=cmd_gram)
 
     verify = sub.add_parser("verify", help="run self-check suites")

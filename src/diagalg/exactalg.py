@@ -5,8 +5,7 @@ so the scalar layer never touches floating point.  Rational numbers are
 `fractions.Fraction`.  Laurent polynomials in one variable are sparse maps
 exponent -> Fraction; rational functions keep an unreduced numerator /
 denominator pair (arithmetic and equality never compute gcds; equality is by
-cross-multiplication, and `normalize` produces the canonical reduced form on
-demand).
+cross-multiplication, and evaluation cancels a shared zero at the point).
 
 Root-of-unity data is carried by RootSpec(e, f): f is the multiplicative
 order of q and e = e(q) is the least d >= 1 with [d]_q = 0, i.e. the order of
@@ -164,21 +163,18 @@ class LaurentPoly:
             return False
         return self.is_constant or other.is_constant or self.variable == other.variable
 
-    def __hash__(self) -> int:
-        if self.is_constant:
-            return hash(self.coeffs.get(0, Fraction(0)))
-        return hash((self.variable, tuple(sorted(self.coeffs.items()))))
-
     def shift(self, k: int) -> "LaurentPoly":
         """Returns v^k * self."""
         return LaurentPoly({e + k: c for e, c in self.coeffs.items()}, self.variable)
 
-    def evaluate(self, point: Scalar) -> Fraction:
-        """Substitutes a nonzero rational point for the variable."""
-        point = _as_fraction(point)
-        if not point and any(k < 0 for k in self.coeffs):
+    def evaluate(self, point: Scalar | PrimeFieldElement) -> Fraction | PrimeFieldElement:
+        """Substitutes a rational point, or a point of a prime field, for the
+        variable; the result lies in the point's field."""
+        if not isinstance(point, PrimeFieldElement):
+            point = _as_fraction(point)
+        if point == 0 and any(k < 0 for k in self.coeffs):
             raise ZeroDivisionError("cannot evaluate negative powers at 0")
-        return sum((c * point**k for k, c in self.coeffs.items()), Fraction(0))
+        return sum((c * point**k for k, c in self.coeffs.items()), point * 0)
 
     def _ordinary(self) -> tuple[int, list[Fraction]]:
         """Returns (shift, coefficient list low-to-high) with list[0] != 0."""
@@ -186,30 +182,6 @@ class LaurentPoly:
             return 0, []
         lo, hi = self.min_exp(), self.max_exp()
         return lo, [self.coeffs.get(k, Fraction(0)) for k in range(lo, hi + 1)]
-
-    def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Returns self / other, raising ValueError when it does not divide."""
-        other = self._coerce(other)
-        if other is None or other.is_zero:
-            raise ValueError("division by zero polynomial")
-        var = self._merge_variable(other)
-        if self.is_zero:
-            return LaurentPoly({}, var)
-        lo_n, num = self._ordinary()
-        lo_d, den = other._ordinary()
-        if len(num) < len(den):
-            raise ValueError("does not divide (degree)")
-        quot = [Fraction(0)] * (len(num) - len(den) + 1)
-        rem = list(num)
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + len(den) - 1] / den[-1]
-            quot[i] = c
-            if c:
-                for j, d in enumerate(den):
-                    rem[i + j] -= c * d
-        if any(rem):
-            raise ValueError("does not divide (remainder)")
-        return LaurentPoly({lo_n - lo_d + i: c for i, c in enumerate(quot)}, var)
 
     def deflate(self, point: Scalar) -> tuple[int, "LaurentPoly"]:
         """Returns (m, g) with self = (v - point)^m * v^shift * g', g(point) != 0.
@@ -240,20 +212,6 @@ class LaurentPoly:
             mult += 1
         return mult, LaurentPoly({lo + i: c for i, c in enumerate(coeffs)}, self.variable)
 
-    def content_and_sign(self) -> Fraction:
-        """Returns s with self / s having coprime integer coefficients and a
-        positive leading (highest-exponent) coefficient."""
-        if self.is_zero:
-            raise ValueError("zero polynomial has no content")
-        from math import gcd, lcm
-
-        nums = gcd(*(abs(c.numerator) for c in self.coeffs.values()))
-        dens = lcm(*(c.denominator for c in self.coeffs.values()))
-        c = Fraction(nums, dens)
-        if self.coeffs[self.max_exp()] < 0:
-            c = -c
-        return c
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -278,48 +236,11 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Returns the monic gcd (lowest exponent 0) of two Laurent polynomials."""
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    var = a.variable if not a.is_constant else b.variable
-
-    def poly_of(p: LaurentPoly) -> list[Fraction]:
-        return p._ordinary()[1]
-
-    fa, fb = (poly_of(a), poly_of(b)) if not a.is_zero else ([], [])
-    if a.is_zero:
-        fb = poly_of(b)
-    elif b.is_zero:
-        fa, fb = poly_of(a), []
-    else:
-        fa, fb = poly_of(a), poly_of(b)
-    while fb:
-        # remainder of fa mod fb
-        rem = list(fa)
-        while len(rem) >= len(fb) and any(rem):
-            c = rem[-1] / fb[-1]
-            off = len(rem) - len(fb)
-            for j, d in enumerate(fb):
-                rem[off + j] -= c * d
-            while rem and not rem[-1]:
-                rem.pop()
-        while rem and not rem[-1]:
-            rem.pop()
-        fa, fb = fb, rem
-    # strip leading/trailing zeros and make monic with lowest exponent 0
-    lead = fa[-1]
-    lo = next(i for i, c in enumerate(fa) if c)
-    return LaurentPoly({i - lo: c / lead for i, c in enumerate(fa) if c}, var)
-
-
 class RationalFunction:
     """A quotient of Laurent polynomials, kept unreduced.
 
-    Arithmetic cross-multiplies without computing gcds; `normalize` reduces to
-    the canonical representative: gcd removed, denominator shifted to lowest
-    exponent 0, scaled to coprime integer coefficients with positive leading
-    coefficient.
+    Arithmetic cross-multiplies without computing gcds, so instances have no
+    canonical form and are not hashable.
     """
 
     __slots__ = ("num", "den")
@@ -413,23 +334,6 @@ class RationalFunction:
         if other is None:
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        n = self.normalize()
-        return hash((tuple(sorted(n.num.coeffs.items())), tuple(sorted(n.den.coeffs.items()))))
-
-    def normalize(self) -> "RationalFunction":
-        """Returns the canonical reduced representative."""
-        if self.num.is_zero:
-            return RationalFunction(LaurentPoly({}, self.variable), LaurentPoly.constant(1, self.variable))
-        g = laurent_gcd(self.num, self.den)
-        num = self.num.exact_div(g)
-        den = self.den.exact_div(g)
-        k = den.min_exp()
-        den = den.shift(-k)
-        num = num.shift(-k)
-        s = den.content_and_sign()
-        return RationalFunction(num * (1 / s), den * (1 / s))
 
     def evaluate(self, point: Scalar) -> Fraction:
         """Evaluates at a rational point, cancelling any shared zero.

@@ -18,8 +18,8 @@ semisimplicity bounds reduce to locating the first vanishing factor.
 Parameters are described structurally (ParamSpec): the characteristic, the
 delta or (q, r) regime, and for roots of unity the pair of orders
 RootSpec(e, f) with e = ord(q^2), f = ord(q).  Evaluation at a root of
-unity is a pure congruence test; `realize=True` additionally evaluates in a
-prime field containing an exact order-f root as a cross-check.
+unity is a pure congruence test; `realize=True` additionally evaluates the
+symbolic weight at an exact order-f root in a prime field as a cross-check.
 """
 
 from __future__ import annotations
@@ -308,15 +308,13 @@ class WeightValue:
     is_zero: bool | None
     value: Fraction | PrimeFieldElement | None
     witness_box: Box | None
-    descriptions: tuple[str, ...]
 
 
 def _evaluate_brauer(la: Partition, p: int, delta: DeltaParam) -> WeightValue:
-    desc = weight_factor_descriptions("brauer", la)
     if p and any(hook(la, b) % p == 0 for b in boxes(la)):
-        return WeightValue(la, False, None, None, None, desc)
+        return WeightValue(la, False, None, None, None)
     if not isinstance(delta, IntegerDelta):
-        return WeightValue(la, True, False, None, None, desc)
+        return WeightValue(la, True, False, None, None)
     N = delta.value
 
     def numerator_vanishes(b: Box) -> bool:
@@ -332,31 +330,21 @@ def _evaluate_brauer(la: Partition, p: int, delta: DeltaParam) -> WeightValue:
         )
     else:
         value = reduce(lambda acc, b: acc * Fraction(N + dvalue(la, b), hook(la, b)), boxes(la), Fraction(1))
-    return WeightValue(la, True, witness is not None, value, witness, desc)
+    return WeightValue(la, True, witness is not None, value, witness)
 
 
 def _realization_value(la: Partition, family: str, eps: int, N: int, rs: RootSpec) -> PrimeFieldElement:
-    """The weight evaluated at an exact order-f root of unity in a prime field."""
-    if not rs.field_consistent:
-        raise ParameterError(f"orders {rs} are not realizable in any field")
-    p, q0 = prime_field_root_of_unity(rs.f)
-    one = PrimeFieldElement(p, 1)
-    val = one
-    for (i, j) in boxes(la):
-        h = hook(la, (i, j))
-        if family == "bmw" and i == j:
-            a, bb = avalue(la, (i, j)), bvalue(la, (i, j))
-            val = val * (one - q0 ** (-N - a) * eps) * (one + q0 ** (N + bb) * eps)
-            val = val / (one - q0 ** (-2 * h))
-        else:
-            d = dvalue(la, (i, j))
-            qi_num = (q0 ** (N + d) - q0 ** (-N - d)) / (q0 - q0 ** (-1))
-            qi_den = (q0 ** h - q0 ** (-h)) / (q0 - q0 ** (-1))
-            val = val * qi_num / qi_den
-            if family == "bmw":
-                val = val * eps
+    """The symbolic weight evaluated at an exact order-f root of unity q0 in
+    a prime field.  la has no hook divisible by e, so no denominator factor
+    vanishes at q0."""
+    _, q0 = prime_field_root_of_unity(rs.f)
+    if family == "bmw":
+        w = bmw_weight_at_power(la, N, eps)
+    else:
+        w = qbrauer_weight_at_power(la, N)
+    val = w.num.evaluate(q0) / w.den.evaluate(q0)
     if family == "qbrauer" and eps == -1 and size(la) % 2:
-        val = val * (-1)
+        val = -val
     return val
 
 
@@ -374,11 +362,9 @@ def evaluate_weight(la: Partition, spec: ParamSpec, realize: bool = False) -> We
         return _evaluate_brauer(la, p, spec.q.delta)
     family = "qbrauer" if isinstance(spec, QBrauerParams) else "bmw"
     if isinstance(spec.r, GenericR):
-        desc = weight_factor_descriptions(family, la)
-        return WeightValue(la, True, False, None, None, desc)
+        return WeightValue(la, True, False, None, None)
     eps, N = spec.r.eps, spec.r.N
     char2 = p == 2
-    desc = weight_factor_descriptions(family, la, N)
 
     def box_vanishes(b: Box, rs: RootSpec | None) -> bool:
         i, j = b
@@ -394,17 +380,17 @@ def evaluate_weight(la: Partition, spec: ParamSpec, realize: bool = False) -> We
 
     if isinstance(spec.q, NotRootOfUnity):
         witness = next((b for b in boxes(la) if box_vanishes(b, None)), None)
-        return WeightValue(la, True, witness is not None, None, witness, desc)
+        return WeightValue(la, True, witness is not None, None, witness)
     rs = spec.q.spec
     if any(hook(la, b) % rs.e == 0 for b in boxes(la)):
-        return WeightValue(la, False, None, None, None, desc)
+        return WeightValue(la, False, None, None, None)
     witness = next((b for b in boxes(la) if box_vanishes(b, rs)), None)
     value = None
     if realize:
         if char2:
             raise ParameterError("prime-field realizations have odd characteristic")
         value = _realization_value(la, family, eps, N, rs)
-    return WeightValue(la, True, witness is not None, value, witness, desc)
+    return WeightValue(la, True, witness is not None, value, witness)
 
 
 # --- levels ----------------------------------------------------------------

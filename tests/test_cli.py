@@ -127,6 +127,15 @@ def test_decide_invalid_parameters_exit_two(capsys):
     assert code == 2
     code, _, err = run(["decide", "bmw", "--e", "4", "--f", "4", "--N", "1"], capsys)
     assert code == 2
+    # flags that the chosen q regime would ignore
+    code, out, err = run(["decide", "qbrauer", "--q-pm-one", "--delta", "3", "--N", "2"], capsys)
+    assert code == 2 and out == "" and "--N" in err
+    code, out, err = run(["decide", "qbrauer", "--not-root", "--N", "2", "--delta", "5"], capsys)
+    assert code == 2 and out == "" and "need --q-pm-one" in err
+    code, out, err = run(["weights", "bmw", "--e", "5", "--N", "2", "--delta-generic", "--n", "2"], capsys)
+    assert code == 2 and out == "" and "need --q-pm-one" in err
+    code, out, err = run(["decide", "qbrauer", "--not-root", "--f", "6", "--N", "2"], capsys)
+    assert code == 2 and out == "" and "--f" in err and "--e" in err
 
 
 def test_weights_text_table(capsys):
@@ -188,6 +197,9 @@ def test_gram_rank_output(capsys):
 def test_gram_requires_a_mode(capsys):
     code, _, err = run(["gram", "--delta", "2"], capsys)
     assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["gram", "--delta", "2", "--n", "3", "--n-max", "4"])
+    assert exc.value.code == 2 and "not allowed with argument --n" in capsys.readouterr().err
 
 
 def test_gram_rejects_levels_past_the_budget(capsys):

@@ -12,7 +12,6 @@ from diagalg.exactalg import (
     RationalFunction,
     RootSpec,
     is_prime,
-    laurent_gcd,
     prime_field_root_of_unity,
     primitive_root,
     qint,
@@ -41,10 +40,7 @@ def test_laurent_ring_examples():
     p = LaurentPoly({2: 1, 0: 1, -2: 1})
     assert p.evaluate(1) == 3
     assert p.evaluate(2) == Fraction(4) + 1 + Fraction(1, 4)
-    top = LaurentPoly({3: 1, -3: -1})
-    assert top.exact_div(Q - QINV) == p
-    with pytest.raises(ValueError):
-        (Q + ONE).exact_div(Q - ONE)
+    assert p.evaluate(PrimeFieldElement(7, 2)) == PrimeFieldElement(7, 4 + 1 + 2)  # 1/4 = 2 mod 7
 
 
 def test_laurent_negative_power_needs_monomial():
@@ -91,14 +87,6 @@ def test_laurent_ring_axioms(a, b, c):
     assert a * ONE == a
 
 
-@given(laurent_st(), laurent_st())
-@settings(max_examples=200)
-def test_laurent_exact_div_roundtrip(a, b):
-    if b.is_zero:
-        return
-    assert (a * b).exact_div(b) == a
-
-
 @given(laurent_st(), st.integers(-5, 5).filter(bool))
 @settings(max_examples=200)
 def test_laurent_deflation(a, point):
@@ -114,13 +102,6 @@ def test_rational_function_equality_and_normalize():
     x = RationalFunction(LaurentPoly({2: 1, -2: -1}), Q - QINV)
     y = RationalFunction(Q + QINV)
     assert x == y
-    n = x.normalize()
-    assert n.num == Q + QINV and n.den == ONE
-    # normalization is idempotent and canonical
-    z = RationalFunction((Q + QINV) * LaurentPoly({3: -2}), ONE * LaurentPoly({3: -2}))
-    assert z.normalize().num == n.num
-    assert z.normalize().den == n.den
-    assert n.normalize().num == n.num
 
 
 def test_rational_function_evaluate_with_cancellation():
@@ -145,19 +126,6 @@ def test_rational_function_field_axioms(a, b, c, d):
     assert x - x == RationalFunction.constant(0)
     if not y.is_zero:
         assert (x / y) * y == x
-
-
-@given(laurent_st(), laurent_st())
-@settings(max_examples=100)
-def test_rational_function_normalize_is_canonical(a, b):
-    if b.is_zero:
-        return
-    x = RationalFunction(a, b)
-    scaled = RationalFunction(a * LaurentPoly({2: -3}), b * LaurentPoly({2: -3}))
-    nx, ns = x.normalize(), scaled.normalize()
-    assert nx.num == ns.num and nx.den == ns.den
-    again = nx.normalize()
-    assert again.num == nx.num and again.den == nx.den
 
 
 def test_prime_field_arithmetic():

@@ -175,25 +175,40 @@ def test_evaluate_qbrauer_at_root():
     assert w2.evaluable and not w2.is_zero
 
 
-def test_evaluate_bmw_realization_cross_check():
-    spec = BMWParams(0, RootOfUnity(RootSpec(5, 10)), SignedPower(-1, -2))
-    for n in range(5):
-        for la in partitions_of(n):
-            w = evaluate_weight(la, spec, realize=True)
-            if not w.evaluable:
+def _realization_cross_check(family):
+    # the symbolic weight evaluated at an exact root of unity in F_p vanishes
+    # exactly when the congruence test says so; e <= 6, both orders f, both
+    # signs, shapes up to size 5
+    outcomes = set()
+    for e in range(2, 7):
+        for f in (e, 2 * e):
+            rs = RootSpec(e, f)
+            if not rs.field_consistent:
                 continue
-            assert isinstance(w.value, PrimeFieldElement)
-            assert (w.value.value == 0) == w.is_zero
+            for N in range(-e, e + 1):
+                for eps in (1, -1):
+                    spec = family(0, RootOfUnity(rs), SignedPower(eps, N))
+                    try:
+                        validate_params(spec)
+                    except ParameterError:
+                        continue
+                    for n in range(6):
+                        for la in partitions_of(n):
+                            w = evaluate_weight(la, spec, realize=True)
+                            if not w.evaluable:
+                                continue
+                            assert isinstance(w.value, PrimeFieldElement)
+                            assert (w.value.value == 0) == w.is_zero
+                            outcomes.add(w.is_zero)
+    assert outcomes == {True, False}
+
+
+def test_evaluate_bmw_realization_cross_check():
+    _realization_cross_check(BMWParams)
 
 
 def test_evaluate_qbrauer_realization_cross_check():
-    spec = QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(-1, -3))
-    for n in range(5):
-        for la in partitions_of(n):
-            w = evaluate_weight(la, spec, realize=True)
-            if not w.evaluable:
-                continue
-            assert (w.value.value == 0) == w.is_zero
+    _realization_cross_check(QBrauerParams)
 
 
 def test_realization_rejected_in_char_two():
