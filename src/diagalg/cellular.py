@@ -158,10 +158,6 @@ class CellularBasisElement:
     right_coset: Perm
     element: AlgebraElement
 
-    @property
-    def n(self) -> int:
-        return self.label.level
-
 
 @cache
 def gl_basis(n: int) -> tuple[CellularBasisElement, ...]:

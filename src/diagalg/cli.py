@@ -23,7 +23,6 @@ from fractions import Fraction
 from .brauer import all_diagrams
 from .criteria import (
     UNBOUNDED,
-    Constituent,
     Verdict,
     decide_bmw,
     decide_brauer,
@@ -69,15 +68,15 @@ def _add_param_flags(p: argparse.ArgumentParser, family: str) -> None:
     qgroup.add_argument("--not-root", action="store_true", help="q is not a root of unity")
     qgroup.add_argument("--q-pm-one", action="store_true", help="q = +-1 (classical limit)")
     p.add_argument("--f", type=int, help="order of q (defaults per --qe-sign)")
-    p.add_argument("--qe-sign", type=int, choices=(1, -1), default=1,
-                   help="sign of q^e; -1 makes --f default to 2e")
+    p.add_argument("--qe-sign", type=int, choices=(1, -1),
+                   help="sign of q^e (default 1); -1 makes --f default to 2e")
     p.add_argument("--delta", type=int, help="integer delta (only with --q-pm-one)")
     p.add_argument("--delta-generic", action="store_true", help="generic delta (only with --q-pm-one)")
     p.add_argument("--delta-nonint", action="store_true", help="non-integer delta (only with --q-pm-one)")
     rgroup = p.add_mutually_exclusive_group()
     rgroup.add_argument("--N", type=int, help="exponent in r = eps * q^N (BMW: r = eps * q^(N-1))")
     rgroup.add_argument("--r-generic", action="store_true", help="r independent of q")
-    p.add_argument("--eps", type=int, choices=(1, -1), default=1, help="sign eps in r")
+    p.add_argument("--eps", type=int, choices=(1, -1), help="sign eps in r (default 1; only with --N)")
 
 
 def _delta_from_args(args) -> object:
@@ -95,21 +94,26 @@ def _spec_from_args(family: str, args):
         raise ParameterError("--delta, --delta-generic and --delta-nonint need --q-pm-one")
     if args.q_pm_one and args.N is not None:
         raise ParameterError("--N has no effect with --q-pm-one: at q = +-1 only delta is a parameter")
-    if args.f is not None and args.e is None:
-        raise ParameterError("--f (the order of q) needs --e")
+    for flag, given in (("--f (the order of q)", args.f), ("--qe-sign (the sign of q^e)", args.qe_sign)):
+        if given is not None and args.e is None:
+            raise ParameterError(f"{flag} needs --e")
+    if args.eps is not None and args.N is None:
+        raise ParameterError("--eps (the sign in r) needs --N")
     if args.q_pm_one:
         q = PlusMinusOne(_delta_from_args(args))
     elif args.not_root:
         q = NotRootOfUnity()
     elif args.e is not None:
-        f = args.f if args.f is not None else (2 * args.e if args.qe_sign == -1 else args.e)
-        q = RootOfUnity(RootSpec(args.e, f))
+        implied = 2 * args.e if args.qe_sign == -1 else args.e
+        if args.qe_sign is not None and args.f is not None and args.f != implied:
+            raise ParameterError(f"--qe-sign {args.qe_sign} makes ord(q) = {implied}, not --f {args.f}")
+        q = RootOfUnity(RootSpec(args.e, args.f if args.f is not None else implied))
     else:
         raise ParameterError("choose a q regime: --e, --not-root, or --q-pm-one")
     if args.r_generic or args.q_pm_one:
         r = GenericR()
     elif args.N is not None:
-        r = SignedPower(args.eps, args.N)
+        r = SignedPower(1 if args.eps is None else args.eps, args.N)
     else:
         raise ParameterError("choose an r regime: --N (with --eps) or --r-generic")
     cls = QBrauerParams if family == "qbrauer" else BMWParams
@@ -147,7 +151,7 @@ def _bound_text(value) -> str:
 
 
 def render_verdict_json(family: str, spec, verdict: Verdict) -> str:
-    """Serializes a Verdict; the inverse of parse_verdict_json."""
+    """Serializes a Verdict as JSON; an unbounded m or constituent is null."""
     data = {
         "family": family,
         "params": _params_summary(family, spec),
@@ -163,20 +167,6 @@ def render_verdict_json(family: str, spec, verdict: Verdict) -> str:
         "normalized": [[k, v] for k, v in verdict.normalized],
     }
     return json.dumps(data, indent=2)
-
-
-def parse_verdict_json(text: str) -> Verdict:
-    """Rebuilds the Verdict from render_verdict_json output."""
-    data = json.loads(text)
-    m = UNBOUNDED if data["unbounded"] else data["m"]
-    constituents = tuple(
-        Constituent(c["name"], UNBOUNDED if c["value"] is None else c["value"])
-        for c in data["constituents"]
-    )
-    w = data["witness"]
-    witness = None if w is None else (tuple(w["partition"]), tuple(w["box"]))
-    normalized = tuple((k, v) for k, v in data["normalized"])
-    return Verdict(m, constituents, witness, normalized)
 
 
 def _render_verdict_text(verdict: Verdict, out) -> None:
@@ -219,19 +209,12 @@ def _value_text(value) -> str:
 MAX_WEIGHT_LEVEL = 20  # about 1.5k shapes at levels 20, 18, ..., 0; under 2 s on a 2-vCPU VM
 
 
-def _weight_rows(family: str, spec, n: int) -> list[dict]:
+def _weight_rows(spec, n: int) -> list[dict]:
     rows = []
-    N = None
-    desc_family = family
-    if family != "brauer":
-        if isinstance(spec.r, SignedPower):
-            N = spec.r.N
-        if isinstance(spec.q, PlusMinusOne):
-            desc_family, N = "brauer", None
     for level in range(n, -1, -2):
         for la in partitions_of(level):
             wv = evaluate_weight(la, spec)
-            symbolic = " * ".join(weight_factor_descriptions(desc_family, la, N)) or "1"
+            symbolic = " * ".join(weight_factor_descriptions(la, spec)) or "1"
             if not wv.evaluable:
                 status, value = "not-evaluable", ""
             elif wv.is_zero:
@@ -257,7 +240,7 @@ def cmd_weights(args, out=None) -> int:
     if not 0 <= args.n <= MAX_WEIGHT_LEVEL:
         raise ParameterError(f"--n must be between 0 and {MAX_WEIGHT_LEVEL}, got {args.n}")
     spec = _spec_from_args(args.family, args)
-    rows = _weight_rows(args.family, spec, args.n)
+    rows = _weight_rows(spec, args.n)
     if args.format == "csv":
         writer = csv.writer(out)
         writer.writerow(["level", "partition", "symbolic", "status", "value", "witness_box"])
@@ -273,19 +256,8 @@ def cmd_weights(args, out=None) -> int:
                 ]
             )
         return 0
-    if args.format == "json":
-        data = [
-            {
-                "level": r["level"],
-                "partition": list(r["partition"]),
-                "symbolic": r["symbolic"],
-                "status": r["status"],
-                "value": r["value"],
-                "witness_box": None if r["witness_box"] is None else list(r["witness_box"]),
-            }
-            for r in rows
-        ]
-        print(json.dumps(data, indent=2), file=out)
+    if args.format == "json":  # tuples serialize as lists
+        print(json.dumps(rows, indent=2), file=out)
         return 0
     for r in rows:
         la = r["partition"] or "()"
@@ -364,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_param_flags(p, family)
         p.add_argument("--n", type=int, required=True,
                        help=f"top level of the table, 0 to {MAX_WEIGHT_LEVEL}")
-        p.add_argument("--symbolic", action="store_true",
-                       help="accepted for clarity; factored forms are always shown")
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
         p.set_defaults(func=cmd_weights)
 

@@ -115,15 +115,6 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({k: -c for k, c in self.coeffs.items()}, self.variable)
 
-    def __sub__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return -(self - other)
-
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is None:
@@ -167,14 +158,12 @@ class LaurentPoly:
         """Returns v^k * self."""
         return LaurentPoly({e + k: c for e, c in self.coeffs.items()}, self.variable)
 
-    def evaluate(self, point: Scalar | PrimeFieldElement) -> Fraction | PrimeFieldElement:
-        """Substitutes a rational point, or a point of a prime field, for the
-        variable; the result lies in the point's field."""
-        if not isinstance(point, PrimeFieldElement):
-            point = _as_fraction(point)
+    def evaluate(self, point: Scalar) -> Fraction:
+        """Substitutes a rational point for the variable."""
+        point = _as_fraction(point)
         if point == 0 and any(k < 0 for k in self.coeffs):
             raise ZeroDivisionError("cannot evaluate negative powers at 0")
-        return sum((c * point**k for k, c in self.coeffs.items()), point * 0)
+        return sum((c * point**k for k, c in self.coeffs.items()), Fraction(0))
 
     def _ordinary(self) -> tuple[int, list[Fraction]]:
         """Returns (shift, coefficient list low-to-high) with list[0] != 0."""
@@ -286,18 +275,6 @@ class RationalFunction:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return -(self - other)
-
     def __mul__(self, other) -> "RationalFunction":
         other = self._coerce(other)
         if other is None:
@@ -305,20 +282,6 @@ class RationalFunction:
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, n: int) -> "RationalFunction":
         if not isinstance(n, int):
@@ -370,7 +333,7 @@ class RationalFunction:
 
 
 class PrimeFieldElement:
-    """An element of F_p for a prime p, with field arithmetic."""
+    """An element of F_p for a prime p, with products, quotients and powers."""
 
     __slots__ = ("p", "value")
 
@@ -390,31 +353,7 @@ class PrimeFieldElement:
             return other
         if isinstance(other, int):
             return PrimeFieldElement(self.p, other)
-        if isinstance(other, Fraction):
-            if other.denominator % self.p == 0:
-                raise ZeroDivisionError(f"{other} has no image in F_{self.p}")
-            return PrimeFieldElement(self.p, other.numerator * pow(other.denominator, -1, self.p))
         return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElement(self.p, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PrimeFieldElement(self.p, -self.value)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -429,12 +368,6 @@ class PrimeFieldElement:
         if other is None:
             return NotImplemented
         return PrimeFieldElement(self.p, self.value * pow(other.value, -1, self.p))
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, n: int):
         if n < 0 and self.value == 0:
@@ -523,47 +456,3 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def primitive_root(p: int) -> int:
-    """Returns a generator of the multiplicative group of F_p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p == 2:
-        return 1
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // ell, p) != 1 for ell in factors):
-            return g
-    raise AssertionError("unreachable: every prime has a primitive root")
-
-
-def prime_field_root_of_unity(f: int, avoid: tuple[int, ...] = ()) -> tuple[int, PrimeFieldElement]:
-    """Returns (p, q0) with p prime, p not in `avoid`, and q0 of order exactly f in F_p.
-
-    Picks the smallest prime p = 1 (mod f) not excluded; such primes exist by
-    Dirichlet, and in practice show up within a few multiples of f.
-    """
-    if f < 1:
-        raise ValueError(f"order must be positive, got {f}")
-    p = f + 1
-    while True:
-        if is_prime(p) and p not in avoid and p > 2:
-            g = primitive_root(p)
-            q0 = pow(g, (p - 1) // f, p)
-            return p, PrimeFieldElement(p, q0)
-        p += f

@@ -138,12 +138,6 @@ def generic_structure_check(n: int) -> bool:
     return True
 
 
-def generic_nonsingularity(n: int) -> bool:
-    """Whether gram(n) is nonsingular over Q(delta): a nonzero determinant
-    at delta = 5 certifies that the determinant polynomial is nonzero."""
-    return rank(gram_matrix(n, 5, scaled=True)) == len(all_diagrams(n))
-
-
 def _checked_delta(params, n: int) -> int:
     """The integer delta of `params`, once level n is known to be within the
     MAX_LEVEL budget and, in characteristic p, at most n_1 = p - 1 (beyond

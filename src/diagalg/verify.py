@@ -213,8 +213,6 @@ def suite_cellular(max_n: int = 3) -> list[CheckResult]:
                 continue
             for label in reflected_level(m):
                 members = [c.element for c in gl_basis(m) if c.label == label]
-                if not members:
-                    members = [AlgebraElement.one(0)] if m == 0 else []
                 for x in members[:2]:
                     if not weak_coherence_check(x, label, n):
                         ok = False

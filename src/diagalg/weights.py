@@ -12,14 +12,20 @@ off-diagonal boxes but replaces the factor of a diagonal box (i,i) by
     (1 - eps*q^(-N-a))(1 + eps*q^(N+b)) / (1 - q^(-2h)).
 
 Weights multiply path counts to give the Markov trace of minimal
-idempotents, so their vanishing is what degerates the trace form; all the
+idempotents, so their vanishing is what degenerates the trace form; all the
 semisimplicity bounds reduce to locating the first vanishing factor.
+
+Each family's factor rule is written once, in `box_factors`: one record per
+box holding its numerator terms and its hook.  The symbolic weights, the
+factored descriptions and the exact zero test are each read off those
+records.
 
 Parameters are described structurally (ParamSpec): the characteristic, the
 delta or (q, r) regime, and for roots of unity the pair of orders
-RootSpec(e, f) with e = ord(q^2), f = ord(q).  Evaluation at a root of
-unity is a pure congruence test; `realize=True` additionally evaluates the
-symbolic weight at an exact order-f root in a prime field as a cross-check.
+RootSpec(e, f) with e = ord(q^2), f = ord(q).  Which rule a spec selects is
+decided in one place, `_rule`: q = +-1 falls back to the Brauer rule, and a
+generic r leaves N symbolic.  Evaluation at a root of unity is a pure
+congruence test on RootSpec.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import mul
+from typing import Iterator, NamedTuple
 
 from .exactalg import (
     LaurentPoly,
@@ -34,12 +42,11 @@ from .exactalg import (
     RationalFunction,
     RootSpec,
     is_prime,
-    prime_field_root_of_unity,
     qint,
     signed_power_is_minus_one,
     signed_power_is_one,
 )
-from .partitions import Box, Partition, avalue, boxes, bvalue, dvalue, hook, partitions_of, size
+from .partitions import Box, Partition, avalue, boxes, bvalue, dvalue, hook, partitions_of
 
 
 class ParameterError(ValueError):
@@ -208,18 +215,98 @@ def validate_params(spec: ParamSpec) -> None:
             raise ParameterError("r = -q is excluded (it forces delta = 0)")
 
 
+# --- per-box factors ------------------------------------------------------
+
+# A weight is a product of box factors, and each box factor is a product of
+# numerator terms over a hook denominator.  A term is (kind, shift); the
+# rule's integer N (the integer delta, or the exponent in r) adds to the
+# shift, and x = N + shift below.
+DELTA = "delta"  # delta + d: zero iff x = 0 in the field, i.e. mod p
+QINT = "qint"  # [N + d]_q: zero iff x = 0 mod e (x = 0 off roots of unity)
+EPS = "eps"  # the sign eps of r: never zero
+ONE_MINUS = "1-"  # 1 - eps*q^-(N+a): zero iff eps*q^x = 1
+ONE_PLUS = "1+"  # 1 + eps*q^(N+b): zero iff eps*q^x = -1
+
+# Hook denominators; each is zero iff the same modulus divides h.
+HOOK = "h"  # the integer h: zero iff p | h
+QHOOK = "[h]"  # [h]_q: zero iff e | h
+DIAG_HOOK = "1-q^(-2h)"  # zero iff e | h
+
+
+class BoxFactor(NamedTuple):
+    """The factor of one box: the product of `terms` over the hook h
+    in the denominator form `den`."""
+
+    box: Box
+    terms: tuple[tuple[str, int], ...]
+    hook: int
+    den: str
+
+
+def box_factors(family: str, la: Partition) -> Iterator[BoxFactor]:
+    """The factor record of each box of la, row-major, under the rule of
+    `family`: (delta + d)/h for "brauer", [N+d]/[h] for "qbrauer", and for
+    "bmw" eps*[N+d]/[h] off the diagonal and
+    (1 - eps*q^-(N+a))(1 + eps*q^(N+b)) / (1 - q^(-2h)) on it."""
+    for b in boxes(la):
+        h = hook(la, b)
+        if family == "brauer":
+            yield BoxFactor(b, ((DELTA, dvalue(la, b)),), h, HOOK)
+        elif family == "qbrauer":
+            yield BoxFactor(b, ((QINT, dvalue(la, b)),), h, QHOOK)
+        elif b[0] != b[1]:
+            yield BoxFactor(b, ((EPS, 0), (QINT, dvalue(la, b))), h, QHOOK)
+        else:
+            yield BoxFactor(b, ((ONE_MINUS, avalue(la, b)), (ONE_PLUS, bvalue(la, b))), h, DIAG_HOOK)
+
+
+def _rule(spec: ParamSpec) -> tuple[str, int | None, int]:
+    """The factor rule a spec selects, as (family, N, eps).  q = +-1 falls
+    back to the Brauer rule at its delta.  N is the integer delta or the
+    exponent in r, and None where there is none (a generic or non-integer
+    delta, a generic r); eps is the sign in r (1 where there is none)."""
+    if isinstance(spec, BrauerParams) or isinstance(spec.q, PlusMinusOne):
+        delta = spec.delta if isinstance(spec, BrauerParams) else spec.q.delta
+        return "brauer", delta.value if isinstance(delta, IntegerDelta) else None, 1
+    family = "qbrauer" if isinstance(spec, QBrauerParams) else "bmw"
+    if isinstance(spec.r, GenericR):
+        return family, None, 1
+    return family, spec.r.N, spec.r.eps
+
+
 # --- symbolic weights ------------------------------------------------------
+
+
+def _term_poly(kind: str, shift: int, N: int, eps: int) -> LaurentPoly:
+    if kind == DELTA:
+        return LaurentPoly({1: 1, 0: shift}, "delta")
+    if kind == QINT:
+        return qint(N + shift)
+    if kind == EPS:
+        return LaurentPoly.constant(eps)
+    if kind == ONE_MINUS:
+        return LaurentPoly([(0, 1), (-N - shift, -eps)])
+    return LaurentPoly([(0, 1), (N + shift, eps)])
+
+
+def _den_poly(den: str, h: int) -> LaurentPoly | int:
+    if den == HOOK:
+        return h
+    return qint(h) if den == QHOOK else LaurentPoly([(0, 1), (-2 * h, -1)])
+
+
+def _symbolic_weight(family: str, la: Partition, N: int = 0, eps: int = 1) -> RationalFunction:
+    variable = "delta" if family == "brauer" else "q"
+    num = den = LaurentPoly.constant(1, variable)
+    for f in box_factors(family, la):
+        num = num * reduce(mul, (_term_poly(kind, shift, N, eps) for kind, shift in f.terms))
+        den = den * _den_poly(f.den, f.hook)
+    return RationalFunction(num, den)
 
 
 def brauer_weight(la: Partition) -> RationalFunction:
     """d_la(delta) = prod (delta + d(i,j)) / h(i,j) over the boxes of la."""
-    delta = LaurentPoly.monomial(1, variable="delta")
-    num = LaurentPoly.constant(1, "delta")
-    den = Fraction(1)
-    for b in boxes(la):
-        num = num * (delta + dvalue(la, b))
-        den *= hook(la, b)
-    return RationalFunction(num, LaurentPoly.constant(den, "delta"))
+    return _symbolic_weight("brauer", la)
 
 
 def qbrauer_weight_at_power(la: Partition, N: int) -> RationalFunction:
@@ -227,12 +314,7 @@ def qbrauer_weight_at_power(la: Partition, N: int) -> RationalFunction:
 
     (At r = -q^N the weight is this times (-1)^|la|.)
     """
-    num = LaurentPoly.constant(1, "q")
-    den = LaurentPoly.constant(1, "q")
-    for b in boxes(la):
-        num = num * qint(N + dvalue(la, b))
-        den = den * qint(hook(la, b))
-    return RationalFunction(num, den)
+    return _symbolic_weight("qbrauer", la, N)
 
 
 def bmw_weight_at_power(la: Partition, N: int, eps: int) -> RationalFunction:
@@ -243,50 +325,42 @@ def bmw_weight_at_power(la: Partition, N: int, eps: int) -> RationalFunction:
     """
     if eps not in (1, -1):
         raise ParameterError(f"sign must be +-1, got {eps}")
-    one = LaurentPoly.constant(1, "q")
-    num = one
-    den = one
-    for (i, j) in boxes(la):
-        h = hook(la, (i, j))
-        if i == j:
-            a = avalue(la, (i, j))
-            b = bvalue(la, (i, j))
-            num = num * (one - LaurentPoly.monomial(-N - a, eps)) * (one + LaurentPoly.monomial(N + b, eps))
-            den = den * (one - LaurentPoly.monomial(-2 * h))
-        else:
-            num = num * (qint(N + dvalue(la, (i, j))) * eps)
-            den = den * qint(h)
-    return RationalFunction(num, den)
+    return _symbolic_weight("bmw", la, N, eps)
 
 
 # --- factored descriptions -------------------------------------------------
 
 
-def weight_factor_descriptions(family: str, la: Partition, N: int | None = None) -> tuple[str, ...]:
-    """One human-readable factor per box; N = None leaves the exponent
-    symbolic (the generic-r presentation, never flattened)."""
+def _shifted(base: str, d: int) -> str:
+    return base if d == 0 else (f"{base}+{d}" if d > 0 else f"{base}-{-d}")
 
-    def shifted(base: str, d: int) -> str:
-        return base if d == 0 else (f"{base}+{d}" if d > 0 else f"{base}-{-d}")
 
-    out = []
-    for b in boxes(la):
-        h = hook(la, b)
-        if family == "brauer":
-            d = dvalue(la, b)
-            out.append(f"({shifted('delta', d)})/{h}")
-            continue
-        if family == "qbrauer" or b[0] != b[1]:
-            d = dvalue(la, b)
-            top = f"[{N + d}]" if N is not None else f"[{shifted('N', d)}]"
-            sign = "eps*" if family == "bmw" else ""
-            out.append(f"{sign}{top}/[{h}]")
-        else:
-            a, bb = avalue(la, b), bvalue(la, b)
-            up = f"-({shifted('N', a)})" if N is None else str(-(N + a))
-            lo = f"{shifted('N', bb)}" if N is None else str(N + bb)
-            out.append(f"(1-eps*q^({up}))(1+eps*q^({lo}))/(1-q^(-{2 * h}))")
-    return tuple(out)
+def _term_text(kind: str, shift: int, N: int | None) -> str:
+    """One term as text; delta stays symbolic, and so does N = None."""
+    if kind == DELTA:
+        return f"({_shifted('delta', shift)})"
+    if kind == EPS:
+        return "eps*"
+    x = _shifted("N", shift) if N is None else str(N + shift)
+    if kind == QINT:
+        return f"[{x}]"
+    if kind == ONE_MINUS:
+        return f"(1-eps*q^({f'-({x})' if N is None else -(N + shift)}))"
+    return f"(1+eps*q^({x}))"
+
+
+def _den_text(den: str, h: int) -> str:
+    return {HOOK: str(h), QHOOK: f"[{h}]", DIAG_HOOK: f"(1-q^(-{2 * h}))"}[den]
+
+
+def weight_factor_descriptions(la: Partition, spec: ParamSpec) -> tuple[str, ...]:
+    """One human-readable factor per box of la, under the rule spec selects;
+    a generic r leaves N symbolic (never flattened)."""
+    family, N, _ = _rule(spec)
+    return tuple(
+        "".join(_term_text(kind, shift, N) for kind, shift in f.terms) + "/" + _den_text(f.den, f.hook)
+        for f in box_factors(family, la)
+    )
 
 
 # --- evaluation ------------------------------------------------------------
@@ -298,9 +372,9 @@ class WeightValue:
 
     `evaluable` is False when a denominator vanishes (only possible past
     n_1); then `is_zero` and `value` are None.  `value` is an exact field
-    element when one is computable (Fraction in characteristic 0 with
-    integral delta, PrimeFieldElement mod p or in a root-of-unity
-    realization), else None even though zero-ness is decided.
+    element for the Brauer rule at an integer delta (Fraction in
+    characteristic 0, PrimeFieldElement mod p), else None even though
+    zero-ness is decided.
     """
 
     shape: Partition
@@ -310,86 +384,49 @@ class WeightValue:
     witness_box: Box | None
 
 
-def _evaluate_brauer(la: Partition, p: int, delta: DeltaParam) -> WeightValue:
-    if p and any(hook(la, b) % p == 0 for b in boxes(la)):
-        return WeightValue(la, False, None, None, None)
-    if not isinstance(delta, IntegerDelta):
-        return WeightValue(la, True, False, None, None)
-    N = delta.value
-
-    def numerator_vanishes(b: Box) -> bool:
-        m = N + dvalue(la, b)
-        return m % p == 0 if p else m == 0
-
-    witness = next((b for b in boxes(la) if numerator_vanishes(b)), None)
-    if p:
-        value: Fraction | PrimeFieldElement = reduce(
-            lambda acc, b: acc * (PrimeFieldElement(p, N + dvalue(la, b)) / PrimeFieldElement(p, hook(la, b))),
-            boxes(la),
-            PrimeFieldElement(p, 1),
-        )
-    else:
-        value = reduce(lambda acc, b: acc * Fraction(N + dvalue(la, b), hook(la, b)), boxes(la), Fraction(1))
-    return WeightValue(la, True, witness is not None, value, witness)
+def _term_vanishes(kind: str, x: int, eps: int, modulus: int, rs: RootSpec | None, char2: bool) -> bool:
+    """Whether a term with x = N + shift is zero; `modulus` is p for delta
+    terms and e (0 off roots of unity) for q-integers, as for the hooks."""
+    if kind == EPS:
+        return False
+    if kind in (ONE_MINUS, ONE_PLUS):
+        sign = eps if kind == ONE_MINUS else -eps  # eps*q^x = -1 iff -eps*q^x = 1
+        if rs is None:
+            return x == 0 and (sign == 1 or char2)
+        return signed_power_is_one(sign, x, rs, char2)
+    return x % modulus == 0 if modulus else x == 0
 
 
-def _realization_value(la: Partition, family: str, eps: int, N: int, rs: RootSpec) -> PrimeFieldElement:
-    """The symbolic weight evaluated at an exact order-f root of unity q0 in
-    a prime field.  la has no hook divisible by e, so no denominator factor
-    vanishes at q0."""
-    _, q0 = prime_field_root_of_unity(rs.f)
-    if family == "bmw":
-        w = bmw_weight_at_power(la, N, eps)
-    else:
-        w = qbrauer_weight_at_power(la, N)
-    val = w.num.evaluate(q0) / w.den.evaluate(q0)
-    if family == "qbrauer" and eps == -1 and size(la) % 2:
-        val = -val
-    return val
-
-
-def evaluate_weight(la: Partition, spec: ParamSpec, realize: bool = False) -> WeightValue:
+def evaluate_weight(la: Partition, spec: ParamSpec) -> WeightValue:
     """Evaluates the weight of la under spec, deciding zero-ness exactly.
 
-    At roots of unity the decision is by congruences on RootSpec; with
-    realize=True the weight is additionally evaluated at a concrete root of
-    unity in a prime field (only possible for realizable (e, f))."""
+    Every factor vanishes by a congruence: mod p in the Brauer rule, and
+    at a root of unity on the orders RootSpec(e, f)."""
     validate_params(spec)
+    family, N, eps = _rule(spec)
     p = spec.characteristic
-    if isinstance(spec, BrauerParams):
-        return _evaluate_brauer(la, p, spec.delta)
-    if isinstance(spec.q, PlusMinusOne):
-        return _evaluate_brauer(la, p, spec.q.delta)
-    family = "qbrauer" if isinstance(spec, QBrauerParams) else "bmw"
-    if isinstance(spec.r, GenericR):
+    if family == "brauer":
+        rs, modulus = None, p
+    elif N is None:  # generic r: no factor vanishes
         return WeightValue(la, True, False, None, None)
-    eps, N = spec.r.eps, spec.r.N
-    char2 = p == 2
-
-    def box_vanishes(b: Box, rs: RootSpec | None) -> bool:
-        i, j = b
-        if family == "bmw" and i == j:
-            na, nb = N + avalue(la, b), N + bvalue(la, b)
-            if rs is None:
-                one_hit = na == 0 and (eps == 1 or char2)
-                minus_hit = nb == 0 and (eps == -1 or char2)
-                return one_hit or minus_hit
-            return signed_power_is_one(eps, na, rs, char2) or signed_power_is_minus_one(eps, nb, rs, char2)
-        m = N + dvalue(la, b)
-        return m == 0 if rs is None else m % rs.e == 0
-
-    if isinstance(spec.q, NotRootOfUnity):
-        witness = next((b for b in boxes(la) if box_vanishes(b, None)), None)
-        return WeightValue(la, True, witness is not None, None, witness)
-    rs = spec.q.spec
-    if any(hook(la, b) % rs.e == 0 for b in boxes(la)):
+    else:
+        rs = spec.q.spec if isinstance(spec.q, RootOfUnity) else None
+        modulus = rs.e if rs else 0
+    factors = tuple(box_factors(family, la))
+    if modulus and any(f.hook % modulus == 0 for f in factors):
         return WeightValue(la, False, None, None, None)
-    witness = next((b for b in boxes(la) if box_vanishes(b, rs)), None)
+    if N is None:
+        return WeightValue(la, True, False, None, None)
+    witness = next(
+        (f.box for f in factors if any(_term_vanishes(k, N + s, eps, modulus, rs, p == 2) for k, s in f.terms)),
+        None,
+    )
     value = None
-    if realize:
-        if char2:
-            raise ParameterError("prime-field realizations have odd characteristic")
-        value = _realization_value(la, family, eps, N, rs)
+    if family == "brauer":  # the product of (delta + d)/h over the boxes
+        value = PrimeFieldElement(p, 1) if p else Fraction(1)
+        for f in factors:
+            ((_, d),) = f.terms
+            value = value * (N + d) / f.hook
     return WeightValue(la, True, witness is not None, value, witness)
 
 
@@ -401,7 +438,7 @@ def n1_cap(spec: ParamSpec) -> int | None:
     characteristic p for the Brauer regime, e - 1 at a root of unity,
     None (no cap) otherwise."""
     p = spec.characteristic
-    if isinstance(spec, BrauerParams) or isinstance(getattr(spec, "q", None), PlusMinusOne):
+    if _rule(spec)[0] == "brauer":
         return p - 1 if p else None
     if isinstance(spec.q, RootOfUnity):
         return spec.q.spec.e - 1

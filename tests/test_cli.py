@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from diagalg.cli import main, parse_verdict_json, render_verdict_json
+from diagalg.cli import main, render_verdict_json
 from diagalg.criteria import UNBOUNDED, decide_bmw, decide_brauer, decide_qbrauer
 from diagalg.exactalg import RootSpec
 from diagalg.verify import MAX_DEPTH
@@ -104,7 +104,16 @@ def test_json_round_trip_for_all_families():
     )
     for family, spec, decide in cases:
         verdict = decide(spec)
-        assert parse_verdict_json(render_verdict_json(family, spec, verdict)) == verdict
+        data = json.loads(render_verdict_json(family, spec, verdict))
+        assert data["family"] == family
+        assert data["unbounded"] == (verdict.m is UNBOUNDED)
+        assert data["m"] == (None if verdict.m is UNBOUNDED else verdict.m)
+        assert [(c["name"], UNBOUNDED if c["value"] is None else c["value"]) for c in data["constituents"]] == [
+            (c.name, c.value) for c in verdict.constituents
+        ]
+        w = data["witness"]
+        assert (None if w is None else (tuple(w["partition"]), tuple(w["box"]))) == verdict.witness
+        assert [tuple(kv) for kv in data["normalized"]] == list(verdict.normalized)
 
 
 def test_qe_sign_defaults_f_to_twice_e(capsys):
@@ -136,10 +145,19 @@ def test_decide_invalid_parameters_exit_two(capsys):
     assert code == 2 and out == "" and "need --q-pm-one" in err
     code, out, err = run(["decide", "qbrauer", "--not-root", "--f", "6", "--N", "2"], capsys)
     assert code == 2 and out == "" and "--f" in err and "--e" in err
+    # q^5 = -1 forces ord(q) = 10, which contradicts --f 5
+    code, out, err = run(["decide", "qbrauer", "--e", "5", "--f", "5", "--qe-sign", "-1", "--N", "2"], capsys)
+    assert code == 2 and out == "" and "--qe-sign" in err and "--f" in err
+    code, out, err = run(["decide", "qbrauer", "--not-root", "--qe-sign", "-1", "--N", "2"], capsys)
+    assert code == 2 and out == "" and "--qe-sign" in err and "--e" in err
+    code, out, err = run(["weights", "bmw", "--q-pm-one", "--delta", "2", "--qe-sign", "1", "--n", "2"], capsys)
+    assert code == 2 and out == "" and "--qe-sign" in err and "--e" in err
+    code, out, err = run(["decide", "bmw", "--e", "5", "--r-generic", "--eps", "-1"], capsys)
+    assert code == 2 and out == "" and "--eps" in err and "--N" in err
 
 
 def test_weights_text_table(capsys):
-    code, out, _ = run(["weights", "brauer", "--n", "2", "--symbolic"], capsys)
+    code, out, _ = run(["weights", "brauer", "--n", "2"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 3
@@ -147,6 +165,40 @@ def test_weights_text_table(capsys):
     code, out, _ = run(["weights", "brauer", "--n", "1"], capsys)
     assert code == 0
     assert out.strip().count("\n") == 0 and "(delta)/1" in out
+
+
+def _symbolic_column(argv, capsys):
+    code, out, _ = run(["weights", *argv, "--format", "json"], capsys)
+    assert code == 0
+    return {tuple(r["partition"]): r["symbolic"] for r in json.loads(out)}
+
+
+def test_weights_symbolic_strings_are_pinned(capsys):
+    # BMW with numeric N: the diagonal box (1,1) comes first, then the
+    # off-diagonal boxes in row-major order
+    col = _symbolic_column(["bmw", "--e", "5", "--N", "-2", "--eps", "-1", "--n", "3"], capsys)
+    assert col[(3,)] == "(1-eps*q^(-2))(1+eps*q^(-4))/(1-q^(-6)) * eps*[-2]/[2] * eps*[-3]/[1]"
+    assert col[(2, 1)] == "(1-eps*q^(0))(1+eps*q^(-6))/(1-q^(-6)) * eps*[-2]/[1] * eps*[-4]/[1]"
+    assert col[(1,)] == "(1-eps*q^(2))(1+eps*q^(-4))/(1-q^(-2))"
+    col = _symbolic_column(["bmw", "--not-root", "--N", "3", "--n", "2"], capsys)
+    assert col[(1, 1)] == "(1-eps*q^(-3))(1+eps*q^(-1))/(1-q^(-4)) * eps*[2]/[1]"
+    # BMW with generic r keeps N symbolic, also where its shift is 0
+    for q_flags in (["--e", "3"], ["--not-root"]):
+        col = _symbolic_column(["bmw", *q_flags, "--r-generic", "--n", "3"], capsys)
+        assert col[(3,)] == "(1-eps*q^(-(N+4)))(1+eps*q^(N-2))/(1-q^(-6)) * eps*[N]/[2] * eps*[N-1]/[1]"
+        assert col[(1, 1, 1)] == "(1-eps*q^(-(N)))(1+eps*q^(N-6))/(1-q^(-6)) * eps*[N-2]/[2] * eps*[N-1]/[1]"
+    # q-Brauer with symbolic and with numeric N
+    col = _symbolic_column(["qbrauer", "--e", "5", "--r-generic", "--n", "3"], capsys)
+    assert col[(2, 1)] == "[N+2]/[3] * [N]/[1] * [N-2]/[1]"
+    assert col[(1,)] == "[N]/[1]"
+    col = _symbolic_column(["qbrauer", "--not-root", "--N", "-2", "--eps", "-1", "--n", "3"], capsys)
+    assert col[(2, 1)] == "[0]/[3] * [-2]/[1] * [-4]/[1]"
+    # q = +-1 falls back to the Brauer strings, with delta symbolic
+    brauer = _symbolic_column(["brauer", "--delta", "3", "--n", "4"], capsys)
+    assert brauer[(3, 1)] == "(delta+4)/4 * (delta+1)/2 * (delta-1)/1 * (delta-2)/1"
+    assert brauer[()] == "1"
+    for argv in (["qbrauer", "--q-pm-one", "--delta", "2"], ["bmw", "--q-pm-one", "--delta-generic"]):
+        assert _symbolic_column([*argv, "--n", "4"], capsys) == brauer
 
 
 def test_weights_flags_zero_with_witness(capsys):

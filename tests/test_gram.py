@@ -11,7 +11,6 @@ from diagalg.exactalg import PrimeFieldElement
 from diagalg.gram import (
     bareiss_rank,
     first_degenerate_level,
-    generic_nonsingularity,
     generic_structure_check,
     gram_exponents,
     gram_matrix,
@@ -79,11 +78,6 @@ def test_gram_structure_k_zero_iff_involute():
             for j, bp in enumerate(ds):
                 assert (m[i][j] == 0) == (bp == involute_diagram(b))
         assert generic_structure_check(n)
-
-
-def test_generic_nonsingularity():
-    for n in range(5):
-        assert generic_nonsingularity(n)
 
 
 def test_rank_examples():

@@ -14,3 +14,38 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _names_used(tree) -> set[str]:
+    """Every identifier a tree refers to: names, attributes and imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+    return out
+
+
+def test_every_public_definition_has_a_user_outside_the_tests():
+    # code that only tests reach checks nothing the program reports; a
+    # public module-level def or class needs a user in src/, scripts/ or
+    # perfbench/ other than its own body
+    root = Path(diagalg.__file__).resolve().parents[2]
+    used = set()
+    public = []
+    for path in sorted(Path(diagalg.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    public.append(f"{path.stem}.{node.name}")
+                used |= _names_used(node) - {node.name}
+            else:
+                used |= _names_used(node)
+    for folder in ("scripts", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            if not path.name.startswith("test_"):
+                used |= _names_used(ast.parse(path.read_text(), filename=str(path)))
+    assert [name for name in public if name.split(".")[1] not in used] == []

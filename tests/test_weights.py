@@ -1,6 +1,7 @@
 """Tests for symbolic weights, parameter validation, and exact evaluation."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,10 @@ from diagalg.exactalg import (
     PrimeFieldElement,
     RationalFunction,
     RootSpec,
-    prime_field_root_of_unity,
+    is_prime,
     qint,
 )
-from diagalg.partitions import partitions_of, size
+from diagalg.partitions import partitions_of
 from diagalg.weights import (
     BMWParams,
     BrauerParams,
@@ -51,8 +52,8 @@ def rf(num, den=1):
 def test_brauer_weight_small_shapes():
     assert brauer_weight(()) == rf(ONE_D)
     assert brauer_weight((1,)) == rf(DELTA)
-    assert brauer_weight((2,)) == rf((DELTA + 2) * (DELTA - 1), 2)
-    assert brauer_weight((1, 1)) == rf(DELTA * (DELTA - 1), 2)
+    assert brauer_weight((2,)) == rf((DELTA + 2) * (DELTA + -1), 2)
+    assert brauer_weight((1, 1)) == rf(DELTA * (DELTA + -1), 2)
 
 
 def test_brauer_weight_normalization():
@@ -92,10 +93,15 @@ def test_specialization_at_q_one_spot_checks():
 
 
 def test_weight_factor_descriptions_forms():
-    assert weight_factor_descriptions("brauer", (2,)) == ("(delta+2)/2", "(delta-1)/1")
-    assert weight_factor_descriptions("qbrauer", (1, 1), 3) == ("[3]/[2]", "[2]/[1]")
+    brauer = ("(delta+2)/2", "(delta-1)/1")
+    assert weight_factor_descriptions((2,), BrauerParams(0, IntegerDelta(3))) == brauer
+    qb = QBrauerParams(0, NotRootOfUnity(), SignedPower(-1, 3))
+    assert weight_factor_descriptions((1, 1), qb) == ("[3]/[2]", "[2]/[1]")
     # generic r keeps N symbolic instead of flattening
-    assert all("N" in d for d in weight_factor_descriptions("qbrauer", (1, 1)))
+    qb = QBrauerParams(0, RootOfUnity(RootSpec(5, 5)), GenericR())
+    assert weight_factor_descriptions((1, 1), qb) == ("[N]/[2]", "[N-1]/[1]")
+    # q = +-1 selects the Brauer rule, with delta symbolic
+    assert weight_factor_descriptions((2,), BMWParams(0, PlusMinusOne(GenericDelta()), GenericR())) == brauer
 
 
 def test_validate_params_accepts_good_specs():
@@ -175,16 +181,96 @@ def test_evaluate_qbrauer_at_root():
     assert w2.evaluable and not w2.is_zero
 
 
+def _symbolic(family, la, N, eps):
+    """The public symbolic weight at r = eps*q^N (q-Brauer, up to the sign
+    (-1)^|la| for eps = -1) or r = eps*q^(N-1) (BMW), built once per run."""
+    if family is QBrauerParams:
+        return _built(qbrauer_weight_at_power, la, N)
+    return _built(bmw_weight_at_power, la, N, eps)
+
+
+@cache
+def _built(weight, *args):
+    return weight(*args)
+
+
+def test_evaluation_agrees_with_symbolic_weights_off_roots_of_unity():
+    # q not a root of unity: a weight vanishes iff its symbolic form in q is
+    # identically zero
+    seen = set()
+    for family in (QBrauerParams, BMWParams):
+        for N in range(-8, 9):
+            for eps in (1, -1):
+                spec = family(0, NotRootOfUnity(), SignedPower(eps, N))
+                try:
+                    validate_params(spec)
+                except ParameterError:
+                    continue
+                for n in range(7):
+                    for la in partitions_of(n):
+                        w = evaluate_weight(la, spec)
+                        assert w.evaluable and w.is_zero == _symbolic(family, la, N, eps).is_zero
+                        seen.add(w.is_zero)
+    assert seen == {True, False}
+
+
+def test_brauer_evaluation_agrees_with_the_symbolic_weight():
+    # integer delta: zero-ness and value match brauer_weight at delta, in
+    # characteristic 0 and mod p
+    seen = set()
+    for n in range(7):
+        for la in partitions_of(n):
+            weight = brauer_weight(la)
+            for d in range(-8, 9):
+                if d == 0:
+                    continue
+                exact = weight.evaluate(d)
+                w = evaluate_weight(la, BrauerParams(0, IntegerDelta(d)))
+                assert w.evaluable and w.is_zero == (exact == 0) and w.value == exact
+                seen.add(w.is_zero)
+                for p in (3, 5, 7):
+                    if d % p == 0:
+                        continue
+                    w = evaluate_weight(la, BrauerParams(p, IntegerDelta(d)))
+                    if not w.evaluable:
+                        continue
+                    num = weight.num.evaluate(d)
+                    den = weight.den.evaluate(d)
+                    modp = PrimeFieldElement(p, num.numerator * pow(num.denominator * den.numerator, -1, p)
+                                             * den.denominator)
+                    assert w.value == modp and w.is_zero == (modp == 0)
+                    seen.add(("p", w.is_zero))
+    assert seen == {True, False, ("p", True), ("p", False)}
+
+
+def _root_of_unity(f):
+    """(p, q0): the least prime p = 1 (mod f) and an element q0 of order
+    exactly f in F_p, as an integer mod p."""
+    p = f + 1
+    while not is_prime(p):
+        p += f
+    for g in range(2, p):
+        q0 = pow(g, (p - 1) // f, p)
+        if all(pow(q0, k, p) != 1 for k in range(1, f)):
+            return p, q0
+
+
+def _at_root(poly, q0, p):
+    """A Laurent polynomial evaluated at q0 in F_p."""
+    return sum(c.numerator * pow(c.denominator, -1, p) * pow(q0, k, p) for k, c in poly.coeffs.items()) % p
+
+
 def _realization_cross_check(family):
-    # the symbolic weight evaluated at an exact root of unity in F_p vanishes
-    # exactly when the congruence test says so; e <= 6, both orders f, both
-    # signs, shapes up to size 5
+    # the public symbolic weight evaluated at an exact order-f root of unity
+    # in F_p vanishes exactly when the congruence test says so; e <= 6, both
+    # orders f, both signs, shapes up to size 5
     outcomes = set()
     for e in range(2, 7):
         for f in (e, 2 * e):
             rs = RootSpec(e, f)
             if not rs.field_consistent:
                 continue
+            p, q0 = _root_of_unity(f)
             for N in range(-e, e + 1):
                 for eps in (1, -1):
                     spec = family(0, RootOfUnity(rs), SignedPower(eps, N))
@@ -194,11 +280,12 @@ def _realization_cross_check(family):
                         continue
                     for n in range(6):
                         for la in partitions_of(n):
-                            w = evaluate_weight(la, spec, realize=True)
+                            w = evaluate_weight(la, spec)
                             if not w.evaluable:
                                 continue
-                            assert isinstance(w.value, PrimeFieldElement)
-                            assert (w.value.value == 0) == w.is_zero
+                            weight = _symbolic(family, la, N, eps)
+                            assert _at_root(weight.den, q0, p) != 0
+                            assert (_at_root(weight.num, q0, p) == 0) == w.is_zero
                             outcomes.add(w.is_zero)
     assert outcomes == {True, False}
 
@@ -211,15 +298,13 @@ def test_evaluate_qbrauer_realization_cross_check():
     _realization_cross_check(QBrauerParams)
 
 
-def test_realization_rejected_in_char_two():
-    spec = BMWParams(2, RootOfUnity(RootSpec(5, 5)), SignedPower(1, 1))
-    with pytest.raises(ParameterError):
-        evaluate_weight((2,), spec, realize=True)
-
-
 def test_prime_field_root_of_unity_orders():
-    p, q0 = prime_field_root_of_unity(10)
-    assert p == 11 and q0 ** 10 == PrimeFieldElement(p, 1) and q0 ** 5 != PrimeFieldElement(p, 1)
+    # the cross-checks' roots of unity have exactly the order asked for
+    assert _root_of_unity(10)[0] == 11
+    for f in range(2, 25):
+        p, q0 = _root_of_unity(f)
+        assert is_prime(p) and (p - 1) % f == 0
+        assert pow(q0, f, p) == 1 and all(pow(q0, k, p) != 1 for k in range(1, f))
 
 
 def test_n1_cap():
