@@ -1,6 +1,7 @@
 """Tests for the exact scalar layer: Laurent polynomials, rational functions, F_p."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -171,3 +172,15 @@ def test_signed_power_congruences():
 def test_prime_utilities():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1) and not is_prime(91) and is_prime(97)
+
+
+@given(st.integers(2, 24))
+def test_prime_field_root_of_unity_has_exact_order(f):
+    # the least prime p = 1 (mod f) has phi(f) elements of order exactly f,
+    # and every element's order divides p - 1
+    p = f + 1
+    while not is_prime(p):
+        p += f
+    orders = [next(k for k in range(1, p) if PrimeFieldElement(p, a) ** k == 1) for a in range(1, p)]
+    assert all((p - 1) % k == 0 for k in orders)
+    assert orders.count(f) == sum(1 for k in range(1, f + 1) if gcd(k, f) == 1)
