@@ -283,8 +283,9 @@ def all_diagrams(n: int) -> tuple[BrauerDiagram, ...]:
 class AlgebraElement:
     """A finite linear combination of Brauer diagrams on n strands.
 
-    Coefficients may be any exact scalar type (int, Fraction, LaurentPoly,
-    PrimeFieldElement, RationalFunction); zero terms are dropped.
+    Coefficients are integers or integer-coefficient Laurent polynomials
+    (LaurentPoly in delta, the ring of the loop value); zero terms are
+    dropped.
     """
 
     __slots__ = ("n", "terms")

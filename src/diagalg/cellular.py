@@ -20,7 +20,6 @@ arbitrary elements exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import permutations
 
@@ -187,12 +186,8 @@ def _int_coeff(c) -> int:
     """Extracts an integer from a coefficient known to be loop-free."""
     if isinstance(c, int):
         return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
     if isinstance(c, LaurentPoly) and c.is_constant:
-        f = c.coeffs.get(0, Fraction(0))
-        if f.denominator == 1:
-            return f.numerator
+        return c.coeffs.get(0, 0)
     raise ValueError(f"non-integer cellular coefficient {c!r}")
 
 
@@ -217,44 +212,49 @@ def transition_det(n: int) -> int:
 
 
 @cache
-def _transition_inverse(n: int) -> tuple[int, tuple[tuple[Fraction, ...], ...] | None]:
-    """Gauss-Jordan elimination of the transition matrix: its determinant
-    (sign times the product of the pivots) and its exact inverse (entries
-    are Fractions), or (0, None) when it is singular."""
+def _transition_inverse(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The determinant of the transition matrix and its integer inverse, by
+    Gauss-Jordan elimination with integer row operations (a pivot column is
+    cleared by Euclid's algorithm).  Raises RuntimeError unless the
+    determinant is +-1, the only case with an integer inverse."""
     t = transition_matrix(n)
     size_ = len(t)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(size_)] for i, row in enumerate(t)]
-    det = Fraction(1)
+    aug = [list(row) + [int(i == j) for j in range(size_)] for i, row in enumerate(t)]
+    det = 1
     for col in range(size_):
-        piv = next((r for r in range(col, size_) if aug[r][col]), None)
-        if piv is None:
-            return 0, None
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
+        # Euclid down the column: the least nonzero entry at or below the
+        # diagonal becomes the pivot and reduces the entries under it
+        rows = [r for r in range(col, size_) if aug[r][col]]
+        while rows:
+            piv = min(rows, key=lambda r: abs(aug[r][col]))
+            if piv != col:
+                aug[col], aug[piv] = aug[piv], aug[col]
+                det = -det
+            for r in range(col + 1, size_):
+                f = aug[r][col] // aug[col][col]
+                if f:
+                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+            rows = [r for r in range(col + 1, size_) if aug[r][col]]
+        if aug[col][col] not in (1, -1):
+            raise RuntimeError(f"the cellular basis transition matrix at n = {n} is not unimodular")
         det *= aug[col][col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        aug[col] = [x * aug[col][col] for x in aug[col]]
         for r in range(size_):
             if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return int(det), tuple(tuple(row[size_:]) for row in aug)
+    return det, tuple(tuple(row[size_:]) for row in aug)
 
 
 def expand_in_gl_basis(x: AlgebraElement) -> dict[int, LaurentPoly]:
-    """Writes x = sum coeffs[i] * gl_basis(n)[i]; coefficients are Laurent
-    polynomials in delta with Fraction scalars (exact)."""
+    """Writes x = sum coeffs[i] * gl_basis(n)[i]; coefficients are
+    integer-coefficient Laurent polynomials in delta (exact)."""
     n = x.n
     ds = {d: j for j, d in enumerate(all_diagrams(n))}
     vec: list[LaurentPoly] = [LaurentPoly({}, "delta")] * len(ds)
     for d, c in x.terms.items():
-        if isinstance(c, (int, Fraction)):
-            c = LaurentPoly.constant(c, "delta")
         vec[ds[d]] = vec[ds[d]] + c
     _, tinv = _transition_inverse(n)
-    if tinv is None:
-        raise RuntimeError(f"the cellular basis transition matrix at n = {n} is singular")
     # coefficient on basis element i is sum_j vec[j] * Tinv[j][i]
     out: dict[int, LaurentPoly] = {}
     for j, vj in enumerate(vec):

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .exactalg import RootSpec, signed_power_is_minus_one, signed_power_is_one
+from .exactalg import RootSpec, signed_power_is_one
 from .partitions import Box, Partition, conjugate, partitions_of
 from .weights import (
     BMWParams,
@@ -157,10 +157,9 @@ def mprime_bruteforce(kind: int, N: int, eps: int, spec: RootSpec, char2: bool, 
         tables = _box_tables(n)
         if kind == 1:
             hit = next((w for v, w in tables[1].items() if (N + v) % spec.e == 0), None)
-        elif kind == 2:
-            hit = next((w for v, w in tables[2].items() if signed_power_is_one(eps, N + v, spec, char2)), None)
         else:
-            hit = next((w for v, w in tables[3].items() if signed_power_is_minus_one(eps, N + v, spec, char2)), None)
+            sign = eps if kind == 2 else -eps  # eps*q^x = -1 iff -eps*q^x = 1
+            hit = next((w for v, w in tables[kind].items() if signed_power_is_one(sign, N + v, spec, char2)), None)
         if hit is not None:
             return n, hit
     return UNBOUNDED, None

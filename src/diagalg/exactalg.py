@@ -1,54 +1,52 @@
 """Exact scalar arithmetic: Laurent polynomials, rational functions, F_p.
 
 Everything downstream (weights, Gram matrices, decision procedures) is exact,
-so the scalar layer never touches floating point.  Rational numbers are
-`fractions.Fraction`.  Laurent polynomials in one variable are sparse maps
-exponent -> Fraction; rational functions keep an unreduced numerator /
-denominator pair (arithmetic and equality never compute gcds; equality is by
-cross-multiplication, and evaluation cancels a shared zero at the point).
+so the scalar layer never touches floating point.  The one coefficient ring
+is Z[v, v^-1]: Laurent polynomials in one variable are sparse maps
+exponent -> int, since every trace weight, Markov trace and cellular
+expansion has integer coefficients.  Rational functions keep an unreduced
+numerator / denominator pair (arithmetic and equality never compute gcds;
+equality is by cross-multiplication, and evaluation cancels a shared zero at
+the point).  Rational numbers (`fractions.Fraction`) appear only as values
+of `evaluate` and as constants a rational function is multiplied by.
 
 Root-of-unity data is carried by RootSpec(e, f): f is the multiplicative
 order of q and e = e(q) is the least d >= 1 with [d]_q = 0, i.e. the order of
 q^2.  For a field element these satisfy f = 2e, or f = e with e odd, but the
 pair is deliberately not constrained to that (the decision-theory sweep
 exercises raw (e, f) combinations).  All conditions of the form
-eps * q^x = +-1 reduce to congruences mod f via the two signed_power helpers.
+eps * q^x = +-1 reduce to congruences mod f via `signed_power_is_one`
+(eps * q^x = -1 is -eps * q^x = 1).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
-
-Scalar = Union[int, Fraction]
-
-
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
 
 
 class LaurentPoly:
-    """A Laurent polynomial sum c_k * v^k with Fraction coefficients.
+    """A Laurent polynomial sum c_k * v^k with integer coefficients.
 
-    Instances are immutable; the variable name is a tag and two polynomials
-    only combine when their tags agree (constants are variable-agnostic).
+    Any other coefficient type is a TypeError.  Instances are immutable; the
+    variable name is a tag and two polynomials only combine when their tags
+    agree (constants are variable-agnostic).
     """
 
     __slots__ = ("variable", "coeffs")
 
-    def __init__(self, coeffs: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]], variable: str = "q"):
+    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]], variable: str = "q"):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, int] = {}
         for k, c in items:
-            c = _as_fraction(c)
+            if not isinstance(c, int):
+                raise TypeError(f"Laurent coefficients are integers, got {type(c).__name__}")
             if c:
-                clean[k] = clean.get(k, Fraction(0)) + c
-                if not clean[k]:
+                c += clean.get(k, 0)
+                if c:
+                    clean[k] = c
+                else:
                     del clean[k]
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "variable", variable)
@@ -57,11 +55,11 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
-    def constant(cls, c: Scalar, variable: str = "q") -> "LaurentPoly":
+    def constant(cls, c: int, variable: str = "q") -> "LaurentPoly":
         return cls({0: c}, variable)
 
     @classmethod
-    def monomial(cls, exp: int, coeff: Scalar = 1, variable: str = "q") -> "LaurentPoly":
+    def monomial(cls, exp: int, coeff: int = 1, variable: str = "q") -> "LaurentPoly":
         return cls({exp: coeff}, variable)
 
     @property
@@ -96,7 +94,7 @@ class LaurentPoly:
     def _coerce(self, other) -> "LaurentPoly | None":
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return LaurentPoly.constant(other, self.variable)
         return None
 
@@ -107,7 +105,7 @@ class LaurentPoly:
         var = self._merge_variable(other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return LaurentPoly(out, var)
 
     __radd__ = __add__
@@ -120,11 +118,11 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         var = self._merge_variable(other)
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
+                out[k] = out.get(k, 0) + c1 * c2
         return LaurentPoly(out, var)
 
     __rmul__ = __mul__
@@ -133,10 +131,10 @@ class LaurentPoly:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            if not self.is_monomial:
-                raise ValueError("negative powers need a monomial (unit)")
+            if not self.is_monomial or set(self.coeffs.values()) - {1, -1}:
+                raise ValueError("negative powers need a unit +-v^k")
             ((k, c),) = self.coeffs.items()
-            return LaurentPoly.monomial(k * n, Fraction(1) / c ** (-n), self.variable)
+            return LaurentPoly.monomial(k * n, c**-n, self.variable)
         out = LaurentPoly.constant(1, self.variable)
         base = self
         while n:
@@ -158,46 +156,42 @@ class LaurentPoly:
         """Returns v^k * self."""
         return LaurentPoly({e + k: c for e, c in self.coeffs.items()}, self.variable)
 
-    def evaluate(self, point: Scalar) -> Fraction:
-        """Substitutes a rational point for the variable."""
-        point = _as_fraction(point)
+    def evaluate(self, point: int | Fraction) -> Fraction:
+        """Substitutes a rational point for the variable.  Its value is the
+        one place the scalar layer makes a Fraction."""
+        if not isinstance(point, (int, Fraction)):
+            raise TypeError(f"expected a rational point, got {type(point).__name__}")
+        point = Fraction(point)
         if point == 0 and any(k < 0 for k in self.coeffs):
             raise ZeroDivisionError("cannot evaluate negative powers at 0")
-        return sum((c * point**k for k, c in self.coeffs.items()), Fraction(0))
+        return Fraction(sum(c * point**k for k, c in self.coeffs.items()))
 
-    def _ordinary(self) -> tuple[int, list[Fraction]]:
-        """Returns (shift, coefficient list low-to-high) with list[0] != 0."""
-        if self.is_zero:
-            return 0, []
-        lo, hi = self.min_exp(), self.max_exp()
-        return lo, [self.coeffs.get(k, Fraction(0)) for k in range(lo, hi + 1)]
-
-    def deflate(self, point: Scalar) -> tuple[int, "LaurentPoly"]:
-        """Returns (m, g) with self = (v - point)^m * v^shift * g', g(point) != 0.
+    def deflate(self, point: int | Fraction) -> tuple[int, "LaurentPoly"]:
+        """Returns (m, g) with self = (b*v - a)^m * g and g(a/b) != 0, for a
+        nonzero point a/b in lowest terms.
 
         Only the multiplicity at a nonzero point is meaningful for Laurent
-        polynomials; the returned g carries the original power-of-v unit.
+        polynomials; g carries the original power-of-v unit.  Each division
+        by the primitive b*v - a is exact over Z (Gauss's lemma).
         """
-        point = _as_fraction(point)
+        if not isinstance(point, (int, Fraction)):
+            raise TypeError(f"expected a rational point, got {type(point).__name__}")
         if not point:
             raise ValueError("deflation point must be nonzero")
         if self.is_zero:
             raise ValueError("cannot deflate the zero polynomial")
-        lo, coeffs = self._ordinary()
+        a, b = point.numerator, point.denominator
+        lo = self.min_exp()
+        coeffs = [self.coeffs.get(k, 0) for k in range(lo, self.max_exp() + 1)]
         mult = 0
-        while True:
-            # synthetic division of sum coeffs[i] v^i by (v - point)
-            acc = Fraction(0)
-            for c in reversed(coeffs):
-                acc = acc * point + c
-            if acc:
-                break
-            new = [Fraction(0)] * (len(coeffs) - 1)
-            carry = Fraction(0)
-            for i in range(len(coeffs) - 1, 0, -1):
-                carry = coeffs[i] + carry * point
-                new[i - 1] = carry
-            coeffs = new
+        # b^deg * p(a/b) = 0 iff a/b is a root
+        while not sum(c * a**i * b ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs)):
+            # from the top: c_i = b*g_(i-1) - a*g_i, so g_(i-1) = (c_i + a*g_i) / b
+            g, carry = [], 0
+            for c in reversed(coeffs[1:]):
+                carry = (c + a * carry) // b
+                g.append(carry)
+            coeffs = g[::-1]
             mult += 1
         return mult, LaurentPoly({lo + i: c for i, c in enumerate(coeffs)}, self.variable)
 
@@ -247,8 +241,9 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod
-    def constant(cls, c: Scalar, variable: str = "q") -> "RationalFunction":
-        return cls(LaurentPoly.constant(c, variable))
+    def constant(cls, c: int | Fraction, variable: str = "q") -> "RationalFunction":
+        """The rational number c as an integer numerator over an integer denominator."""
+        return cls(LaurentPoly.constant(c.numerator, variable), LaurentPoly.constant(c.denominator, variable))
 
     @property
     def variable(self) -> str:
@@ -298,7 +293,7 @@ class RationalFunction:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def evaluate(self, point: Scalar) -> Fraction:
+    def evaluate(self, point: int | Fraction) -> Fraction:
         """Evaluates at a rational point, cancelling any shared zero.
 
         Raises ZeroDivisionError if the point is a genuine pole.  At 0 the
@@ -307,7 +302,6 @@ class RationalFunction:
         """
         if self.is_zero:
             return Fraction(0)
-        point = _as_fraction(point)
         if not point:
             m_num, m_den = self.num.min_exp(), self.den.min_exp()
             if m_num < m_den:
@@ -419,15 +413,6 @@ def signed_power_is_one(eps: int, x: int, spec: RootSpec, char2: bool = False) -
     if eps not in (1, -1):
         raise ValueError(f"eps must be +-1, got {eps}")
     if char2 or eps == 1:
-        return x % spec.f == 0
-    return spec.f % 2 == 0 and x % spec.f == spec.f // 2
-
-
-def signed_power_is_minus_one(eps: int, x: int, spec: RootSpec, char2: bool = False) -> bool:
-    """Whether eps * q^x = -1 for q of order f (eps in {+1, -1})."""
-    if eps not in (1, -1):
-        raise ValueError(f"eps must be +-1, got {eps}")
-    if char2 or eps == -1:
         return x % spec.f == 0
     return spec.f % 2 == 0 and x % spec.f == spec.f // 2
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .branching import double_factorial_odd, path_count, reflected_level
 from .brauer import (
@@ -184,7 +183,7 @@ def suite_trace(max_n: int = 4, pairs: int = 100) -> list[CheckResult]:
     for n in range(n_norm + 1):
         total = RationalFunction(LaurentPoly.constant(0, "delta"), LaurentPoly.constant(1, "delta"))
         for x in reflected_level(n):
-            total = total + brauer_weight(x.shape) * Fraction(path_count(x))
+            total = total + brauer_weight(x.shape) * path_count(x)
         dn = RationalFunction(LaurentPoly.monomial(n, 1, "delta"), LaurentPoly.constant(1, "delta"))
         if total != dn:
             ok = False
@@ -294,7 +293,7 @@ def suite_specialization(max_n: int = 5) -> list[CheckResult]:
         for n in range(n_norm + 1):
             total = RationalFunction(LaurentPoly.constant(0, "q"), LaurentPoly.constant(1, "q"))
             for x in reflected_level(n):
-                total = total + qbrauer_weight_at_power(x.shape, N) * Fraction(path_count(x))
+                total = total + qbrauer_weight_at_power(x.shape, N) * path_count(x)
             dn = RationalFunction(delta_q, LaurentPoly.constant(1, "q")) ** n
             if total != dn:
                 ok = False

@@ -43,7 +43,6 @@ from .exactalg import (
     RootSpec,
     is_prime,
     qint,
-    signed_power_is_minus_one,
     signed_power_is_one,
 )
 from .partitions import Box, Partition, avalue, boxes, bvalue, dvalue, hook, partitions_of
@@ -208,7 +207,7 @@ def validate_params(spec: ParamSpec) -> None:
         else:
             rs = spec.q.spec
             r_is_qinv = signed_power_is_one(eps, N, rs, char2)
-            r_is_minus_q = signed_power_is_minus_one(eps, N - 2, rs, char2)
+            r_is_minus_q = signed_power_is_one(-eps, N - 2, rs, char2)
         if r_is_qinv:
             raise ParameterError("r = q^-1 is excluded (it forces delta = 0)")
         if r_is_minus_q:
@@ -407,8 +406,6 @@ def evaluate_weight(la: Partition, spec: ParamSpec) -> WeightValue:
     p = spec.characteristic
     if family == "brauer":
         rs, modulus = None, p
-    elif N is None:  # generic r: no factor vanishes
-        return WeightValue(la, True, False, None, None)
     else:
         rs = spec.q.spec if isinstance(spec.q, RootOfUnity) else None
         modulus = rs.e if rs else 0

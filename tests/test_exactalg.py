@@ -14,7 +14,6 @@ from diagalg.exactalg import (
     RootSpec,
     is_prime,
     qint,
-    signed_power_is_minus_one,
     signed_power_is_one,
 )
 
@@ -42,10 +41,23 @@ def test_laurent_ring_examples():
 
 
 def test_laurent_negative_power_needs_monomial():
+    # only the units +-v^k of Z[v, v^-1] have negative powers
     assert Q**-3 == LaurentPoly.monomial(-3)
-    assert LaurentPoly.monomial(2, 4) ** -1 == LaurentPoly.monomial(-2, Fraction(1, 4))
+    assert LaurentPoly.monomial(2, -1) ** -3 == LaurentPoly.monomial(-6, -1)
+    with pytest.raises(ValueError):
+        LaurentPoly.monomial(2, 4) ** -1
     with pytest.raises(ValueError):
         (Q + ONE) ** -1
+
+
+def test_laurent_coefficients_are_integers():
+    with pytest.raises(TypeError):
+        LaurentPoly({0: Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        LaurentPoly({1: 1.0})
+    with pytest.raises(TypeError):
+        Q * Fraction(1, 2)
+    assert all(type(c) is int for c in ((Q + 3) * (Q + -ONE) ** 2).coeffs.values())
 
 
 def test_laurent_variable_tags():
@@ -85,14 +97,29 @@ def test_laurent_ring_axioms(a, b, c):
     assert a * ONE == a
 
 
-@given(laurent_st(), st.integers(-5, 5).filter(bool))
+@given(laurent_st(), st.integers(-5, 5).filter(bool), st.integers(1, 3), st.integers(0, 2))
 @settings(max_examples=200)
-def test_laurent_deflation(a, point):
+def test_laurent_deflation(a, num, den, k):
     if a.is_zero:
         return
-    m, g = a.deflate(Fraction(point))
-    assert g.evaluate(point) != 0
-    assert g * (Q + -point) ** m == a
+    point = Fraction(num, den)
+    linear = Q * point.denominator + -point.numerator
+    a = a * linear**k  # a root of multiplicity >= k at the point
+    m, g = a.deflate(point)
+    assert m >= k and g.evaluate(point) != 0
+    assert g * linear**m == a
+
+
+def test_deflation_at_a_rational_point():
+    # (2v - 1)^2 (v + 3) divides exactly by 2v - 1 over Z, twice
+    two_v_minus_one = Q * 2 + -ONE
+    assert (two_v_minus_one**2 * (Q + 3)).deflate(Fraction(1, 2)) == (2, Q + 3)
+    assert (two_v_minus_one * QINV).deflate(Fraction(1, 2)) == (1, QINV)
+    # a shared root at 1/2 cancels before evaluating: (2v - 1)(v + 3) / ((2v - 1) v) -> 7/2 / (1/2)
+    x = RationalFunction(two_v_minus_one * (Q + 3), two_v_minus_one * Q)
+    assert x.evaluate(Fraction(1, 2)) == 7
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(Q + 3, two_v_minus_one).evaluate(Fraction(1, 2))
 
 
 def test_rational_function_equality_and_normalize():
@@ -158,15 +185,16 @@ def test_signed_power_congruences():
     assert signed_power_is_one(1, 0, spec)
     assert signed_power_is_one(1, 10, spec)
     assert not signed_power_is_one(1, 5, spec)
-    assert signed_power_is_minus_one(1, 5, spec)  # q^5 = -1 when ord(q) = 10
-    assert signed_power_is_one(-1, 5, spec)  # -q^5 = 1
-    assert signed_power_is_minus_one(-1, 0, spec)
+    # eps * q^x = -1 is -eps * q^x = 1
+    assert signed_power_is_one(-1, 5, spec)  # q^5 = -1 when ord(q) = 10, i.e. -q^5 = 1
+    assert signed_power_is_one(1, 0, spec)  # -q^0 = -1
+    assert not signed_power_is_one(-1, 4, spec)
     odd = RootSpec(5, 5)
     assert not signed_power_is_one(-1, 0, odd)  # -1 != 1, f odd
-    assert not signed_power_is_minus_one(1, 3, odd)
+    assert not signed_power_is_one(-1, 3, odd)  # q^3 != -1, f odd
     # characteristic 2 collapses signs
     assert signed_power_is_one(-1, 0, odd, char2=True)
-    assert signed_power_is_minus_one(1, 5, odd, char2=True)
+    assert signed_power_is_one(-1, 5, odd, char2=True)  # q^5 = -1 = 1
 
 
 def test_prime_utilities():

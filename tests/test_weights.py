@@ -16,7 +16,7 @@ from diagalg.exactalg import (
     is_prime,
     qint,
 )
-from diagalg.partitions import partitions_of
+from diagalg.partitions import boxes, hook, partitions_of
 from diagalg.weights import (
     BMWParams,
     BrauerParams,
@@ -179,6 +179,42 @@ def test_evaluate_qbrauer_at_root():
     assert w.evaluable and w.is_zero and w.witness_box == (2, 1)
     w2 = evaluate_weight((2,), spec)
     assert w2.evaluable and not w2.is_zero
+
+
+def test_generic_r_at_a_root_of_unity_checks_the_hooks():
+    # a hook divisible by e makes [h] (or 1 - q^(-2h)) vanish even when r is
+    # generic; every other weight is evaluable and nonzero
+    outcomes = set()
+    for family in (QBrauerParams, BMWParams):
+        for e in range(2, 7):
+            for f in (e, 2 * e):
+                rs = RootSpec(e, f)
+                if not rs.field_consistent:
+                    continue
+                spec = family(0, RootOfUnity(rs), GenericR())
+                for n in range(9):
+                    for la in partitions_of(n):
+                        w = evaluate_weight(la, spec)
+                        divisible = any(hook(la, b) % e == 0 for b in boxes(la))
+                        assert w.evaluable is not divisible
+                        assert w.is_zero is (None if divisible else False)
+                        outcomes.add(divisible)
+                # below n_1 = e - 1 no hook reaches e, so the scan is unchanged
+                assert vanishing_level(spec, 8) is None
+    assert outcomes == {True, False}
+    spec = QBrauerParams(0, RootOfUnity(RootSpec(3, 6)), GenericR())
+    assert [evaluate_weight(la, spec).evaluable for la in partitions_of(3)] == [False] * 3
+
+
+def test_weight_coefficients_are_integers():
+    for n in range(7):
+        for la in partitions_of(n):
+            weights = [brauer_weight(la)]
+            for N in range(-5, 6):
+                weights.append(qbrauer_weight_at_power(la, N))
+                weights += [bmw_weight_at_power(la, N, eps) for eps in (1, -1)]
+            for w in weights:
+                assert all(type(c) is int for c in (*w.num.coeffs.values(), *w.den.coeffs.values()))
 
 
 def _symbolic(family, la, N, eps):
