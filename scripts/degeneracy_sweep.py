@@ -11,51 +11,34 @@ and make the script exit nonzero.
 import argparse
 import sys
 
-from diagalg.criteria import decide_brauer, is_bounded
+from diagalg.criteria import UNBOUNDED, decide_brauer
 from diagalg.gram import first_degenerate_level
 from diagalg.weights import BrauerParams, IntegerDelta, ParameterError, vanishing_level
 
 
-def sweep_char_zero(deltas, n_max):
+def sweep(p, deltas, n_max):
+    """Prints one agreement table for characteristic p over the integer
+    deltas (residues N in characteristic p), up to level n_max and the
+    cap p - 1; returns the number of disagreements."""
     bad = 0
-    print(f"characteristic 0, levels 2..{n_max}")
-    print(f"{'delta':>6}  {'gram':>6}  {'weights':>8}  {'decision':>9}")
+    cap = min(n_max, p - 1) if p else n_max
+    print(f"characteristic {p}, levels 2..{cap}")
+    print(f"{'N' if p else 'delta':>6}  {'gram':>6}  {'weights':>8}  {'decision':>9}")
     for d in deltas:
         if d == 0:
             continue
-        spec = BrauerParams(0, IntegerDelta(d))
-        gram_level = first_degenerate_level(spec, n_max)
-        vanish = vanishing_level(spec, n_max)
-        vanish_level = None if vanish is None else vanish[0]
-        m = decide_brauer(spec).m
-        decision = m if is_bounded(m) and m <= n_max else None
-        agree = gram_level == vanish_level == decision
-        row = f"{d:>6}  {str(gram_level):>6}  {str(vanish_level):>8}  {str(decision):>9}"
-        if not agree:
-            row += "  <-- DISAGREEMENT"
-            bad += 1
-        print(row)
-    return bad
-
-
-def sweep_char_p(p, n_max):
-    bad = 0
-    cap = min(n_max, p - 1)
-    print(f"characteristic {p}, levels 2..{cap}")
-    print(f"{'N':>6}  {'gram':>6}  {'weights':>8}  {'decision':>9}")
-    for N in range(1, p):
-        spec = BrauerParams(p, IntegerDelta(N))
+        spec = BrauerParams(p, IntegerDelta(d))
         try:
             gram_level = first_degenerate_level(spec, cap)
             vanish = vanishing_level(spec, cap)
         except ParameterError as exc:
-            print(f"{N:>6}  skipped: {exc}")
+            print(f"{d:>6}  skipped: {exc}")
             continue
         vanish_level = None if vanish is None else vanish[0]
         m = decide_brauer(spec).m
-        decision = m if is_bounded(m) and m <= cap else None
+        decision = m if m is not UNBOUNDED and m <= cap else None
         agree = gram_level == vanish_level == decision
-        row = f"{N:>6}  {str(gram_level):>6}  {str(vanish_level):>8}  {str(decision):>9}"
+        row = f"{d:>6}  {str(gram_level):>6}  {str(vanish_level):>8}  {str(decision):>9}"
         if not agree:
             row += "  <-- DISAGREEMENT"
             bad += 1
@@ -73,10 +56,10 @@ def main(argv=None) -> int:
                         help="deepest Gram level to test (default 4)")
     args = parser.parse_args(argv)
     r = args.delta_range
-    bad = sweep_char_zero(range(-r, r + 1), args.n_max)
+    bad = sweep(0, range(-r, r + 1), args.n_max)
     for p in args.primes:
         print()
-        bad += sweep_char_p(p, args.n_max)
+        bad += sweep(p, range(1, p), args.n_max)
     if bad:
         print(f"\n{bad} disagreement(s)", file=sys.stderr)
         return 1

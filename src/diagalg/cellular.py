@@ -289,11 +289,6 @@ def left_action_triangular(n: int) -> bool:
     right index."""
     basis = gl_basis(n)
     gens = [generator(k, j, n) for k in ("s", "e") for j in range(1, n)]
-    # index basis elements by (label, left pair, right pair)
-    index = {
-        (c.label, c.left_tableau, c.left_coset, c.right_tableau, c.right_coset): i
-        for i, c in enumerate(basis)
-    }
     for g in gens:
         ge = AlgebraElement.from_diagram(g)
         coefficient_tables: dict[tuple, dict[tuple, LaurentPoly]] = {}

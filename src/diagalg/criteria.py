@@ -3,9 +3,12 @@
 Each algebra in the family is semisimple exactly up to a level m computed
 as a minimum of simple quantities: the cap n_1 (where weights stop being
 evaluable) and the first levels at which specific box statistics make a
-weight factor vanish.  The closed forms here build each such level together
-with its witness, the (shape, box) attaining it, in time linear in the
-level.  The brute-force searches `m_bruteforce` and `mprime_bruteforce`
+weight factor vanish.  Which factor rule a spec selects and where its cap
+lies are decided in `weights` (`rule`, `n1_cap`), and this module reads
+them from there.  The closed forms here give each such level in O(1) and
+its witness, the (shape, box) attaining it, in time linear in the level;
+a decision builds the witness of the minimum only, up to
+MAX_WITNESS_LEVEL.  The brute-force searches `m_bruteforce` and `mprime_bruteforce`
 find the same pairs by scanning every partition up to a limit; they are the
 reference that the tests and `verify` compare the closed forms against, and
 no decision calls them.
@@ -27,6 +30,7 @@ vanishing weight rather than by the cap n_1 alone.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -34,13 +38,12 @@ from .exactalg import RootSpec, signed_power_is_one
 from .partitions import Box, Partition, conjugate, partitions_of
 from .weights import (
     BMWParams,
-    BrauerParams,
-    GenericR,
-    IntegerDelta,
     NotRootOfUnity,
     ParameterError,
-    PlusMinusOne,
+    ParamSpec,
     QBrauerParams,
+    n1_cap,
+    rule,
     validate_params,
 )
 
@@ -64,10 +67,8 @@ UNBOUNDED = UnboundedType()
 Bound = int | UnboundedType
 Witness = tuple[Partition, Box]
 Attained = tuple[Bound, Witness | None]
-
-
-def is_bounded(b) -> bool:
-    return isinstance(b, int)
+Candidate = tuple[int, Callable[[], Witness]]  # a level and a builder of its witness
+Part = tuple[str, list[Candidate]]  # a named closed-form constituent
 
 
 def bound_min(*bounds):
@@ -169,121 +170,93 @@ def mprime_bruteforce(kind: int, N: int, eps: int, spec: RootSpec, char2: bool, 
 #
 # Each form returns what the search returns: the least level, and the first
 # witness there in the search's order (shapes as partitions_of lists them,
-# boxes row-major), or (UNBOUNDED, None).
+# boxes row-major), or (UNBOUNDED, None).  A form is a list of candidates,
+# each a level and a builder of its witness, so that a decision builds a
+# witness only where it can win: the level costs O(1), the witness O(level).
 
 
-def _first(*candidates: Attained) -> Attained:
-    """The candidate the search meets first: the least level, then the
-    lexicographically largest shape, then the first box in row-major order."""
-    found = [c for c in candidates if c[1] is not None]
-    if not found:
-        return UNBOUNDED, None
-    return min(found, key=lambda c: (c[0], tuple(-part for part in c[1][0]), c[1][1]))
-
-
-def m_closed(kind: int, arg: int) -> Attained:
-    """Closed form of m_bruteforce(kind, arg), with no search limit: the
-    same level and witness, built in O(level)."""
+def _candidates(kind: int, arg: int) -> list[Candidate]:
+    """The candidates of m_closed(kind, arg); none where it is UNBOUNDED."""
     if kind == 0:
-        return _first(m_closed(1, arg), m_closed(2, arg))
+        return _candidates(1, arg) + _candidates(2, arg)
     if kind == 1:  # box (1,2) of one row, or (2,1) of (2, ..., 2[, 1])
         if arg <= 1:
-            return 3 - arg, ((3 - arg,), (1, 2))
-        return arg + 1, ((2,) * ((arg + 1) // 2) + (1,) * ((arg + 1) % 2), (2, 1))
+            return [(3 - arg, lambda: ((3 - arg,), (1, 2)))]
+        return [(arg + 1, lambda: ((2,) * ((arg + 1) // 2) + (1,) * ((arg + 1) % 2), (2, 1)))]
     if kind == 2:  # d(i,i) runs over the even integers >= 0
         if arg > 0 or arg % 2:
-            return UNBOUNDED, None
-        return (2, ((1, 1), (1, 1))) if arg == 0 else (1 - arg // 2, ((1 - arg // 2,), (1, 1)))
+            return []
+        if arg == 0:
+            return [(2, lambda: ((1, 1), (1, 1)))]
+        return [(1 - arg // 2, lambda: ((1 - arg // 2,), (1, 1)))]
     if kind == 3:  # b(i,i) runs over the even integers <= -2
         if arg <= 0 or arg % 2:
-            return UNBOUNDED, None
-        return (2, ((2,), (1, 1))) if arg == 2 else (arg // 2, ((1,) * (arg // 2), (1, 1)))
+            return []
+        if arg == 2:
+            return [(2, lambda: ((2,), (1, 1)))]
+        return [(arg // 2, lambda: ((1,) * (arg // 2), (1, 1)))]
     raise ParameterError(f"kind must be 0..3, got {kind}")
 
 
-def _check_prime_range(N: int, e: int) -> None:
+def _prime_candidates(kind: int, N: int, eps: int, spec: RootSpec, char2: bool) -> list[Candidate]:
+    """The candidates of mprime_closed(kind, N, eps, spec, char2).
+
+    Kind 1 is an off-diagonal box with e | N + d: only the shifts N, N-e,
+    N+e can be attained minimally.  For kinds 2 and 3 the sign condition on
+    the diagonal statistic s = -x reads f | N + s, or N + s = f/2 mod f when
+    eps has the other sign (impossible for odd f); either way x runs over
+    one class mod f.  The level grows with |x| except that d = 0, 2 and
+    b = -2, -4 all sit at level 2, so the two values of the class nearest
+    the admissible range decide the minimum and its tie."""
+    e = spec.e
     if not -e < N <= 0:
         raise ParameterError(f"normalized exponent must satisfy -e < N <= 0, got N = {N}, e = {e}")
-
-
-def _shifted_kind1(N: int, e: int) -> Attained:
-    """Off-diagonal box with e | N + d: only the shifts N, N-e, N+e can be
-    attained minimally."""
-    return _first(*(m_closed(1, x) for x in (N, N - e, N + e)))
-
-
-def mprime_closed(kind: int, N: int, eps: int, spec: RootSpec, char2: bool) -> Attained:
-    """Closed form of mprime_bruteforce(kind, N, eps, spec, char2) for
-    -e < N <= 0, with no search limit.
-
-    For kinds 2 and 3 the sign condition on the diagonal statistic s = -x
-    reads f | N + s, or N + s = f/2 mod f when eps has the other sign
-    (impossible for odd f); either way x runs over one class mod f.  The
-    level grows with |x| except that d = 0, 2 and b = -2, -4 all sit at
-    level 2, so the two values of the class nearest the admissible range
-    decide the minimum and its tie."""
-    _check_prime_range(N, spec.e)
     if kind == 1:
-        return _shifted_kind1(N, spec.e)
+        return _candidates(1, N) + _candidates(1, N - e) + _candidates(1, N + e)
     if kind not in (2, 3):
         raise ParameterError(f"kind must be 1..3, got {kind}")
     f = spec.f
     plain = char2 or eps == (1 if kind == 2 else -1)
     if not plain and f % 2:
-        return UNBOUNDED, None
+        return []
     shift = 0 if plain else f // 2
     if kind == 2:
         x = -((shift - N) % f)  # the largest x <= 0 in the class
-        return _first(m_closed(2, x), m_closed(2, x - f))
+        return _candidates(2, x) + _candidates(2, x - f)
     x = (N - shift - 1) % f + 1  # the least x >= 1 in the class
-    return _first(m_closed(3, x), m_closed(3, x + f))
+    return _candidates(3, x) + _candidates(3, x + f)
 
 
-def _nonzero(delta: int) -> None:
-    if delta == 0:
-        raise ParameterError("the closed forms exclude delta = 0 (use m_closed or m_bruteforce)")
+def _first(candidates: list[Candidate]) -> Attained:
+    """The candidate the search meets first: the least level, then the
+    lexicographically largest shape, then the first box in row-major order.
+    Only the witnesses at the least level are built."""
+    m = bound_min(*(level for level, _ in candidates))
+    if m is UNBOUNDED:
+        return UNBOUNDED, None
+    tied = (build() for level, build in candidates if level == m)
+    return m, min(tied, key=lambda w: (tuple(-part for part in w[0]), w[1]))
 
 
-def m1(delta: int):
-    """-delta+3 for negative delta, delta+1 for positive."""
-    _nonzero(delta)
-    return m_closed(1, delta)[0]
+def m_closed(kind: int, arg: int) -> Attained:
+    """Closed form of m_bruteforce(kind, arg), with no search limit: the
+    same level and witness, built in O(level)."""
+    return _first(_candidates(kind, arg))
 
 
-def m2(delta: int):
-    """-delta/2+1 for negative even delta, UNBOUNDED otherwise."""
-    _nonzero(delta)
-    return m_closed(2, delta)[0]
-
-
-def m0(delta: int):
-    """min(m1, m2): first level with any box of d-value -delta."""
-    _nonzero(delta)
-    return m_closed(0, delta)[0]
-
-
-def m3(N: int):
-    """max(2, N/2) for positive even N, UNBOUNDED otherwise."""
-    return m_closed(3, N)[0]
-
-
-def m1p(N: int, e: int):
-    """First level with an off-diagonal box with e | N + d, for -e < N <= 0."""
-    _check_prime_range(N, e)
-    return _shifted_kind1(N, e)[0]
-
-
-def m2p(N: int, eps: int, spec: RootSpec, char2: bool):
-    """First level with a diagonal box with eps*q^(N+d) = 1."""
-    return mprime_closed(2, N, eps, spec, char2)[0]
-
-
-def m3p(N: int, eps: int, spec: RootSpec, char2: bool):
-    """First level with a diagonal box with eps*q^(N+b) = -1."""
-    return mprime_closed(3, N, eps, spec, char2)[0]
+def mprime_closed(kind: int, N: int, eps: int, spec: RootSpec, char2: bool) -> Attained:
+    """Closed form of mprime_bruteforce(kind, N, eps, spec, char2) for
+    -e < N <= 0, with no search limit."""
+    return _first(_prime_candidates(kind, N, eps, spec, char2))
 
 
 # --- verdicts --------------------------------------------------------------
+
+# The deepest witness a decision builds.  A witness at level m has up to m
+# parts, so past this level a verdict would cost memory and output linear
+# in m (10^7 parts take about 0.5 GB); below it a decision stays in the
+# 20 MB of an ordinary query.
+MAX_WITNESS_LEVEL = 100_000
 
 
 @dataclass(frozen=True)
@@ -305,87 +278,87 @@ class Verdict:
     normalized: tuple[tuple[str, int], ...] = ()
 
 
-def _verdict(parts: list[tuple[str, Bound, Witness | None]], normalized=()) -> Verdict:
-    """Builds a Verdict from (name, level, witness) triples; the witness is
-    that of the first constituent attaining the minimum with one (the cap
-    n1 has none)."""
-    m = bound_min(*(level for _, level, _ in parts))
-    witness = next((w for _, level, w in parts if level == m and w is not None), None)
-    return Verdict(m, tuple(Constituent(name, level) for name, level, _ in parts), witness, tuple(normalized))
+def _verdict(spec: ParamSpec, parts: Sequence[Part] = (), normalized=()) -> Verdict:
+    """Builds the Verdict of spec from its family's closed forms, given as
+    (name, candidates) pairs.  The cap n1 = weights.n1_cap(spec) comes
+    first, where there is one; a spec with no integer N (a generic or
+    non-integer delta, a generic r) gets n0 = UNBOUNDED instead of closed
+    forms.  The witness is that of the first closed form attaining the
+    minimum (the cap has none), and is the only one built."""
+    cap = n1_cap(spec)
+    levels = [] if cap is None else [("n1", cap, [])]
+    levels += [(name, bound_min(*(level for level, _ in cands)), cands) for name, cands in parts]
+    if rule(spec)[1] is None:
+        levels.append(("n0", UNBOUNDED, []))
+    m = bound_min(*(level for _, level, _ in levels))
+    winner = next((cands for _, level, cands in levels if level == m and cands), None)
+    if winner is not None and m > MAX_WITNESS_LEVEL:
+        raise ParameterError(
+            f"m = {m} is past the witness budget: decide builds witnesses up to level {MAX_WITNESS_LEVEL}"
+        )
+    witness = None if winner is None else _first(winner)[1]
+    constituents = tuple(Constituent(name, level) for name, level, _ in levels)
+    return Verdict(m, constituents, witness, tuple(normalized))
 
 
-def _m0_parts(*args: int) -> list[tuple[str, Bound, Witness | None]]:
-    return [(f"m0({a})", *m_closed(0, a)) for a in args]
+def _m0_parts(*args: int) -> list[Part]:
+    return [(f"m0({a})", _candidates(0, a)) for a in args]
 
 
-def _cap_only(cap: int | None) -> Verdict:
-    """The verdict when nothing but the cap n1 (None: no cap) bounds m."""
-    parts = [] if cap is None else [("n1", cap, None)]
-    return _verdict(parts + [("n0", UNBOUNDED, None)])
-
-
-def decide_brauer(spec: BrauerParams) -> Verdict:
-    """Semisimplicity bound for the Brauer algebras Br_n(delta)."""
+def decide_brauer(spec: ParamSpec) -> Verdict:
+    """Semisimplicity bound for the Brauer algebras Br_n(delta), and for the
+    q-Brauer and BMW algebras at q = +-1, which select the Brauer rule."""
     validate_params(spec)
+    N = rule(spec)[1]
     p = spec.characteristic
-    if not isinstance(spec.delta, IntegerDelta):
-        return _cap_only(p - 1 if p else None)
-    N = spec.delta.value
+    if N is None:
+        return _verdict(spec)
     if p == 0:
-        return _verdict(_m0_parts(N))
+        return _verdict(spec, _m0_parts(N))
     N0 = N % p  # in (0, p); N0 = 0 is rejected by validation
-    return _verdict([("n1", p - 1, None), *_m0_parts(N0, N0 - p)], normalized=(("N", N0),))
-
-
-def _shared_regimes(spec: QBrauerParams | BMWParams) -> Verdict | None:
-    """The q-Brauer and BMW regimes that do not depend on the family: q = +-1
-    reduces to the Brauer algebra, and a generic r leaves only the cap."""
-    if isinstance(spec.q, PlusMinusOne):
-        return decide_brauer(BrauerParams(spec.characteristic, spec.q.delta))
-    if isinstance(spec.r, GenericR):
-        return _cap_only(None if isinstance(spec.q, NotRootOfUnity) else spec.q.spec.e - 1)
-    return None
+    return _verdict(spec, _m0_parts(N0, N0 - p), (("N", N0),))
 
 
 def decide_qbrauer(spec: QBrauerParams) -> Verdict:
     """Semisimplicity bound for the q-Brauer algebras (r = +-q^N regime)."""
     validate_params(spec)
-    shared = _shared_regimes(spec)
-    if shared is not None:
-        return shared
-    N = spec.r.N
+    family, N, _ = rule(spec)
+    if family == "brauer":
+        return decide_brauer(spec)
+    if N is None:
+        return _verdict(spec)
     if isinstance(spec.q, NotRootOfUnity):
-        return _verdict(_m0_parts(N))
+        return _verdict(spec, _m0_parts(N))
     e = spec.q.spec.e
     N0 = N % e - e  # in (-e, 0); e | N is rejected by validation
-    return _verdict([("n1", e - 1, None), *_m0_parts(N0, N0 - e, N0 + e)], normalized=(("N", N0),))
+    return _verdict(spec, _m0_parts(N0, N0 - e, N0 + e), (("N", N0),))
 
 
 def decide_bmw(spec: BMWParams) -> Verdict:
     """Semisimplicity bound for the BMW algebras (r = eps*q^(N-1) regime)."""
     validate_params(spec)
-    shared = _shared_regimes(spec)
-    if shared is not None:
-        return shared
+    family, N, eps = rule(spec)
+    if family == "brauer":
+        return decide_brauer(spec)
+    if N is None:
+        return _verdict(spec)
     char2 = spec.characteristic == 2
-    eps, N = spec.r.eps, spec.r.N
     if char2:
         eps = 1
     if isinstance(spec.q, NotRootOfUnity):
         if eps == 1:
             parts = _m0_parts(N)
         else:
-            parts = [(f"m1({N})", *m_closed(1, N)), (f"m3({N})", *m_closed(3, N))]
+            parts = [(f"m1({N})", _candidates(1, N)), (f"m3({N})", _candidates(3, N))]
         if char2:
             # +-1 coincide, so the kind-3 vanishing applies as well
-            parts.append((f"m3({N})", *m_closed(3, N)))
-        return _verdict(parts)
+            parts.append((f"m3({N})", _candidates(3, N)))
+        return _verdict(spec, parts)
     rs = spec.q.spec
     e, f = rs.e, rs.f
     rem = N % e
     N0 = rem - e if rem else 0  # in (-e, 0]
     k = (N - N0) // e
     eps0 = eps * (-1) ** k if (f == 2 * e and not char2) else eps
-    parts = [("n1", e - 1, None)]
-    parts += [(f"m{kind}'({N0})", *mprime_closed(kind, N0, eps0, rs, char2)) for kind in (1, 2, 3)]
-    return _verdict(parts, normalized=(("eps", eps0), ("N", N0)))
+    parts = [(f"m{kind}'({N0})", _prime_candidates(kind, N0, eps0, rs, char2)) for kind in (1, 2, 3)]
+    return _verdict(spec, parts, (("eps", eps0), ("N", N0)))

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 
 class LaurentPoly:
@@ -427,8 +428,10 @@ def qint(d: int, variable: str = "q") -> LaurentPoly:
     return LaurentPoly({d - 1 - 2 * k: 1 for k in range(d)}, variable)
 
 
+@cache
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for the small moduli here."""
+    """Trial-division primality test, adequate for the small moduli here;
+    cached, since every PrimeFieldElement tests its modulus."""
     if n < 2:
         return False
     if n < 4:

@@ -5,7 +5,7 @@ returns structured results; `run_suite` dispatches by name.  Default depths
 keep every suite in the seconds range; the caps can be raised through
 `max_n` (interpreted per suite: diagram level or partition size), which must
 be at least 2 so that every check covers at least one case, and at most the
-suite's entry in MAX_DEPTH where some check grows with it unbounded.
+suite's ceiling in SUITES where some check grows with it unbounded.
 
 Suites:
   counting           dimension and coset identities, factorization round-trip
@@ -21,7 +21,9 @@ Suites:
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import product
 
 from .branching import double_factorial_odd, path_count, reflected_level
 from .brauer import (
@@ -50,13 +52,6 @@ from .criteria import (
     decide_bmw,
     decide_brauer,
     decide_qbrauer,
-    m0,
-    m1,
-    m1p,
-    m2,
-    m2p,
-    m3,
-    m3p,
     m_bruteforce,
     m_closed,
     mprime_bruteforce,
@@ -92,18 +87,18 @@ class CheckResult:
     detail: str = ""
 
 
-SUITE_NAMES = ("counting", "trace", "cellular", "oracle-equivalence", "specialization")
-
-# The deepest max_n of the suites whose work grows without a cap in it: the
-# coset identity ~4x per level (14: about 14 s, 15: about a minute), tr(xy)
-# on 100 random pairs per level, quadratic in max_n (250: 17 s, 300: 24 s),
-# and the search to level 2*max_n + 10 (20: 21 s, 21: 29 s), timed on a
-# 2-vCPU VM.  cellular and specialization cap every check themselves.
-MAX_DEPTH = {"counting": 14, "trace": 250, "oracle-equivalence": 20}
-
-
 def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResult:
     return CheckResult(suite, name, bool(passed), detail)
+
+
+def _check(suite: str, name: str, check: Callable[[], bool]) -> CheckResult:
+    """Runs one check.  The library raises RuntimeError where an internal
+    count or inverse comes out wrong; that fails the check, with the error
+    as its detail, and the suite goes on."""
+    try:
+        return _result(suite, name, check())
+    except RuntimeError as exc:
+        return _result(suite, name, False, str(exc))
 
 
 def suite_counting(max_n: int = 6) -> list[CheckResult]:
@@ -191,32 +186,32 @@ def suite_trace(max_n: int = 4, pairs: int = 100) -> list[CheckResult]:
     return out
 
 
-def suite_cellular(max_n: int = 3) -> list[CheckResult]:
-    """Cellular-structure checks for the diagram basis."""
-    out = []
-    n_det = min(max_n, 4)
-    ok = all(transition_det(n) in (1, -1) for n in range(n_det + 1))
-    out.append(_result("cellular", f"basis transition determinant is +-1, n <= {n_det}", ok))
-    n_tri = min(max_n, 3)
-    ok = all(left_action_triangular(n) for n in range(n_tri + 1))
-    out.append(_result("cellular", f"left action is layer-triangular, n <= {n_tri}", ok))
-    ok = all(involution_swaps_indices(n) for n in range(n_tri + 1))
-    out.append(_result("cellular", f"involution swaps tableau indices, n <= {n_tri}", ok))
-    ok = all(ideal_identification(n) for n in range(n_tri + 1))
-    out.append(_result("cellular", f"lower layers = ideal of e_(n-1), n <= {n_tri}", ok))
-    n_coh = min(max_n, 4)
-    ok = True
-    for n in range(n_coh + 1):
+def _weak_coherence(max_n: int) -> bool:
+    for n in range(max_n + 1):
         for m in range(n % 2, n + 1, 2):
             if (n - m) // 2 > 2:
                 continue
             for label in reflected_level(m):
                 members = [c.element for c in gl_basis(m) if c.label == label]
-                for x in members[:2]:
-                    if not weak_coherence_check(x, label, n):
-                        ok = False
-    out.append(_result("cellular", f"weak coherence of layers, k <= 2, n <= {n_coh}", ok))
-    return out
+                if not all(weak_coherence_check(x, label, n) for x in members[:2]):
+                    return False
+    return True
+
+
+def suite_cellular(max_n: int = 3) -> list[CheckResult]:
+    """Cellular-structure checks for the diagram basis."""
+    n_det = min(max_n, 4)
+    n_tri = min(max_n, 3)
+    levels = range(n_tri + 1)
+    checks = (
+        (f"basis transition determinant is +-1, n <= {n_det}",
+         lambda: all(transition_det(n) in (1, -1) for n in range(n_det + 1))),
+        (f"left action is layer-triangular, n <= {n_tri}", lambda: all(map(left_action_triangular, levels))),
+        (f"involution swaps tableau indices, n <= {n_tri}", lambda: all(map(involution_swaps_indices, levels))),
+        (f"lower layers = ideal of e_(n-1), n <= {n_tri}", lambda: all(map(ideal_identification, levels))),
+        (f"weak coherence of layers, k <= 2, n <= {n_det}", lambda: _weak_coherence(n_det)),
+    )
+    return [_check("cellular", name, check) for name, check in checks]
 
 
 def suite_oracle_equivalence(max_n: int = 10) -> list[CheckResult]:
@@ -224,29 +219,17 @@ def suite_oracle_equivalence(max_n: int = 10) -> list[CheckResult]:
     decision witnesses against actual weight vanishing."""
     out = []
     limit = 2 * max_n + 10
-    ok = True
-    for x in range(-max_n, max_n + 1):
-        for kind, fn in enumerate((m0, m1, m2, m3)):
-            searched = m_bruteforce(kind, x, limit)
-            if m_closed(kind, x) != searched or ((x or kind == 3) and fn(x) != searched[0]):
-                ok = False
+    args = range(-max_n, max_n + 1)
+    ok = all(m_closed(kind, x) == m_bruteforce(kind, x, limit) for kind, x in product(range(4), args))
     out.append(_result("oracle-equivalence", f"m0/m1/m2/m3 closed form = search, |arg| <= {max_n}", ok))
     ok = True
     e_cap = min(max_n, 8)
     for e in range(2, e_cap + 1):
         for f in (e, 2 * e):
             rs = RootSpec(e, f)
-            for N in range(-e + 1, 1):
-                searched = mprime_bruteforce(1, N, 1, rs, False, limit)
-                if mprime_closed(1, N, 1, rs, False) != searched or m1p(N, e) != searched[0]:
+            for N, kind, eps, char2 in product(range(-e + 1, 1), (1, 2, 3), (1, -1), (False, True)):
+                if mprime_closed(kind, N, eps, rs, char2) != mprime_bruteforce(kind, N, eps, rs, char2, limit):
                     ok = False
-                for eps in (1, -1):
-                    for char2 in (False, True):
-                        for kind, fn in ((2, m2p), (3, m3p)):
-                            searched = mprime_bruteforce(kind, N, eps, rs, char2, limit)
-                            closed = mprime_closed(kind, N, eps, rs, char2)
-                            if closed != searched or fn(N, eps, rs, char2) != searched[0]:
-                                ok = False
     out.append(_result("oracle-equivalence", f"m1'/m2'/m3' closed form = search, e <= {e_cap}", ok))
     ok = True
     cases = (
@@ -301,19 +284,27 @@ def suite_specialization(max_n: int = 5) -> list[CheckResult]:
     return out
 
 
+# Each suite with the deepest max_n it accepts, None where every check caps
+# its own depth.  Past the ceiling the work grows without a cap: the coset
+# identity ~4x per level (14: about 14 s, 15: about a minute), tr(xy) on 100
+# random pairs per level, quadratic in max_n (250: 17 s, 300: 24 s), and the
+# search to level 2*max_n + 10 (20: 21 s, 21: 29 s), timed on a 2-vCPU VM.
+SUITES = {
+    "counting": (suite_counting, 14),
+    "trace": (suite_trace, 250),
+    "cellular": (suite_cellular, None),
+    "oracle-equivalence": (suite_oracle_equivalence, 20),
+    "specialization": (suite_specialization, None),
+}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str, max_n: int | None = None) -> list[CheckResult]:
-    """Runs one suite by name (see SUITE_NAMES); max_n overrides the default depth."""
-    table = {
-        "counting": suite_counting,
-        "trace": suite_trace,
-        "cellular": suite_cellular,
-        "oracle-equivalence": suite_oracle_equivalence,
-        "specialization": suite_specialization,
-    }
-    if name not in table:
+    """Runs one suite by name (see SUITES); max_n overrides the default depth."""
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     _check_depth(name, max_n)
-    fn = table[name]
+    fn = SUITES[name][0]
     return fn() if max_n is None else fn(max_n)
 
 
@@ -322,8 +313,9 @@ def _check_depth(name: str, max_n: int | None) -> None:
         return
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}: below it some checks cover no case")
-    if max_n > MAX_DEPTH.get(name, max_n):
-        raise ValueError(f"max_n for suite {name!r} must be <= {MAX_DEPTH[name]}, got {max_n}")
+    ceiling = SUITES[name][1]
+    if ceiling is not None and max_n > ceiling:
+        raise ValueError(f"max_n for suite {name!r} must be <= {ceiling}, got {max_n}")
 
 
 def run_all(max_n: int | None = None) -> list[CheckResult]:

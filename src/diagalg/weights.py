@@ -23,9 +23,10 @@ records.
 Parameters are described structurally (ParamSpec): the characteristic, the
 delta or (q, r) regime, and for roots of unity the pair of orders
 RootSpec(e, f) with e = ord(q^2), f = ord(q).  Which rule a spec selects is
-decided in one place, `_rule`: q = +-1 falls back to the Brauer rule, and a
-generic r leaves N symbolic.  Evaluation at a root of unity is a pure
-congruence test on RootSpec.
+decided in one place, `rule`: q = +-1 falls back to the Brauer rule, and a
+generic r leaves N symbolic.  The weights, the cap `n1_cap` and the
+decisions in `criteria` all read the rule from there.  Evaluation at a root
+of unity is a pure congruence test on RootSpec.
 """
 
 from __future__ import annotations
@@ -136,7 +137,14 @@ class BMWParams:
 ParamSpec = BrauerParams | QBrauerParams | BMWParams
 
 
+# The characteristic is tested for primality by trial division: about
+# 23,000 odd divisors just below this bound, but 5 * 10^8 near 10^18.
+MAX_CHARACTERISTIC = 2**31
+
+
 def _validate_characteristic(p: int) -> None:
+    if p >= MAX_CHARACTERISTIC:
+        raise ParameterError(f"characteristic must be below 2^31 (its primality test is trial division), got {p}")
     if p != 0 and not is_prime(p):
         raise ParameterError(f"characteristic must be 0 or prime, got {p}")
 
@@ -259,7 +267,7 @@ def box_factors(family: str, la: Partition) -> Iterator[BoxFactor]:
             yield BoxFactor(b, ((ONE_MINUS, avalue(la, b)), (ONE_PLUS, bvalue(la, b))), h, DIAG_HOOK)
 
 
-def _rule(spec: ParamSpec) -> tuple[str, int | None, int]:
+def rule(spec: ParamSpec) -> tuple[str, int | None, int]:
     """The factor rule a spec selects, as (family, N, eps).  q = +-1 falls
     back to the Brauer rule at its delta.  N is the integer delta or the
     exponent in r, and None where there is none (a generic or non-integer
@@ -355,7 +363,7 @@ def _den_text(den: str, h: int) -> str:
 def weight_factor_descriptions(la: Partition, spec: ParamSpec) -> tuple[str, ...]:
     """One human-readable factor per box of la, under the rule spec selects;
     a generic r leaves N symbolic (never flattened)."""
-    family, N, _ = _rule(spec)
+    family, N, _ = rule(spec)
     return tuple(
         "".join(_term_text(kind, shift, N) for kind, shift in f.terms) + "/" + _den_text(f.den, f.hook)
         for f in box_factors(family, la)
@@ -402,7 +410,7 @@ def evaluate_weight(la: Partition, spec: ParamSpec) -> WeightValue:
     Every factor vanishes by a congruence: mod p in the Brauer rule, and
     at a root of unity on the orders RootSpec(e, f)."""
     validate_params(spec)
-    family, N, eps = _rule(spec)
+    family, N, eps = rule(spec)
     p = spec.characteristic
     if family == "brauer":
         rs, modulus = None, p
@@ -435,7 +443,7 @@ def n1_cap(spec: ParamSpec) -> int | None:
     characteristic p for the Brauer regime, e - 1 at a root of unity,
     None (no cap) otherwise."""
     p = spec.characteristic
-    if _rule(spec)[0] == "brauer":
+    if rule(spec)[0] == "brauer":
         return p - 1 if p else None
     if isinstance(spec.q, RootOfUnity):
         return spec.q.spec.e - 1

@@ -15,15 +15,10 @@ from diagalg.criteria import (
     decide_bmw,
     decide_brauer,
     decide_qbrauer,
-    m0,
-    m1,
-    m1p,
-    m2,
-    m2p,
-    m3,
-    m3p,
     m_bruteforce,
+    m_closed,
     mprime_bruteforce,
+    mprime_closed,
 )
 from diagalg.exactalg import RootSpec
 from diagalg.gram import first_degenerate_level
@@ -54,10 +49,10 @@ def test_criterion_1_closed_forms_match_search():
     start = time.monotonic()
     for x in range(-20, 21):
         if x != 0:
-            assert m0(x) == m_bruteforce(0, x, 40)[0]
-            assert m1(x) == m_bruteforce(1, x, 40)[0]
-            assert m2(x) == m_bruteforce(2, x, 40)[0]
-        assert m3(x) == m_bruteforce(3, x, 40)[0]
+            assert m_closed(0, x)[0] == m_bruteforce(0, x, 40)[0]
+            assert m_closed(1, x)[0] == m_bruteforce(1, x, 40)[0]
+            assert m_closed(2, x)[0] == m_bruteforce(2, x, 40)[0]
+        assert m_closed(3, x)[0] == m_bruteforce(3, x, 40)[0]
     assert time.monotonic() - start < 10.0
 
 
@@ -75,9 +70,9 @@ def test_criterion_3_primed_case_table():
             for N in range(-e + 1, 1):
                 for eps in (1, -1):
                     for char2 in (False, True):
-                        assert m1p(N, e) == mprime_bruteforce(1, N, eps, rs, char2, 40)[0]
-                        assert m2p(N, eps, rs, char2) == mprime_bruteforce(2, N, eps, rs, char2, 40)[0]
-                        assert m3p(N, eps, rs, char2) == mprime_bruteforce(3, N, eps, rs, char2, 40)[0]
+                        for kind in (1, 2, 3):
+                            closed = mprime_closed(kind, N, eps, rs, char2)
+                            assert closed[0] == mprime_bruteforce(kind, N, eps, rs, char2, 40)[0]
     assert time.monotonic() - start < 30.0
 
 
@@ -119,7 +114,7 @@ def test_criterion_6_gram_cross_validation_char_p():
     start = time.monotonic()
     for p in (5, 7):
         for N in range(1, p):
-            predicted = min(p - 1, m0(N), m0(N - p))
+            predicted = min(p - 1, m_closed(0, N)[0], m_closed(0, N - p)[0])
             if predicted > 4:
                 continue
             spec = BrauerParams(p, IntegerDelta(N))

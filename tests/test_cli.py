@@ -14,7 +14,7 @@ import pytest
 from diagalg.cli import main, render_verdict_json
 from diagalg.criteria import UNBOUNDED, decide_bmw, decide_brauer, decide_qbrauer
 from diagalg.exactalg import RootSpec
-from diagalg.verify import MAX_DEPTH
+from diagalg.verify import SUITES
 from diagalg.weights import (
     BMWParams,
     BrauerParams,
@@ -82,6 +82,19 @@ def test_decide_deep_witnesses_are_built_not_searched():
         assert proc.returncode == 0, proc.stderr
         data = json.loads(proc.stdout)
         assert data["m"] == m and data["witness"]["partition"] == partition
+
+
+def test_decide_exits_two_past_the_characteristic_and_witness_budgets():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for argv, reason in (
+        (["--char", "1000000000000000003", "--delta", "2"], "below 2^31"),
+        (["--delta", "10000000", "--format", "json"], "witness budget"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "diagalg.cli", "decide", "brauer", *argv],
+            capture_output=True, text=True, env=env, timeout=5,
+        )
+        assert proc.returncode == 2 and proc.stdout == "" and reason in proc.stderr
 
 
 def test_decide_json_unbounded_flag(capsys):
@@ -301,18 +314,38 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     def broken(max_n=None):
         return [CheckResult("counting", "forced failure", False, "counterexample: n=2")]
 
-    monkeypatch.setitem(
-        verify_module.run_suite.__globals__, "suite_counting", broken
-    )
+    monkeypatch.setitem(verify_module.SUITES, "counting", (broken, None))
     code, out, _ = run(["verify", "--suite", "counting"], capsys)
     assert code == 1
     assert "FAIL" in out and "counterexample" in out
 
 
+def test_verify_reports_a_transition_matrix_with_no_integer_inverse(capsys, monkeypatch):
+    from diagalg import cellular
+
+    matrix = cellular.transition_matrix
+
+    def doubled_row(n):
+        t = matrix(n)
+        return (tuple(2 * x for x in t[0]), *t[1:]) if n == 2 else t
+
+    monkeypatch.setattr(cellular, "transition_matrix", doubled_row)
+    cellular._transition_inverse.cache_clear()
+    try:
+        code, out, _ = run(["verify", "--suite", "cellular"], capsys)
+    finally:
+        cellular._transition_inverse.cache_clear()
+    assert code == 1
+    assert ("FAIL  [cellular] basis transition determinant is +-1, n <= 3"
+            "  the cellular basis transition matrix at n = 2 is not unimodular") in out
+    assert out.count("[cellular]") == 5 and out.endswith("/5 checks passed\n")
+
+
 def test_verify_rejects_depths_past_the_suite_ceiling(capsys):
+    ceilings = {name: ceiling for name, (_, ceiling) in SUITES.items() if ceiling is not None}
     # the acceptance depths stay allowed
-    assert MAX_DEPTH["counting"] >= 8 and MAX_DEPTH["trace"] >= 5 and MAX_DEPTH["oracle-equivalence"] >= 15
-    for suite, ceiling in (*MAX_DEPTH.items(), ("all", min(MAX_DEPTH.values()))):
+    assert ceilings["counting"] >= 8 and ceilings["trace"] >= 5 and ceilings["oracle-equivalence"] >= 15
+    for suite, ceiling in (*ceilings.items(), ("all", min(ceilings.values()))):
         start = time.monotonic()
         code, out, err = run(["verify", "--suite", suite, "--max-n", str(ceiling + 1)], capsys)
         assert time.monotonic() - start < 5.0

@@ -1,9 +1,13 @@
 """Tests for the closed-form bounds, brute-force oracles, and decisions."""
 
+import time
+import tracemalloc
+
 import pytest
 
 from diagalg import criteria
 from diagalg.criteria import (
+    MAX_WITNESS_LEVEL,
     UNBOUNDED,
     Constituent,
     UnboundedType,
@@ -12,14 +16,6 @@ from diagalg.criteria import (
     decide_bmw,
     decide_brauer,
     decide_qbrauer,
-    is_bounded,
-    m0,
-    m1,
-    m1p,
-    m2,
-    m2p,
-    m3,
-    m3p,
     m_bruteforce,
     m_closed,
     mprime_bruteforce,
@@ -50,42 +46,32 @@ def test_unbounded_is_a_singleton_identity_for_min():
     assert bound_min() is UNBOUNDED
     assert bound_min(UNBOUNDED, UNBOUNDED) is UNBOUNDED
     assert bound_min(5, UNBOUNDED, 3) == 3
-    assert is_bounded(4) and not is_bounded(UNBOUNDED)
 
 
 def test_remark_values_at_zero():
     assert m_bruteforce(0, 0)[0] == 2
     assert m_bruteforce(2, 0)[0] == 2
     assert m_bruteforce(1, 0)[0] == 3
-    assert m3(0) is UNBOUNDED
-    with pytest.raises(ParameterError):
-        m0(0)
-    with pytest.raises(ParameterError):
-        m1(0)
-    with pytest.raises(ParameterError):
-        m2(0)
+    assert m_closed(3, 0) == (UNBOUNDED, None)
 
 
 def test_closed_form_examples():
-    assert m0(3) == 4
-    assert m1(-2) == 5
-    assert m2(-2) == 2
-    assert m0(-2) == 2
-    assert m2(-3) is UNBOUNDED
-    assert m3(2) == 2
-    assert m3(6) == 3
-    assert m3(-4) is UNBOUNDED
-    assert m3(5) is UNBOUNDED
+    assert m_closed(0, 3)[0] == 4
+    assert m_closed(1, -2)[0] == 5
+    assert m_closed(2, -2)[0] == 2
+    assert m_closed(0, -2)[0] == 2
+    assert m_closed(2, -3)[0] is UNBOUNDED
+    assert m_closed(3, 2)[0] == 2
+    assert m_closed(3, 6)[0] == 3
+    assert m_closed(3, -4)[0] is UNBOUNDED
+    assert m_closed(3, 5)[0] is UNBOUNDED
 
 
 def test_closed_forms_match_bruteforce():
     # levels and witnesses, |arg| <= 20 with search limit 40
     for x in range(-20, 21):
-        for kind, fn in enumerate((m0, m1, m2, m3)):
-            searched = m_bruteforce(kind, x, 40)
-            assert m_closed(kind, x) == searched, (kind, x)
-            if x or kind == 3:
-                assert fn(x) == searched[0]
+        for kind in range(4):
+            assert m_closed(kind, x) == m_bruteforce(kind, x, 40), (kind, x)
 
 
 def _reference_box_tables(n):
@@ -137,17 +123,17 @@ def test_bruteforce_rejects_bad_arguments():
 
 
 def test_primed_examples():
-    assert m1p(-2, 5) == 4
-    assert m2p(-1, 1, RootSpec(7, 7), False) == 5
-    assert m2p(-2, -1, RootSpec(5, 10), False) is UNBOUNDED
-    assert m3p(-2, -1, RootSpec(5, 10), False) == 4
+    assert mprime_closed(1, -2, 1, RootSpec(5, 5), False)[0] == 4
+    assert mprime_closed(2, -1, 1, RootSpec(7, 7), False)[0] == 5
+    assert mprime_closed(2, -2, -1, RootSpec(5, 10), False)[0] is UNBOUNDED
+    assert mprime_closed(3, -2, -1, RootSpec(5, 10), False)[0] == 4
     # odd f makes the sign conditions unsatisfiable for the "wrong" eps
-    assert m2p(-1, -1, RootSpec(5, 5), False) is UNBOUNDED
-    assert m3p(-1, 1, RootSpec(5, 5), False) is UNBOUNDED
+    assert mprime_closed(2, -1, -1, RootSpec(5, 5), False)[0] is UNBOUNDED
+    assert mprime_closed(3, -1, 1, RootSpec(5, 5), False)[0] is UNBOUNDED
     with pytest.raises(ParameterError):
-        m1p(1, 5)
+        mprime_closed(1, 1, 1, RootSpec(5, 5), False)
     with pytest.raises(ParameterError):
-        m1p(-5, 5)
+        mprime_closed(1, -5, 1, RootSpec(5, 5), False)
 
 
 def test_primed_closed_forms_match_bruteforce():
@@ -156,14 +142,12 @@ def test_primed_closed_forms_match_bruteforce():
         for f in (e, 2 * e):
             rs = RootSpec(e, f)
             for N in range(-e + 1, 1):
-                searched = mprime_bruteforce(1, N, 1, rs, False, 40)
-                assert mprime_closed(1, N, 1, rs, False) == searched and m1p(N, e) == searched[0]
+                assert mprime_closed(1, N, 1, rs, False) == mprime_bruteforce(1, N, 1, rs, False, 40)
                 for eps in (1, -1):
                     for char2 in (False, True):
-                        for kind, fn in ((2, m2p), (3, m3p)):
+                        for kind in (2, 3):
                             searched = mprime_bruteforce(kind, N, eps, rs, char2, 40)
                             assert mprime_closed(kind, N, eps, rs, char2) == searched, (kind, N, eps, rs, char2)
-                            assert fn(N, eps, rs, char2) == searched[0]
     # d = 0 and d = 2 both sit at level 2; the search meets the row (2) first
     assert mprime_closed(2, -1, -1, RootSpec(2, 2), False) == (2, ((2,), (1, 1)))
 
@@ -315,3 +299,35 @@ def test_decisions_never_call_the_search(monkeypatch):
     families += [(cls, q, r) for cls in (QBrauerParams, BMWParams)
                  for q in (NotRootOfUnity, PlusMinusOne, RootOfUnity) for r in (GenericR, SignedPower)]
     assert regimes == {(f[0], c) + f[1:] for f in families for c in (0, 2, 3)}
+
+
+def test_decisions_build_no_losing_witness():
+    # m = 4, and each has a losing candidate near level 10^7, whose witness
+    # would be a partition with millions of parts
+    e, p = 10**7 + 1, 10**7 + 19
+    root = RootOfUnity(RootSpec(e, e))
+    cases = (
+        (decide_qbrauer, QBrauerParams(0, root, SignedPower(1, 10**7))),
+        (decide_bmw, BMWParams(0, root, SignedPower(1, 10**7))),
+        (decide_brauer, BrauerParams(p, IntegerDelta(p - 1))),
+    )
+    for decide, spec in cases:
+        tracemalloc.start()
+        try:
+            verdict = decide(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.m == 4 and peak < 2**20, (spec, peak)
+
+
+def test_decisions_refuse_witnesses_past_the_budget():
+    at_budget = decide_brauer(BrauerParams(0, IntegerDelta(MAX_WITNESS_LEVEL - 1)))
+    assert at_budget.m == MAX_WITNESS_LEVEL and size(at_budget.witness[0]) == MAX_WITNESS_LEVEL
+    for delta in (MAX_WITNESS_LEVEL, 10**7, 10**100):
+        start = time.monotonic()
+        with pytest.raises(ParameterError, match="witness budget"):
+            decide_brauer(BrauerParams(0, IntegerDelta(delta)))
+        assert time.monotonic() - start < 0.5
+    # a bound set by the cap alone has no witness to build
+    assert decide_qbrauer(QBrauerParams(0, RootOfUnity(RootSpec(10**7 + 1, 10**7 + 1)), GenericR())).m == 10**7

@@ -202,6 +202,15 @@ def test_prime_utilities():
     assert not is_prime(1) and not is_prime(91) and is_prime(97)
 
 
+def test_prime_field_tests_its_modulus_once():
+    # every product and quotient builds a PrimeFieldElement, which checks p
+    is_prime.cache_clear()
+    x = PrimeFieldElement(999983, 2)
+    for k in range(1, 100):
+        x = x * (k + 1) / k
+    assert x.value == 200 and is_prime.cache_info().misses == 1
+
+
 @given(st.integers(2, 24))
 def test_prime_field_root_of_unity_has_exact_order(f):
     # the least prime p = 1 (mod f) has phi(f) elements of order exactly f,

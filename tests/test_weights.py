@@ -137,6 +137,13 @@ def test_validate_params_rejections(spec):
         validate_params(spec)
 
 
+def test_validate_params_bounds_the_characteristic():
+    validate_params(BrauerParams(2**31 - 1, IntegerDelta(2)))  # a prime
+    for p in (2**31 + 11, 10**18 + 3):  # both prime, past the trial-division budget
+        with pytest.raises(ParameterError, match="below 2\\^31"):
+            validate_params(BrauerParams(p, IntegerDelta(2)))
+
+
 def test_evaluate_brauer_char_zero():
     w = evaluate_weight((2,), BrauerParams(0, IntegerDelta(2)))
     assert w.evaluable and not w.is_zero and w.value == 2
