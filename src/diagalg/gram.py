@@ -13,6 +13,20 @@ Comp. 22, 1968).  `rank` is the entry point: over Q it screens with a rank
 mod a large prime (full rank mod P certifies full rank over Q) and runs
 Bareiss only to confirm a deficiency.
 
+`rank_mod_p` packs each row into one Python int, entry c in the lane of
+bits [c*w, (c+1)*w), w a whole number of bytes with w >= 2*bits(p) +
+bits(cols) + 1 (rounded up to 4 or 8 bytes when it fits in 8, so that a
+memoryview can read the lanes).  Rows come in one at a time.  Each pivot
+row is stored reduced, lanes in [0, p) and 1 in its pivot lane, and is zero
+in the pivot lanes of the pivots found before it; so reducing an incoming
+row against the pivots in the order they were found costs, per pivot, one
+lane extraction (x >> shift) & mask and one multiply-add x += g*t with
+0 <= g < p.  A lane starts below p and gains less than p^2 per pivot, and
+there are at most cols pivots, so it stays below p + cols*p^2 <= 2^w: no
+lane carries into the next, and the rank is exact for every p.  The row is
+then unpacked once; its first lane that is nonzero mod p makes it a new
+pivot, and a row with none is dropped.
+
 `level_rank` is the rank of one level at an integer delta, and
 `first_degenerate_level` walks n = 2, 3, ... and reports the first level at
 which the form degenerates.  Both check the level against the MAX_LEVEL
@@ -22,6 +36,7 @@ anything.
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 
 from .branching import double_factorial_odd
@@ -86,27 +101,44 @@ def bareiss_rank(matrix: list[list[int]]) -> int:
 
 
 def rank_mod_p(matrix: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over F_p by row echelon elimination."""
-    m = [[x % p for x in row] for row in matrix]
-    if not m:
+    """Rank of an integer matrix over F_p by row-incremental echelon form on
+    rows packed into one int each (see the module docstring)."""
+    if not matrix or not matrix[0]:
         return 0
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        inv = pow(top[c], -1, p)
-        for i in range(r + 1, rows):
-            if m[i][c]:
-                f = m[i][c] * inv % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], top)]
-        r += 1
-    return r
+    cols = len(matrix[0])
+    size = (2 * p.bit_length() + cols.bit_length() + 8) // 8  # bytes per lane
+    if size <= 8:
+        size = 4 if size <= 4 else 8  # a lane memoryview.cast can read
+    width, length = 8 * size, size * cols
+    mask = (1 << width) - 1
+    fmt = {4: "I", 8: "Q"}.get(size) if sys.byteorder == "little" else None
+
+    def pack(values) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+    def residues(x: int) -> list[int]:
+        data = x.to_bytes(length, "little")
+        if fmt:
+            lanes = memoryview(data).cast(fmt)
+        else:
+            lanes = (int.from_bytes(data[i : i + size], "little") for i in range(0, length, size))
+        return [v % p for v in lanes]
+
+    pivots = []  # (shift of the pivot lane, packed reduced row with 1 in that lane)
+    for row in matrix:
+        x = pack(v % p for v in row)
+        for shift, t in pivots:
+            g = -(x >> shift & mask) % p
+            if g:
+                x += g * t
+        lanes = residues(x)
+        c = next((c for c, v in enumerate(lanes) if v), None)
+        if c is not None:
+            inv = pow(lanes[c], -1, p)
+            pivots.append((width * c, pack(v * inv % p for v in lanes)))
+            if len(pivots) == cols:
+                break
+    return len(pivots)
 
 
 def rank(matrix: list[list]) -> int:
@@ -127,15 +159,11 @@ def generic_structure_check(n: int) -> bool:
     generic delta: the only delta^0 entries form a permutation matrix.
     """
     ds = all_diagrams(n)
-    k = gram_exponents(n)
-    for i, b in enumerate(ds):
-        star = involute_diagram(b)
-        for j, bp in enumerate(ds):
-            if k[i][j] > 0:
-                return False
-            if (k[i][j] == 0) != (bp == star):
-                return False
-    return True
+    index = {d: i for i, d in enumerate(ds)}
+    return all(
+        max(row) <= 0 and row.count(0) == 1 and row[index[involute_diagram(b)]] == 0
+        for b, row in zip(ds, gram_exponents(n))
+    )
 
 
 def _checked_delta(params, n: int) -> int:

@@ -21,7 +21,7 @@ from diagalg.criteria import (
     mprime_closed,
 )
 from diagalg.exactalg import RootSpec
-from diagalg.gram import first_degenerate_level
+from diagalg.gram import first_degenerate_level, gram_matrix, rank_mod_p
 from diagalg.verify import (
     suite_cellular,
     suite_counting,
@@ -121,6 +121,15 @@ def test_criterion_6_gram_cross_validation_char_p():
             assert decide_brauer(spec).m == predicted
             assert first_degenerate_level(spec, 4) == predicted
     assert time.monotonic() - start < 120.0
+
+
+def test_gram_ranks_at_level_five():
+    # the 945 x 945 scaled Gram matrices; only the eliminations are timed
+    matrices = {(p, d): gram_matrix(5, d, scaled=True) for p, d in ((7, 2), (11, 5))}
+    start = time.monotonic()
+    assert rank_mod_p(matrices[7, 2], 7) == 126
+    assert rank_mod_p(matrices[11, 5], 11) == 909
+    assert time.monotonic() - start < 10.0
 
 
 def test_criterion_7_counting_identities():

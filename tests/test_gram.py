@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagalg.brauer import all_diagrams, involute_diagram
 from diagalg.exactalg import PrimeFieldElement
 from diagalg.gram import (
+    _SCREEN_PRIME,
     bareiss_rank,
     first_degenerate_level,
     generic_structure_check,
@@ -123,6 +124,90 @@ def test_rank_mod_p():
     assert rank_mod_p(mat, 5) == 1
     assert rank_mod_p(((1, 0), (0, 3)), 3) == 1
     assert rank_mod_p(((1, 2), (3, 4)), 7) == 2
+
+
+def _reference_rank_mod_p(matrix, p: int) -> int:
+    """Row echelon over F_p on lists of residues, one row operation per
+    list comprehension: the oracle for the packed-lane `rank_mod_p`."""
+    m = [[x % p for x in row] for row in matrix]
+    if not m:
+        return 0
+    rows, cols = len(m), len(m[0])
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        inv = pow(top[c], -1, p)
+        for i in range(r + 1, rows):
+            if m[i][c]:
+                f = m[i][c] * inv % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], top)]
+        r += 1
+    return r
+
+
+_RANK_PRIMES = (2, 3, 7, 2**31 - 1, _SCREEN_PRIME)
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Rectangular (possibly empty) matrices with negative and huge entries,
+    some rows and columns zeroed and some rows combinations of others."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, 6), max_size=3)):
+        if i < rows:
+            m[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, 6), max_size=3)):
+        for row in m:
+            if j < cols:
+                row[j] = 0
+    if rows >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m.append([a * x + b * y for x, y in zip(m[0], m[1])])
+    return m
+
+
+@given(_integer_matrices(), st.sampled_from(_RANK_PRIMES))
+@example([], 2)
+@example([[], []], _SCREEN_PRIME)
+@example([[0, 0], [0, 0]], 7)
+@settings(max_examples=300, deadline=None)
+def test_rank_mod_p_matches_the_list_echelon(matrix, p):
+    assert rank_mod_p(matrix, p) == _reference_rank_mod_p(matrix, p)
+
+
+def test_rank_mod_p_matches_the_list_echelon_on_gram_matrices():
+    for n in range(5):
+        for delta in range(-8, 9):
+            if delta:
+                g = gram_matrix(n, delta, scaled=True)
+                for p in (3, 5, 7, _SCREEN_PRIME):
+                    assert rank_mod_p(g, p) == _reference_rank_mod_p(g, p), (n, delta, p)
+
+
+def test_rank_mod_p_lanes_do_not_carry_at_the_worst_case():
+    """Pivot rows t_k = (0, ..., 0, 1, p-1, ..., p-1) with the 1 in column
+    k, then v = sum t_k: every update adds (p-1) * t_k, so the last lane of v
+    takes cols - 1 increments of (p-1)^2, the growth the lane width is sized
+    for.  v is in the span; v plus one in its last entry is not.  With 300
+    columns bits(cols) = 9 widens the lane past what 255 columns need."""
+    cols = 300
+    for p in _RANK_PRIMES:
+        pivots = [[0] * k + [1] + [p - 1] * (cols - 1 - k) for k in range(cols - 1)]
+        v = [sum(col) % p for col in zip(*pivots)]
+        w = v[:-1] + [v[-1] + 1]
+        for last, expected in ((v, cols - 1), (w, cols)):
+            m = pivots + [last]
+            assert rank_mod_p(m, p) == _reference_rank_mod_p(m, p) == expected
+        full = [[p - 1] * cols for _ in range(4)]
+        assert rank_mod_p(full, p) == _reference_rank_mod_p(full, p) == 1
 
 
 def test_rank_dispatches_on_prime_field_entries():
