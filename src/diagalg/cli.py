@@ -10,17 +10,20 @@ Exit codes: 0 success, 1 verification failure, 2 parameter/usage error.
 Unbounded values render as "infinity" in text, and as null plus an
 "unbounded" flag in JSON.  All output is exact; stdout carries results and
 stderr diagnostics.
+
+Each CLI call is a fresh process, so module-level imports are start-up cost
+on every query.  `decide` and `weights` load only criteria, weights,
+exactalg and partitions; `gram` and `verify` import their modules (brauer,
+gram, verify and what those pull in) inside their commands.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
 
-from .brauer import all_diagrams
 from .criteria import (
     UNBOUNDED,
     Verdict,
@@ -29,9 +32,7 @@ from .criteria import (
     decide_qbrauer,
 )
 from .exactalg import PrimeFieldElement, RootSpec
-from .gram import first_degenerate_level, level_rank
 from .partitions import partitions_of
-from .verify import SUITE_NAMES, run_all, run_suite
 from .weights import (
     BMWParams,
     BrauerParams,
@@ -242,6 +243,8 @@ def cmd_weights(args, out=None) -> int:
     spec = _spec_from_args(args.family, args)
     rows = _weight_rows(spec, args.n)
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(out)
         writer.writerow(["level", "partition", "symbolic", "status", "value", "witness_box"])
         for r in rows:
@@ -275,6 +278,9 @@ def cmd_weights(args, out=None) -> int:
 
 
 def cmd_gram(args, out=None) -> int:
+    from .brauer import all_diagrams
+    from .gram import first_degenerate_level, level_rank
+
     out = out if out is not None else sys.stdout
     spec = BrauerParams(args.char, IntegerDelta(args.delta))
     if args.n is None and args.n_max is None:
@@ -296,6 +302,8 @@ def cmd_gram(args, out=None) -> int:
 
 
 def cmd_verify(args, out=None) -> int:
+    from .verify import run_all, run_suite
+
     out = out if out is not None else sys.stdout
     if args.suite == "all":
         results = run_all(args.max_n)
@@ -348,7 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     gram.set_defaults(func=cmd_gram)
 
     verify = sub.add_parser("verify", help="run self-check suites")
-    verify.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
+    # The names live in verify.SUITES alone; run_suite rejects any other name
+    # with a list of them (exit 2), so argparse does not import verify here.
+    verify.add_argument("--suite", default="all",
+                        help="a suite name or all (default); the names are listed in the README"
+                             " under 'Verification suites' and in the error an unknown name gives")
     verify.add_argument("--max-n", type=int, default=None)
     verify.set_defaults(func=cmd_verify)
     return parser

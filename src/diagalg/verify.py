@@ -296,13 +296,12 @@ SUITES = {
     "oracle-equivalence": (suite_oracle_equivalence, 20),
     "specialization": (suite_specialization, None),
 }
-SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, max_n: int | None = None) -> list[CheckResult]:
     """Runs one suite by name (see SUITES); max_n overrides the default depth."""
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     _check_depth(name, max_n)
     fn = SUITES[name][0]
     return fn() if max_n is None else fn(max_n)
@@ -320,9 +319,9 @@ def _check_depth(name: str, max_n: int | None) -> None:
 
 def run_all(max_n: int | None = None) -> list[CheckResult]:
     """Runs every suite in order, after checking max_n against each."""
-    for name in SUITE_NAMES:
+    for name in SUITES:
         _check_depth(name, max_n)
     results = []
-    for name in SUITE_NAMES:
+    for name in SUITES:
         results.extend(run_suite(name, max_n))
     return results

@@ -97,6 +97,49 @@ def test_decide_exits_two_past_the_characteristic_and_witness_budgets():
         assert proc.returncode == 2 and proc.stdout == "" and reason in proc.stderr
 
 
+_LOADED_BY_DECIDE_AND_WEIGHTS = """
+import contextlib, io, json, sys
+from diagalg import cli
+queries = [
+    ["decide", "brauer", "--delta", "2"],
+    ["decide", "qbrauer", "--e", "7", "--N", "-3"],
+    ["decide", "bmw", "--e", "5", "--f", "10", "--eps", "-1", "--N", "-2"],
+]
+queries += [[*q, "--format", "json"] for q in queries]
+queries += [["weights", "brauer", "--delta", "2", "--n", "3", "--format", f] for f in ("text", "csv", "json")]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(q) for q in queries]
+print(json.dumps({"codes": codes, "modules": sorted(m for m in sys.modules if m.split(".")[0] == "diagalg")}))
+"""
+
+
+def test_decide_and_weights_load_only_the_decision_chain():
+    # Each CLI call is a fresh process, so every module these commands import
+    # is paid on every query; gram and verify load their modules lazily.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_DECIDE_AND_WEIGHTS],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["codes"] == [0] * 9
+    assert set(data["modules"]) == {
+        "diagalg", "diagalg.cli", "diagalg.criteria", "diagalg.weights", "diagalg.exactalg",
+        "diagalg.partitions",
+    }
+    for argv, last_line in (
+        (["gram", "--delta", "2", "--n", "3"], "n = 3: dimension 15, rank 10, corank 5"),
+        (["verify", "--suite", "counting", "--max-n", "3"], "4/4 checks passed"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "diagalg.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == last_line
+
+
 def test_decide_json_unbounded_flag(capsys):
     argv = ["decide", "brauer", "--delta-generic", "--format", "json"]
     code, out, _ = run(argv, capsys)
@@ -291,6 +334,15 @@ def test_verify_suite_exit_zero(capsys):
     code, out, _ = run(["verify", "--suite", "counting", "--max-n", "5"], capsys)
     assert code == 0
     assert "4/4 checks passed" in out
+
+
+def test_verify_suite_names_come_from_the_suites_table(capsys):
+    code, out, err = run(["verify", "--suite", "nope"], capsys)
+    assert code == 2 and out == "" and "unknown suite 'nope'" in err
+    assert all(name in err for name in SUITES)
+    for suite in (*SUITES, "all"):
+        code, out, _ = run(["verify", "--suite", suite, "--max-n", "2"], capsys)
+        assert code == 0 and "FAIL" not in out and out.endswith(" checks passed\n")
 
 
 def test_verify_rejects_depths_that_check_nothing(capsys):
