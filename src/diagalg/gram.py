@@ -4,28 +4,47 @@ The bilinear form is (b, b') -> tr(b * b'); on diagrams the value is a pure
 power delta^k with k = loops(b, b') + cycles(b b') - n <= 0, and k = 0
 exactly when b' = b*.  Scaling the matrix by delta^n clears denominators, so
 for integral delta the scaled Gram matrix is an integer matrix.  Matrices are
-plain lists of rows whose entries are ints (ranks over Q) or
-PrimeFieldElements of one field F_p (ranks over F_p).
+plain lists of rows whose entries are ints or PrimeFieldElements of one
+field F_p.
 
-There is one elimination per field.  `rank_mod_p` is row echelon form over
-F_p.  `bareiss_rank` is fraction-free elimination over Z (Bareiss, Math.
-Comp. 22, 1968).  `rank` is the entry point: over Q it screens with a rank
-mod a large prime (full rank mod P certifies full rank over Q) and runs
-Bareiss only to confirm a deficiency.
+`rank` is the one entry point, and every rank is one modular elimination:
+`rank_mod_p`, row echelon form over F_p, which returns the echelon (the
+pivot column of each pivot row, and the rows).  Over Q the elimination runs
+mod P = _SCREEN_PRIME.  Its rank r is at most the rank over Q, since a
+minor that is nonzero mod P is nonzero over Z, so a full r settles it.  A
+deficient r is certified from the other side.  Back-substitution gives, for
+the pivot columns C and the others C', the X with G[:, C] X = G[:, C'] mod
+P.  Lifted to symmetric residues, X is checked exactly over Z; if the
+identity holds, every column is a combination of the r columns C, and the
+rank over Q is exactly r.  If it fails, X is rationally reconstructed
+(Wang, Guy and Davenport, SIGSAM Bull. 16, 1982) with one denominator
+D <= sqrt(P/2), and D G[:, C'] = G[:, C] (D X) is checked instead.  Only when
+that fails as well does `bareiss_rank`, fraction-free elimination over Z
+(Bareiss, Math. Comp. 22, 1968), give the rank.
+
+Every answer is exact whatever P is: a P that divides a minor, or relations
+with large numerators or denominators, only send the matrix to Bareiss.
+Every trace Gram level with n <= 5 and |delta| <= 8 is certified, with
+D <= 12, by P the largest prime below 2^26.  Then 2*bits(P) + bits(cols) +
+1 <= 64 up to 2047 columns, and every lane of the elimination below is 8
+bytes, which a memoryview reads.
 
 `rank_mod_p` packs each row into one Python int, entry c in the lane of
 bits [c*w, (c+1)*w), w a whole number of bytes with w >= 2*bits(p) +
-bits(cols) + 1 (rounded up to 4 or 8 bytes when it fits in 8, so that a
-memoryview can read the lanes).  Rows come in one at a time.  Each pivot
-row is stored reduced, lanes in [0, p) and 1 in its pivot lane, and is zero
-in the pivot lanes of the pivots found before it; so reducing an incoming
-row against the pivots in the order they were found costs, per pivot, one
-lane extraction (x >> shift) & mask and one multiply-add x += g*t with
-0 <= g < p.  A lane starts below p and gains less than p^2 per pivot, and
-there are at most cols pivots, so it stays below p + cols*p^2 <= 2^w: no
-lane carries into the next, and the rank is exact for every p.  The row is
-then unpacked once; its first lane that is nonzero mod p makes it a new
-pivot, and a row with none is dropped.
+bits(cols) + 1 (rounded up to 4 or 8 bytes when it fits in 8).  Rows come
+in one at a time.  Each pivot row is stored reduced, lanes in [0, p) and 1
+in its pivot lane, and is zero in the pivot lanes of the pivots found before
+it; so reducing an incoming row against the pivots in the order they were
+found costs, per pivot, one lane extraction (x >> shift) & mask and one
+multiply-add x += g*t with 0 <= g < p.  A lane starts below p and gains less
+than p^2 per pivot, and there are at most cols pivots, so it stays below
+p + cols*p^2 <= 2^w: no lane carries into the next, and the rank is exact
+for every p.  The row is then unpacked once; its first lane that is nonzero
+mod p makes it a new pivot, and a row with none is dropped.
+Back-substitution runs on the same lanes with the same bound.  The check
+over Z packs each column of G into signed lanes, one per row and wide
+enough for every lane of the difference, so that each column of G[:, C] X
+costs one multiply-add per nonzero entry of X.
 
 `level_rank` is the rank of one level at an integer delta, and
 `first_degenerate_level` walks n = 2, 3, ... and reports the first level at
@@ -37,14 +56,17 @@ anything.
 from __future__ import annotations
 
 import sys
+from array import array
 from functools import cache
+from math import isqrt
+from typing import NamedTuple
 
 from .branching import double_factorial_odd
 from .brauer import all_diagrams, compose_diagrams, full_closure_cycles, involute_diagram
 from .exactalg import PrimeFieldElement
 from .weights import BrauerParams, IntegerDelta, ParameterError, n1_cap, validate_params
 
-_SCREEN_PRIME = 2**61 - 1  # a Mersenne prime, used only as a rank screen
+_SCREEN_PRIME = 67_108_859  # the largest prime below 2^26: the char-0 screen
 MAX_LEVEL = 5  # (2*5-1)!! = 945 diagrams: the largest dense matrix built
 
 
@@ -100,55 +122,163 @@ def bareiss_rank(matrix: list[list[int]]) -> int:
     return r
 
 
-def rank_mod_p(matrix: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over F_p by row-incremental echelon form on
-    rows packed into one int each (see the module docstring)."""
-    if not matrix or not matrix[0]:
-        return 0
-    cols = len(matrix[0])
-    size = (2 * p.bit_length() + cols.bit_length() + 8) // 8  # bytes per lane
-    if size <= 8:
-        size = 4 if size <= 4 else 8  # a lane memoryview.cast can read
-    width, length = 8 * size, size * cols
+_LANE_FORMATS = {4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+
+
+def _lane_bytes(bits: int) -> int:
+    """Bytes per lane for lanes of at least `bits` bits: 4 or 8 when that
+    is enough, so that array and memoryview read them natively."""
+    size = (bits + 7) // 8
+    return size if size > 8 else 4 if size <= 4 else 8
+
+
+def _pack(values, size: int) -> int:
+    """Nonnegative ints below 2^(8*size) as lanes of one int, the first
+    value in the lowest lane."""
+    fmt = _LANE_FORMATS.get(size)
+    data = array(fmt, values).tobytes() if fmt else b"".join(v.to_bytes(size, "little") for v in values)
+    return int.from_bytes(data, "little")
+
+
+def _unpack(x: int, size: int, count: int):
+    """The `count` lanes of the nonnegative int x, lowest first."""
+    data = x.to_bytes(size * count, "little")
+    fmt = _LANE_FORMATS.get(size)
+    if fmt:
+        return memoryview(data).cast(fmt)
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+
+
+class Echelon(NamedTuple):
+    """Row echelon form of an integer matrix over F_p, in packed lanes of
+    `width` bits (see the module docstring).  The rank is len(columns)."""
+
+    p: int
+    width: int
+    columns: list[int]  # the pivot column of each pivot row, in the order found
+    rows: list[int]  # lanes in [0, p), 1 at its own pivot, 0 at the pivots before it
+
+
+def rank_mod_p(matrix: list[list[int]], p: int) -> Echelon:
+    """Row echelon form of an integer matrix over F_p by row-incremental
+    elimination on rows packed into one int each (see the module docstring)."""
+    cols = len(matrix[0]) if matrix else 0
+    size = _lane_bytes(2 * p.bit_length() + cols.bit_length() + 1)
+    width = 8 * size
     mask = (1 << width) - 1
-    fmt = {4: "I", 8: "Q"}.get(size) if sys.byteorder == "little" else None
-
-    def pack(values) -> int:
-        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
-
-    def residues(x: int) -> list[int]:
-        data = x.to_bytes(length, "little")
-        if fmt:
-            lanes = memoryview(data).cast(fmt)
-        else:
-            lanes = (int.from_bytes(data[i : i + size], "little") for i in range(0, length, size))
-        return [v % p for v in lanes]
-
-    pivots = []  # (shift of the pivot lane, packed reduced row with 1 in that lane)
+    pivots = []  # (shift of the pivot lane, packed pivot row)
     for row in matrix:
-        x = pack(v % p for v in row)
+        x = _pack([v % p for v in row], size)
         for shift, t in pivots:
             g = -(x >> shift & mask) % p
             if g:
                 x += g * t
-        lanes = residues(x)
+        lanes = [v % p for v in _unpack(x, size, cols)]
         c = next((c for c, v in enumerate(lanes) if v), None)
         if c is not None:
             inv = pow(lanes[c], -1, p)
-            pivots.append((width * c, pack(v * inv % p for v in lanes)))
+            pivots.append((width * c, _pack([v * inv % p for v in lanes], size)))
             if len(pivots) == cols:
                 break
-    return len(pivots)
+    return Echelon(p, width, [shift // width for shift, _ in pivots], [t for _, t in pivots])
 
 
-def rank(matrix: list[list]) -> int:
-    """Exact rank: over F_p for PrimeFieldElement entries, over Q for ints."""
+def _relations(echelon: Echelon, cols: int) -> tuple[list[int], list[list[int]]]:
+    """The non-pivot columns C' and, for each, its coefficients on the pivot
+    columns C mod p: the columns of X with G[:, C] X = G[:, C'] mod p.
+    Back-substitution makes each pivot row zero at every other pivot, and
+    its lanes at C' then form a row of X."""
+    p, size, columns = echelon.p, echelon.width // 8, echelon.columns
+    pivot = set(columns)
+    free = [c for c in range(cols) if c not in pivot]
+    reduced = [0] * len(columns)
+    rows = [[]] * len(columns)
+    for k in reversed(range(len(columns))):
+        x = echelon.rows[k]
+        lanes = _unpack(x, size, cols)
+        for j in range(k + 1, len(columns)):
+            g = -lanes[columns[j]] % p
+            if g:
+                x += g * reduced[j]
+        rows[k] = [v % p for v in _unpack(x, size, cols)]
+        reduced[k] = _pack(rows[k], size)
+    return free, [[row[c] for row in rows] for c in free]
+
+
+def _combination_holds(matrix, columns: list[int], free: list[int], x: list[list[int]], d: int) -> bool:
+    """Whether d G[:, c'] = sum_k x[j][k] G[:, columns[k]] exactly over Z for
+    each free column c' = free[j].  Each column of G is packed into one int,
+    a signed lane per row wide enough for every lane of the difference, so
+    that each equation is one multiply-add per nonzero coefficient and one
+    comparison of packed ints."""
+    top_g = max(max(map(abs, row)) for row in matrix)
+    top_x = max((max(map(abs, coefficients), default=0) for coefficients in x), default=0)
+    size = _lane_bytes(((len(columns) * top_x + d) * top_g).bit_length() + 1)
+    bias = 1 << (8 * size - 1)
+    ones = _pack([1] * len(matrix), size)
+    packed = [_pack([v + bias for v in column], size) - bias * ones for column in zip(*matrix)]
+    basis = [packed[c] for c in columns]
+    for c, coefficients in zip(free, x):
+        combination = 0
+        for t, a in zip(basis, coefficients):
+            if a:
+                combination += a * t
+        if combination != d * packed[c]:
+            return False
+    return True
+
+
+def _common_denominator(x: list[list[int]], p: int) -> int | None:
+    """A D <= sqrt(p/2) with every entry of D x congruent mod p to an
+    integer of size at most sqrt(p/2), or None.  Each entry that D does not
+    yet clear is reconstructed as a fraction a/b, |a|, b <= sqrt(p/2), by the
+    extended Euclidean algorithm on p and D x stopped at the first remainder
+    <= sqrt(p/2), and D takes the factor b."""
+    bound = isqrt(p // 2)
+    d = 1
+    for coefficients in x:
+        for v in coefficients:
+            y = d * v % p
+            if min(y, p - y) <= bound:
+                continue
+            r0, r1, t0, t1 = p, y, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            d *= abs(t1)
+            if d > bound:
+                return None
+    return d
+
+
+def _certified(matrix: list[list[int]], echelon: Echelon) -> bool:
+    """Whether the pivot columns of a screen of `matrix` span every column
+    over Q, shown by an exact integer identity (see the module docstring)."""
+    p = echelon.p
+    free, relations = _relations(echelon, len(matrix[0]))
+
+    def holds(d: int) -> bool:
+        lifted = [[(d * v + p // 2) % p - p // 2 for v in coefficients] for coefficients in relations]
+        return _combination_holds(matrix, echelon.columns, free, lifted, d)
+
+    if holds(1):
+        return True
+    d = _common_denominator(relations, p)
+    return d is not None and d > 1 and holds(d)
+
+
+def rank(matrix: list[list], p: int = 0) -> int:
+    """Exact rank of an integer matrix: over F_p for a prime p, over Q for
+    p = 0.  A matrix of PrimeFieldElements is ranked over their field."""
     if matrix and matrix[0] and isinstance(matrix[0][0], PrimeFieldElement):
         p = matrix[0][0].p
-        return rank_mod_p([[x.value for x in row] for row in matrix], p)
-    screened = rank_mod_p(matrix, _SCREEN_PRIME)
-    if not matrix or screened == min(len(matrix), len(matrix[0])):
-        return screened  # full rank mod P certifies full rank over Q
+        matrix = [[x.value for x in row] for row in matrix]
+    if p:
+        return len(rank_mod_p(matrix, p).columns)
+    screen = rank_mod_p(matrix, _SCREEN_PRIME)
+    r = len(screen.columns)
+    if not matrix or r == min(len(matrix), len(matrix[0])) or _certified(matrix, screen):
+        return r
     return bareiss_rank(matrix)
 
 
@@ -191,9 +321,7 @@ def level_rank(params: BrauerParams, n: int) -> int:
     `params`: over F_p on delta mod p in characteristic p, else over Q."""
     delta = _checked_delta(params, n)
     p = params.characteristic
-    if p:
-        return rank_mod_p(gram_matrix(n, delta % p, scaled=True), p)
-    return rank(gram_matrix(n, delta, scaled=True))
+    return rank(gram_matrix(n, delta % p if p else delta, scaled=True), p)
 
 
 def first_degenerate_level(params, n_max: int) -> int | None:

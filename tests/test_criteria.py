@@ -1,5 +1,6 @@
 """Tests for the closed-form bounds, brute-force oracles, and decisions."""
 
+import itertools
 import time
 import tracemalloc
 
@@ -174,6 +175,21 @@ def test_decide_brauer_cases():
     assert v.normalized == (("N", 2),)
     # delta reduces mod p before the formula applies
     assert decide_brauer(BrauerParams(5, IntegerDelta(7))) == v
+
+
+def _rui_z(n: int) -> set[int]:
+    """Z(n) of Rui (J. Combin. Theory Ser. A 111, 2005): {4 - 2n <= i <=
+    n - 2} minus the odd i with 4 - 2n < i <= 3 - n."""
+    return {i for i in range(4 - 2 * n, n - 1) if not (i % 2 and 4 - 2 * n < i <= 3 - n)}
+
+
+def test_decide_brauer_matches_rui_in_char_zero():
+    # Rui: for delta != 0 in characteristic 0, Br_n(delta) is semisimple
+    # if and only if delta is not in Z(n); m is the last level before that
+    for delta in range(-80, 81):
+        if delta:
+            first = next(n for n in itertools.count(1) if delta in _rui_z(n))
+            assert decide_brauer(BrauerParams(0, IntegerDelta(delta))).m == first - 1, delta
 
 
 def test_decide_qbrauer_cases():

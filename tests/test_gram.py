@@ -1,15 +1,18 @@
 """Tests for trace-form Gram matrices and exact rank computations."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diagalg import gram
 from diagalg.brauer import all_diagrams, involute_diagram
 from diagalg.exactalg import PrimeFieldElement
 from diagalg.gram import (
     _SCREEN_PRIME,
+    _relations,
     bareiss_rank,
     first_degenerate_level,
     generic_structure_check,
@@ -89,23 +92,25 @@ def test_rank_examples():
     assert rank(g5) == 3
 
 
-def test_bareiss_rank_matches_fraction_elimination():
-    def fraction_rank(mat):
-        m = [[Fraction(x) for x in row] for row in mat]
-        rank_count, rows, cols = 0, len(m), len(m[0]) if m else 0
-        r = 0
-        for c in range(cols):
-            piv = next((i for i in range(r, rows) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            for i in range(rows):
-                if i != r and m[i][c]:
-                    f = m[i][c] / m[r][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            r += 1
-        return r
+def _fraction_rank(mat) -> int:
+    """Gauss-Jordan elimination over Fraction: the rank oracle over Q."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    rows, cols = len(m), len(m[0]) if m else 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c] / m[r][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
 
+
+def test_bareiss_rank_matches_fraction_elimination():
     rng_matrices = st.lists(
         st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=4, max_size=4
     )
@@ -114,16 +119,16 @@ def test_bareiss_rank_matches_fraction_elimination():
     @settings(max_examples=120)
     def inner(rows):
         mat = tuple(tuple(r) for r in rows)
-        assert bareiss_rank(mat) == fraction_rank(mat)
+        assert bareiss_rank(mat) == _fraction_rank(mat)
 
     inner()
 
 
 def test_rank_mod_p():
     mat = ((2, 4), (1, 2))
-    assert rank_mod_p(mat, 5) == 1
-    assert rank_mod_p(((1, 0), (0, 3)), 3) == 1
-    assert rank_mod_p(((1, 2), (3, 4)), 7) == 2
+    assert len(rank_mod_p(mat, 5).columns) == 1
+    assert len(rank_mod_p(((1, 0), (0, 3)), 3).columns) == 1
+    assert len(rank_mod_p(((1, 2), (3, 4)), 7).columns) == 2
 
 
 def _reference_rank_mod_p(matrix, p: int) -> int:
@@ -157,7 +162,8 @@ _RANK_PRIMES = (2, 3, 7, 2**31 - 1, _SCREEN_PRIME)
 @st.composite
 def _integer_matrices(draw):
     """Rectangular (possibly empty) matrices with negative and huge entries,
-    some rows and columns zeroed and some rows combinations of others."""
+    some rows and columns zeroed and some rows rational combinations of
+    others."""
     rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
     m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
@@ -169,8 +175,9 @@ def _integer_matrices(draw):
             if j < cols:
                 row[j] = 0
     if rows >= 2 and draw(st.booleans()):
-        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        a, b, c = draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), draw(st.integers(1, 4))
         m.append([a * x + b * y for x, y in zip(m[0], m[1])])
+        m[0] = [c * x for x in m[0]]  # the new row is (a/c) m[0] + b m[1]
     return m
 
 
@@ -180,7 +187,7 @@ def _integer_matrices(draw):
 @example([[0, 0], [0, 0]], 7)
 @settings(max_examples=300, deadline=None)
 def test_rank_mod_p_matches_the_list_echelon(matrix, p):
-    assert rank_mod_p(matrix, p) == _reference_rank_mod_p(matrix, p)
+    assert len(rank_mod_p(matrix, p).columns) == _reference_rank_mod_p(matrix, p)
 
 
 def test_rank_mod_p_matches_the_list_echelon_on_gram_matrices():
@@ -189,7 +196,7 @@ def test_rank_mod_p_matches_the_list_echelon_on_gram_matrices():
             if delta:
                 g = gram_matrix(n, delta, scaled=True)
                 for p in (3, 5, 7, _SCREEN_PRIME):
-                    assert rank_mod_p(g, p) == _reference_rank_mod_p(g, p), (n, delta, p)
+                    assert len(rank_mod_p(g, p).columns) == _reference_rank_mod_p(g, p), (n, delta, p)
 
 
 def test_rank_mod_p_lanes_do_not_carry_at_the_worst_case():
@@ -205,9 +212,62 @@ def test_rank_mod_p_lanes_do_not_carry_at_the_worst_case():
         w = v[:-1] + [v[-1] + 1]
         for last, expected in ((v, cols - 1), (w, cols)):
             m = pivots + [last]
-            assert rank_mod_p(m, p) == _reference_rank_mod_p(m, p) == expected
+            assert len(rank_mod_p(m, p).columns) == _reference_rank_mod_p(m, p) == expected
         full = [[p - 1] * cols for _ in range(4)]
-        assert rank_mod_p(full, p) == _reference_rank_mod_p(full, p) == 1
+        assert len(rank_mod_p(full, p).columns) == _reference_rank_mod_p(full, p) == 1
+
+
+@given(_integer_matrices(), st.sampled_from(_RANK_PRIMES))
+@settings(max_examples=200, deadline=None)
+def test_column_relations_of_the_echelon_hold_mod_p(matrix, p):
+    """Back-substitution: each non-pivot column is its relations' combination
+    of the pivot columns, mod p, in every row."""
+    echelon = rank_mod_p(matrix, p)
+    if matrix and matrix[0]:
+        free, relations = _relations(echelon, len(matrix[0]))
+        assert sorted(free + echelon.columns) == list(range(len(matrix[0])))
+        for c, coefficients in zip(free, relations):
+            for row in matrix:
+                assert (sum(a * row[k] for a, k in zip(coefficients, echelon.columns)) - row[c]) % p == 0
+
+
+@given(_integer_matrices())
+@example([[_SCREEN_PRIME, 0], [0, 1]])
+@settings(max_examples=300, deadline=None)
+def test_rank_over_q_matches_fraction_elimination(matrix):
+    assert rank(matrix) == _fraction_rank(matrix)
+
+
+def test_rank_over_q_falls_back_to_bareiss_without_a_certificate(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return bareiss_rank(matrix)
+
+    monkeypatch.setattr(gram, "bareiss_rank", counted)
+    # deficient only mod the screen prime: no relation among the columns exists
+    assert rank([[_SCREEN_PRIME, 0], [0, 1]]) == 2
+    assert len(calls) == 1
+    # column 1 is 10007/9973 times column 0, past the reconstruction bound
+    # sqrt(P/2) in both numerator and denominator
+    assert isqrt(_SCREEN_PRIME // 2) < 9973
+    assert rank([[9973, 10007], [-2 * 9973, -2 * 10007], [5 * 9973, 5 * 10007]]) == 1
+    assert len(calls) == 2
+    # a relation with denominator 2 is reconstructed: no fallback
+    assert rank([[2, 1], [4, 2], [6, 3]]) == 1
+    assert len(calls) == 2
+
+
+def test_char_zero_levels_are_certified_without_bareiss(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("bareiss_rank reached")
+
+    monkeypatch.setattr(gram, "bareiss_rank", refuse)
+    levels = {-8: None, -7: None, -6: 4, -5: None, -4: 3, -3: None, -2: 2, -1: 4,
+              1: 2, 2: 3, 3: 4, 4: None, 5: None, 6: None, 7: None, 8: None}
+    for delta, level in levels.items():
+        assert first_degenerate_level(BrauerParams(0, IntegerDelta(delta)), 4) == level, delta
 
 
 def test_rank_dispatches_on_prime_field_entries():
