@@ -11,7 +11,11 @@ a decision builds the witness of the minimum only, up to
 MAX_WITNESS_LEVEL.  The brute-force searches `m_bruteforce` and `mprime_bruteforce`
 find the same pairs by scanning every partition up to a limit; they are the
 reference that the tests and `verify` compare the closed forms against, and
-no decision calls them.
+no decision calls them.  Kinds 0 and 1 scan every box of each partition
+(`_box_tables`), kinds 2 and 3 only its diagonal boxes (`_diagonal_tables`),
+so a kind-2 or kind-3 search that finds nothing never scans the
+off-diagonal boxes, and a kind-0 or kind-1 search scans them only up to
+the level of its hit.
 
 Box-statistic kinds (for a shape la of size n with box (i, j)):
   kind 0 - any box with d(i,j) = -arg,
@@ -81,20 +85,19 @@ def bound_min(*bounds):
 
 
 @cache
-def _box_tables(n: int) -> tuple[dict, dict, dict, dict]:
-    """Per-level first-witness tables: maps from the value of a box
-    statistic to (shape, box), for kinds 0..3 in order.
+def _box_tables(n: int) -> tuple[dict, dict]:
+    """Per-level first-witness tables of kinds 0 and 1: maps from the value
+    of d to (shape, box), over any box (any_d) and over off-diagonal boxes
+    (off_d).
 
     Every box of every partition of n is visited, shapes in the order of
     partitions_of and boxes row-major; in row i that is the boxes j < i
-    (b-statistic), the diagonal box (d and b), then the boxes j > i
-    (a-statistic).  A witness tuple is built only for a value not yet in
-    its table.  The off-diagonal and diagonal-d keys are subsets of the
-    any-d keys, so a value already in off_d or diag_d is in any_d too."""
+    (b-statistic), the diagonal box, then the boxes j > i (a-statistic).
+    A witness tuple is built only for a value not yet in its table.  The
+    off-diagonal keys are a subset of the any-d keys, so a value already in
+    off_d is in any_d too."""
     any_d: dict[int, Witness] = {}
     off_d: dict[int, Witness] = {}
-    diag_d: dict[int, Witness] = {}
-    diag_b: dict[int, Witness] = {}
     for la in partitions_of(n):
         conj = conjugate(la)
         rows, cols = len(la), len(conj)
@@ -113,13 +116,8 @@ def _box_tables(n: int) -> tuple[dict, dict, dict, dict]:
             if li < i:
                 continue
             v = 2 * (li - i)
-            if v not in diag_d:
-                diag_d[v] = w = (la, (i, i))
-                if v not in any_d:
-                    any_d[v] = w
-            v = 2 * (i - 1 - ci)
-            if v not in diag_b:
-                diag_b[v] = (la, (i, i))
+            if v not in any_d:
+                any_d[v] = (la, (i, i))
             base = li - i  # a(i, j) = base + la_j - j
             j = i
             for lj in padded[i:li]:
@@ -129,7 +127,41 @@ def _box_tables(n: int) -> tuple[dict, dict, dict, dict]:
                     off_d[v] = w = (la, (i, j))
                     if v not in any_d:
                         any_d[v] = w
-    return any_d, off_d, diag_d, diag_b
+    return any_d, off_d
+
+
+@cache
+def _diagonal_tables(n: int) -> tuple[dict, dict]:
+    """Per-level first-witness tables of kinds 2 and 3: maps from the value
+    of d(i, i) (diag_d) and of b(i, i) (diag_b) to (shape, box).
+
+    Shapes are visited in the order of partitions_of, and in each only its
+    diagonal boxes (i, i), i up to the Durfee size, in order; la'_i is the
+    number of parts >= i, counted down from the last part, so no conjugate
+    is built.  These are the entries of the full row-major scan restricted
+    to diagonal boxes, in the same order."""
+    diag_d: dict[int, Witness] = {}
+    diag_b: dict[int, Witness] = {}
+    for la in partitions_of(n):
+        ci = len(la)  # la'_i, the parts >= i; at least i while la_i >= i
+        for i, li in enumerate(la, start=1):
+            if li < i:
+                break
+            while la[ci - 1] < i:
+                ci -= 1
+            v = 2 * (li - i)
+            if v not in diag_d:
+                diag_d[v] = (la, (i, i))
+            v = 2 * (i - 1 - ci)
+            if v not in diag_b:
+                diag_b[v] = (la, (i, i))
+    return diag_d, diag_b
+
+
+def _table(kind: int, n: int) -> dict[int, Witness]:
+    """The first-witness table of one kind at level n: a full box scan for
+    kinds 0 and 1, a diagonal one for kinds 2 and 3."""
+    return _box_tables(n)[kind] if kind < 2 else _diagonal_tables(n)[kind - 2]
 
 
 def m_bruteforce(kind: int, arg: int, search_limit: int = 40):
@@ -142,7 +174,7 @@ def m_bruteforce(kind: int, arg: int, search_limit: int = 40):
         raise ParameterError(f"search_limit must be >= 2, got {search_limit}")
     target = -arg
     for n in range(2, search_limit + 1):
-        table = _box_tables(n)[kind]
+        table = _table(kind, n)
         if target in table:
             return n, table[target]
     return UNBOUNDED, None
@@ -155,12 +187,12 @@ def mprime_bruteforce(kind: int, N: int, eps: int, spec: RootSpec, char2: bool, 
     if kind not in (1, 2, 3):
         raise ParameterError(f"kind must be 1..3, got {kind}")
     for n in range(2, search_limit + 1):
-        tables = _box_tables(n)
+        table = _table(kind, n)
         if kind == 1:
-            hit = next((w for v, w in tables[1].items() if (N + v) % spec.e == 0), None)
+            hit = next((w for v, w in table.items() if (N + v) % spec.e == 0), None)
         else:
             sign = eps if kind == 2 else -eps  # eps*q^x = -1 iff -eps*q^x = 1
-            hit = next((w for v, w in tables[kind].items() if signed_power_is_one(sign, N + v, spec, char2)), None)
+            hit = next((w for v, w in table.items() if signed_power_is_one(sign, N + v, spec, char2)), None)
         if hit is not None:
             return n, hit
     return UNBOUNDED, None

@@ -42,9 +42,10 @@ p + cols*p^2 <= 2^w: no lane carries into the next, and the rank is exact
 for every p.  The row is then unpacked once; its first lane that is nonzero
 mod p makes it a new pivot, and a row with none is dropped.
 Back-substitution runs on the same lanes with the same bound.  The check
-over Z packs each column of G into signed lanes, one per row and wide
-enough for every lane of the difference, so that each column of G[:, C] X
-costs one multiply-add per nonzero entry of X.
+over Z packs each column of G once into signed lanes, one per row, so that
+each column of G[:, C] X costs one multiply-add per nonzero entry of X; the
+plain and the reconstructed check share that pack whenever its lanes are
+wide enough for every lane of the difference.
 
 `level_rank` is the rank of one level at an integer delta, and
 `first_degenerate_level` walks n = 2, 3, ... and reports the first level at
@@ -205,18 +206,27 @@ def _relations(echelon: Echelon, cols: int) -> tuple[list[int], list[list[int]]]
     return free, [[row[c] for row in rows] for c in free]
 
 
-def _combination_holds(matrix, columns: list[int], free: list[int], x: list[list[int]], d: int) -> bool:
-    """Whether d G[:, c'] = sum_k x[j][k] G[:, columns[k]] exactly over Z for
-    each free column c' = free[j].  Each column of G is packed into one int,
-    a signed lane per row wide enough for every lane of the difference, so
-    that each equation is one multiply-add per nonzero coefficient and one
-    comparison of packed ints."""
-    top_g = max(max(map(abs, row)) for row in matrix)
-    top_x = max((max(map(abs, coefficients), default=0) for coefficients in x), default=0)
-    size = _lane_bytes(((len(columns) * top_x + d) * top_g).bit_length() + 1)
+def _lane_size(count: int, top_x: int, d: int, top_g: int) -> int:
+    """Bytes per signed lane wide enough for every lane of d G[:, c'] -
+    G[:, C] x, for count pivot columns C, |x| <= top_x and |G| <= top_g."""
+    return _lane_bytes(((count * top_x + d) * top_g).bit_length() + 1)
+
+
+def _packed_columns(matrix, size: int) -> list[int]:
+    """Each column of an integer matrix as one int of signed lanes of
+    `size` bytes, one per row, the first row in the lowest lane."""
     bias = 1 << (8 * size - 1)
     ones = _pack([1] * len(matrix), size)
-    packed = [_pack([v + bias for v in column], size) - bias * ones for column in zip(*matrix)]
+    return [_pack([v + bias for v in column], size) - bias * ones for column in zip(*matrix)]
+
+
+def _combination_holds(packed: list[int], columns: list[int], free: list[int], x: list[list[int]], d: int) -> bool:
+    """Whether d G[:, c'] = sum_k x[j][k] G[:, columns[k]] in the packed
+    columns of G for each free column c' = free[j]: one multiply-add per
+    nonzero coefficient and one comparison of packed ints.  A packed column
+    is the exact sum of its entries times 2^(lane * row), so columns that
+    are equal give equal ints at any lane width, and a False is final; a
+    True shows the identity over Z only in lanes as wide as _lane_size asks."""
     basis = [packed[c] for c in columns]
     for c, coefficients in zip(free, x):
         combination = 0
@@ -253,13 +263,31 @@ def _common_denominator(x: list[list[int]], p: int) -> int | None:
 
 def _certified(matrix: list[list[int]], echelon: Echelon) -> bool:
     """Whether the pivot columns of a screen of `matrix` span every column
-    over Q, shown by an exact integer identity (see the module docstring)."""
-    p = echelon.p
+    over Q, shown by an exact integer identity (see the module docstring).
+    The columns of G are packed once, in lanes that fit every reconstructed
+    check (D and each entry of D X are at most sqrt(P/2)), or narrower
+    where the plain check needs less.  Only a check that passes in lanes
+    narrower than it needs is run again, in lanes of its own width."""
+    p, columns = echelon.p, echelon.columns
     free, relations = _relations(echelon, len(matrix[0]))
+    top_g = max(max(map(abs, row)) for row in matrix)
+    bound = isqrt(p // 2)
+    packed = None  # (lane bytes, packed columns of G)
 
     def holds(d: int) -> bool:
+        nonlocal packed
         lifted = [[(d * v + p // 2) % p - p // 2 for v in coefficients] for coefficients in relations]
-        return _combination_holds(matrix, echelon.columns, free, lifted, d)
+        top_x = max((max(map(abs, coefficients), default=0) for coefficients in lifted), default=0)
+        need = _lane_size(len(columns), top_x, d, top_g)
+        if packed is None:
+            size = min(need, _lane_size(len(columns), bound, bound, top_g))
+            packed = (size, _packed_columns(matrix, size))
+        if not _combination_holds(packed[1], columns, free, lifted, d):
+            return False
+        if need > packed[0]:
+            packed = (need, _packed_columns(matrix, need))
+            return _combination_holds(packed[1], columns, free, lifted, d)
+        return True
 
     if holds(1):
         return True

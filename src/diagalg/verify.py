@@ -288,7 +288,8 @@ def suite_specialization(max_n: int = 5) -> list[CheckResult]:
 # its own depth.  Past the ceiling the work grows without a cap: the coset
 # identity ~4x per level (14: about 14 s, 15: about a minute), tr(xy) on 100
 # random pairs per level, quadratic in max_n (250: 17 s, 300: 24 s), and the
-# search to level 2*max_n + 10 (20: 21 s, 21: 29 s), timed on a 2-vCPU VM.
+# search to level 2*max_n + 10 (20: 5 s and 210 MB, 21: 7 s and 290 MB, most
+# of it every partition up to that level), timed on a 2-vCPU VM.
 SUITES = {
     "counting": (suite_counting, 14),
     "trace": (suite_trace, 250),

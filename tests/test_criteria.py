@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from diagalg import criteria
+from diagalg import criteria, verify
 from diagalg.criteria import (
     MAX_WITNESS_LEVEL,
     UNBOUNDED,
@@ -92,10 +92,54 @@ def _reference_box_tables(n):
 
 
 def test_box_tables_match_the_box_definitions():
-    # values and first witnesses, in insertion order
+    # values and first witnesses, in insertion order: kinds 0 and 1 from the
+    # full box scan, kinds 2 and 3 from the diagonal one
     for n in range(15):
-        for got, want in zip(criteria._box_tables(n), _reference_box_tables(n)):
+        tables = criteria._box_tables(n) + criteria._diagonal_tables(n)
+        assert len(tables) == 4
+        for got, want in zip(tables, _reference_box_tables(n)):
             assert list(got.items()) == list(want.items()), n
+
+
+def test_diagonal_tables_match_the_diagonal_boxes():
+    # only the boxes (i, i), in insertion order, to level 30
+    for n in range(31):
+        diag_d, diag_b = {}, {}
+        for la in partitions_of(n):
+            for i in range(1, len(la) + 1):
+                if la[i - 1] >= i:
+                    diag_d.setdefault(dvalue(la, (i, i)), (la, (i, i)))
+                    diag_b.setdefault(bvalue(la, (i, i)), (la, (i, i)))
+        got_d, got_b = criteria._diagonal_tables(n)
+        assert list(got_d.items()) == list(diag_d.items()), n
+        assert list(got_b.items()) == list(diag_b.items()), n
+
+
+def test_diagonal_searches_build_no_full_box_table():
+    # kinds 2 and 3 read diagonal boxes only, even when they find nothing
+    criteria._box_tables.cache_clear()
+    criteria._diagonal_tables.cache_clear()
+    assert m_bruteforce(2, 3, 40) == (UNBOUNDED, None)
+    assert m_bruteforce(3, -1, 40) == (UNBOUNDED, None)
+    assert mprime_bruteforce(2, -2, -1, RootSpec(5, 10), False, 40) == (UNBOUNDED, None)
+    assert mprime_bruteforce(3, -2, 1, RootSpec(5, 5), False, 40) == (UNBOUNDED, None)
+    assert criteria._box_tables.cache_info().currsize == 0
+    assert criteria._diagonal_tables.cache_info().currsize == 39  # levels 2..40
+
+
+def test_oracle_suite_scans_all_boxes_only_to_its_first_hits(monkeypatch):
+    # at depth 15 every kind-0/1 search hits by level 18 (m1(-15) = 18)
+    levels = []
+    full_scan = criteria._box_tables
+
+    def recording(n):
+        levels.append(n)
+        return full_scan(n)
+
+    monkeypatch.setattr(criteria, "_box_tables", recording)
+    results = verify.suite_oracle_equivalence(15)
+    assert all(r.passed for r in results) and len(results) == 3
+    assert levels and max(levels) <= 18
 
 
 def test_bruteforce_witnesses_are_valid():
@@ -288,7 +332,7 @@ def test_decisions_never_call_the_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a decision reached the brute-force search")
 
-    for name in ("_box_tables", "m_bruteforce", "mprime_bruteforce"):
+    for name in ("_box_tables", "_diagonal_tables", "m_bruteforce", "mprime_bruteforce"):
         monkeypatch.setattr(criteria, name, refuse)
     deltas = [GenericDelta(), NonIntegerDelta()] + [IntegerDelta(d) for d in (-1000, -29, -4, -1, 1, 2, 504)]
     qs = [NotRootOfUnity(), *(PlusMinusOne(d) for d in deltas[:4])]

@@ -259,6 +259,30 @@ def test_rank_over_q_falls_back_to_bareiss_without_a_certificate(monkeypatch):
     assert len(calls) == 2
 
 
+def test_certificate_packs_the_columns_once(monkeypatch):
+    packs = []
+    pack = gram._packed_columns
+
+    def counted(matrix, size):
+        packs.append(size)
+        return pack(matrix, size)
+
+    monkeypatch.setattr(gram, "_packed_columns", counted)
+    monkeypatch.setattr(gram, "bareiss_rank", lambda matrix: pytest.fail("bareiss_rank reached"))
+    # the plain lift fails and the reconstructed check (D = 2) reuses the pack
+    assert rank([[2, 1], [4, 2], [6, 3]]) == 1
+    assert packs == [4]
+    # column 4 is (1, k, k^2, k^3) on the unimodular columns 0-3: the plain
+    # check needs wider lanes than any reconstructed one, so it passes in
+    # the shared 4-byte lanes and is run again in 8-byte lanes
+    k = 300
+    assert isqrt(_SCREEN_PRIME // 2) < k**3 < _SCREEN_PRIME // 2
+    bidiagonal = [[1, 0, 0, 0, 1], [-k, 1, 0, 0, 0], [0, -k, 1, 0, 0], [0, 0, -k, 1, 0], [0, 0, 0, 0, 0]]
+    packs.clear()
+    assert rank(bidiagonal) == 4
+    assert packs == [4, 8]
+
+
 def test_char_zero_levels_are_certified_without_bareiss(monkeypatch):
     def refuse(matrix):
         raise AssertionError("bareiss_rank reached")
