@@ -183,15 +183,13 @@ def gl_basis(n: int) -> tuple[CellularBasisElement, ...]:
 
 
 def _int_coeff(c) -> int:
-    """Extracts an integer from a coefficient known to be loop-free."""
-    if isinstance(c, int):
-        return c
-    if isinstance(c, LaurentPoly) and c.is_constant:
-        return c.coeffs.get(0, 0)
-    raise ValueError(f"non-integer cellular coefficient {c!r}")
+    """Extracts an integer from a coefficient known to be loop-free: the
+    products building gl_basis close no loop, so anything else is a fault."""
+    if not isinstance(c, int):
+        raise RuntimeError(f"non-integer cellular coefficient {c!r}")
+    return c
 
 
-@cache
 def transition_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     """Integer matrix T with T[i][j] = coefficient of diagram j in basis
     element i (diagram order from all_diagrams)."""

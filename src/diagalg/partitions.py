@@ -21,7 +21,6 @@ combinatorial core of the semisimplicity criteria.
 from __future__ import annotations
 
 import enum
-from functools import cache
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -154,7 +153,6 @@ def dominance_cmp(la: Partition, mu: Partition) -> Ordering:
     return Ordering.INCOMPARABLE
 
 
-@cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """Returns all partitions of n in lexicographically decreasing order.
 

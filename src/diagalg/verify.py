@@ -41,6 +41,7 @@ from .brauer import (
     recompose,
 )
 from .cellular import (
+    DELTA,
     gl_basis,
     ideal_identification,
     involution_swaps_indices,
@@ -73,7 +74,6 @@ from .weights import (
     qbrauer_weight_at_power,
 )
 
-DELTA = LaurentPoly.monomial(1, variable="delta")
 _SEED = 20260814
 
 
@@ -87,43 +87,33 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResult:
-    return CheckResult(suite, name, bool(passed), detail)
-
-
 def _check(suite: str, name: str, check: Callable[[], bool]) -> CheckResult:
     """Runs one check.  The library raises RuntimeError where an internal
     count or inverse comes out wrong; that fails the check, with the error
-    as its detail, and the suite goes on."""
+    as its detail, and the suite goes on.  Every suite builds its results
+    here."""
     try:
-        return _result(suite, name, check())
+        return CheckResult(suite, name, bool(check()))
     except RuntimeError as exc:
-        return _result(suite, name, False, str(exc))
+        return CheckResult(suite, name, False, str(exc))
 
 
 def suite_counting(max_n: int = 6) -> list[CheckResult]:
     """Dimension identities and the factorization round-trip."""
-    out = []
-    ok = all(
-        sum(path_count(x) ** 2 for x in reflected_level(n)) == double_factorial_odd(n)
-        for n in range(max_n + 1)
-    )
-    out.append(_result("counting", f"path-count squares sum to (2n-1)!!, n <= {max_n}", ok))
-    ok = all(coset_counting_identity(n) for n in range(1, max_n + 1))
-    out.append(_result("counting", f"coset sizes sum to (2n-1)!!, n <= {max_n}", ok))
     n_enum = min(max_n, 6)
-    ok = all(len(set(all_diagrams(n))) == double_factorial_odd(n) for n in range(n_enum + 1))
-    out.append(_result("counting", f"diagram enumeration is exact, n <= {n_enum}", ok))
     n_fac = min(max_n, 4)
-    ok = True
-    for n in range(1, n_fac + 1):
-        for d in all_diagrams(n):
-            u, pi, v, s = factorize(d)
-            back, loops = recompose(u, pi, v, s)
-            if back != d or loops != 0:
-                ok = False
-    out.append(_result("counting", f"factorize/recompose round-trip, n <= {n_fac}", ok))
-    return out
+    checks = (
+        (f"path-count squares sum to (2n-1)!!, n <= {max_n}",
+         lambda: all(sum(path_count(x) ** 2 for x in reflected_level(n)) == double_factorial_odd(n)
+                     for n in range(max_n + 1))),
+        (f"coset sizes sum to (2n-1)!!, n <= {max_n}",
+         lambda: all(coset_counting_identity(n) for n in range(1, max_n + 1))),
+        (f"diagram enumeration is exact, n <= {n_enum}",
+         lambda: all(len(set(all_diagrams(n))) == double_factorial_odd(n) for n in range(n_enum + 1))),
+        (f"factorize/recompose round-trip, n <= {n_fac}",
+         lambda: all(recompose(*factorize(d)) == (d, 0) for n in range(1, n_fac + 1) for d in all_diagrams(n))),
+    )
+    return [_check("counting", name, check) for name, check in checks]
 
 
 def _iterated_trace(x: AlgebraElement):
@@ -142,48 +132,51 @@ def _random_diagram(rng: random.Random, n: int) -> AlgebraElement:
     return AlgebraElement.from_diagram(diagram_from_pairs(n, zip(verts[::2], verts[1::2])))
 
 
-def suite_trace(max_n: int = 4, pairs: int = 100) -> list[CheckResult]:
-    """Markov-trace identities, all in Q(delta)."""
-    out = []
+def _trace_is_symmetric(max_n: int, pairs: int) -> bool:
     rng = random.Random(_SEED)
-    ok = True
     for n in range(1, max_n + 1):
         for _ in range(pairs):
             a = _random_diagram(rng, n)
             b = _random_diagram(rng, n)
             if markov_trace(multiply(a, b, DELTA), DELTA) != markov_trace(multiply(b, a, DELTA), DELTA):
-                ok = False
-    out.append(_result("trace", f"tr(xy) = tr(yx), {pairs} random pairs per n <= {max_n}", ok))
-    n_markov = min(max_n, 4)
-    ok = True
-    for n in range(1, n_markov + 1):
+                return False
+    return True
+
+
+def _markov_property(max_n: int) -> bool:
+    for n in range(1, max_n + 1):
         ebar = AlgebraElement.from_diagram(generator("e", n, n + 1), DELTA ** -1)
         for d in all_diagrams(n):
             x = AlgebraElement.from_diagram(d)
-            lhs = markov_trace(multiply(ebar, embed(x), DELTA), DELTA)
-            rhs = DELTA ** -2 * markov_trace(x, DELTA)
-            if lhs != rhs:
-                ok = False
-    out.append(_result("trace", f"tr(ebar_n x) = delta^-2 tr(x), n <= {n_markov}", ok))
-    n_iter = min(max_n, 4)
-    ok = True
-    for n in range(n_iter + 1):
-        for d in all_diagrams(n):
-            x = AlgebraElement.from_diagram(d)
-            if _iterated_trace(x) != markov_trace(x, DELTA):
-                ok = False
-    out.append(_result("trace", f"closure trace = iterated E trace, n <= {n_iter}", ok))
-    n_norm = min(max_n, 5)
-    ok = True
-    for n in range(n_norm + 1):
+            if markov_trace(multiply(ebar, embed(x), DELTA), DELTA) != DELTA ** -2 * markov_trace(x, DELTA):
+                return False
+    return True
+
+
+def _weight_normalization(max_n: int) -> bool:
+    for n in range(max_n + 1):
         total = RationalFunction(LaurentPoly.constant(0, "delta"), LaurentPoly.constant(1, "delta"))
         for x in reflected_level(n):
             total = total + brauer_weight(x.shape) * path_count(x)
-        dn = RationalFunction(LaurentPoly.monomial(n, 1, "delta"), LaurentPoly.constant(1, "delta"))
-        if total != dn:
-            ok = False
-    out.append(_result("trace", f"sum of path_count * weight = delta^n, n <= {n_norm}", ok))
-    return out
+        if total != RationalFunction(LaurentPoly.monomial(n, 1, "delta"), LaurentPoly.constant(1, "delta")):
+            return False
+    return True
+
+
+def suite_trace(max_n: int = 4, pairs: int = 100) -> list[CheckResult]:
+    """Markov-trace identities, all in Q(delta)."""
+    n_markov = min(max_n, 4)
+    n_iter = min(max_n, 4)
+    n_norm = min(max_n, 5)
+    checks = (
+        (f"tr(xy) = tr(yx), {pairs} random pairs per n <= {max_n}", lambda: _trace_is_symmetric(max_n, pairs)),
+        (f"tr(ebar_n x) = delta^-2 tr(x), n <= {n_markov}", lambda: _markov_property(n_markov)),
+        (f"closure trace = iterated E trace, n <= {n_iter}",
+         lambda: all(_iterated_trace(x) == markov_trace(x, DELTA)
+                     for n in range(n_iter + 1) for x in map(AlgebraElement.from_diagram, all_diagrams(n)))),
+        (f"sum of path_count * weight = delta^n, n <= {n_norm}", lambda: _weight_normalization(n_norm)),
+    )
+    return [_check("trace", name, check) for name, check in checks]
 
 
 def _weak_coherence(max_n: int) -> bool:
@@ -214,24 +207,22 @@ def suite_cellular(max_n: int = 3) -> list[CheckResult]:
     return [_check("cellular", name, check) for name, check in checks]
 
 
+def _witness_vanishes(decide, spec) -> bool:
+    """The decision's witness shape has the decided size and a weight that
+    evaluates to zero."""
+    verdict = decide(spec)
+    if verdict.witness is None:
+        return False
+    la, _ = verdict.witness
+    value = evaluate_weight(la, spec)
+    return value.evaluable and value.is_zero and size(la) == verdict.m
+
+
 def suite_oracle_equivalence(max_n: int = 10) -> list[CheckResult]:
     """Closed-form bounds and their witnesses against brute-force search;
     decision witnesses against actual weight vanishing."""
-    out = []
     limit = 2 * max_n + 10
-    args = range(-max_n, max_n + 1)
-    ok = all(m_closed(kind, x) == m_bruteforce(kind, x, limit) for kind, x in product(range(4), args))
-    out.append(_result("oracle-equivalence", f"m0/m1/m2/m3 closed form = search, |arg| <= {max_n}", ok))
-    ok = True
     e_cap = min(max_n, 8)
-    for e in range(2, e_cap + 1):
-        for f in (e, 2 * e):
-            rs = RootSpec(e, f)
-            for N, kind, eps, char2 in product(range(-e + 1, 1), (1, 2, 3), (1, -1), (False, True)):
-                if mprime_closed(kind, N, eps, rs, char2) != mprime_bruteforce(kind, N, eps, rs, char2, limit):
-                    ok = False
-    out.append(_result("oracle-equivalence", f"m1'/m2'/m3' closed form = search, e <= {e_cap}", ok))
-    ok = True
     cases = (
         (decide_brauer, BrauerParams(0, IntegerDelta(2))),
         (decide_brauer, BrauerParams(5, IntegerDelta(2))),
@@ -241,55 +232,63 @@ def suite_oracle_equivalence(max_n: int = 10) -> list[CheckResult]:
         (decide_bmw, BMWParams(0, NotRootOfUnity(), SignedPower(-1, 4))),
         (decide_bmw, BMWParams(0, NotRootOfUnity(), SignedPower(1, -2))),
     )
-    for decide, spec in cases:
-        verdict = decide(spec)
-        if verdict.witness is None:
-            ok = False
-            continue
-        la, box = verdict.witness
-        value = evaluate_weight(la, spec)
-        if not (value.evaluable and value.is_zero and size(la) == verdict.m):
-            ok = False
-    out.append(_result("oracle-equivalence", "decision witnesses have vanishing weights", ok))
-    return out
+    checks = (
+        (f"m0/m1/m2/m3 closed form = search, |arg| <= {max_n}",
+         lambda: all(m_closed(kind, x) == m_bruteforce(kind, x, limit)
+                     for kind, x in product(range(4), range(-max_n, max_n + 1)))),
+        (f"m1'/m2'/m3' closed form = search, e <= {e_cap}",
+         lambda: all(mprime_closed(kind, N, eps, rs, char2) == mprime_bruteforce(kind, N, eps, rs, char2, limit)
+                     for e in range(2, e_cap + 1)
+                     for rs in (RootSpec(e, e), RootSpec(e, 2 * e))
+                     for N, kind, eps, char2 in product(range(-e + 1, 1), (1, 2, 3), (1, -1), (False, True)))),
+        ("decision witnesses have vanishing weights",
+         lambda: all(_witness_vanishes(decide, spec) for decide, spec in cases)),
+    )
+    return [_check("oracle-equivalence", name, check) for name, check in checks]
 
 
-def suite_specialization(max_n: int = 5) -> list[CheckResult]:
-    """q = 1 degenerations and the q-analogue of the normalization."""
-    out = []
-    qb_cap = min(max_n, 6)
-    bmw_cap = min(max_n, 5)
-    ok = True
+def _q_one_degeneration(qb_cap: int, bmw_cap: int) -> bool:
     for n in range(qb_cap + 1):
         for la in partitions_of(n):
             for N in range(-5, 6):
                 classical = brauer_weight(la).evaluate(N)
                 if qbrauer_weight_at_power(la, N).evaluate(1) != classical:
-                    ok = False
+                    return False
                 if n <= bmw_cap and bmw_weight_at_power(la, N, 1).evaluate(1) != classical:
-                    ok = False
-    out.append(_result("specialization", f"weights at q = 1 match delta = N, |la| <= {qb_cap}", ok))
-    ok = True
-    n_norm = min(max_n, 4)
+                    return False
+    return True
+
+
+def _q_weight_normalization(max_n: int) -> bool:
     for N in (3, 5, -4):
         delta_q = qint(N)
-        for n in range(n_norm + 1):
+        for n in range(max_n + 1):
             total = RationalFunction(LaurentPoly.constant(0, "q"), LaurentPoly.constant(1, "q"))
             for x in reflected_level(n):
                 total = total + qbrauer_weight_at_power(x.shape, N) * path_count(x)
-            dn = RationalFunction(delta_q, LaurentPoly.constant(1, "q")) ** n
-            if total != dn:
-                ok = False
-    out.append(_result("specialization", f"q-weight normalization at delta = [N], n <= {n_norm}", ok))
-    return out
+            if total != RationalFunction(delta_q, LaurentPoly.constant(1, "q")) ** n:
+                return False
+    return True
+
+
+def suite_specialization(max_n: int = 5) -> list[CheckResult]:
+    """q = 1 degenerations and the q-analogue of the normalization."""
+    qb_cap = min(max_n, 6)
+    bmw_cap = min(max_n, 5)
+    n_norm = min(max_n, 4)
+    checks = (
+        (f"weights at q = 1 match delta = N, |la| <= {qb_cap}", lambda: _q_one_degeneration(qb_cap, bmw_cap)),
+        (f"q-weight normalization at delta = [N], n <= {n_norm}", lambda: _q_weight_normalization(n_norm)),
+    )
+    return [_check("specialization", name, check) for name, check in checks]
 
 
 # Each suite with the deepest max_n it accepts, None where every check caps
 # its own depth.  Past the ceiling the work grows without a cap: the coset
 # identity ~4x per level (14: about 14 s, 15: about a minute), tr(xy) on 100
 # random pairs per level, quadratic in max_n (250: 17 s, 300: 24 s), and the
-# search to level 2*max_n + 10 (20: 5 s and 210 MB, 21: 7 s and 290 MB, most
-# of it every partition up to that level), timed on a 2-vCPU VM.
+# search to level 2*max_n + 10 (20: 4 s and 50 MB, 21: 5 s and 64 MB, most of
+# it the partitions of the level being scanned), timed on a 2-vCPU VM.
 SUITES = {
     "counting": (suite_counting, 14),
     "trace": (suite_trace, 250),

@@ -393,6 +393,46 @@ def test_verify_reports_a_transition_matrix_with_no_integer_inverse(capsys, monk
     assert out.count("[cellular]") == 5 and out.endswith("/5 checks passed\n")
 
 
+def test_verify_reports_a_failed_count_guard_as_failed_checks(capsys, monkeypatch):
+    from diagalg import verify as verify_module
+
+    def miscounted(n):
+        raise RuntimeError(f"enumerated 0 diagrams at n = {n}, expected (2n-1)!!")
+
+    monkeypatch.setattr(verify_module, "all_diagrams", miscounted)
+    code, out, _ = run(["verify", "--suite", "counting", "--max-n", "3"], capsys)
+    assert code == 1
+    assert out.count("  enumerated 0 diagrams at n = ") == out.count("FAIL") == 2
+    assert out.endswith("2/4 checks passed\n")
+
+
+def test_verify_reports_a_non_integer_cellular_coefficient(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from diagalg import cellular
+    from diagalg.brauer import AlgebraElement
+
+    basis = cellular.gl_basis
+
+    def delta_in_first_element(n):
+        b = basis(n)
+        if n != 2:
+            return b
+        terms = {d: c * cellular.DELTA for d, c in b[0].element.terms.items()}
+        return (replace(b[0], element=AlgebraElement(n, terms)), *b[1:])
+
+    monkeypatch.setattr(cellular, "gl_basis", delta_in_first_element)
+    cellular._transition_inverse.cache_clear()
+    try:
+        code, out, _ = run(["verify", "--suite", "cellular"], capsys)
+    finally:
+        cellular._transition_inverse.cache_clear()
+    assert code == 1
+    assert ("FAIL  [cellular] basis transition determinant is +-1, n <= 3"
+            "  non-integer cellular coefficient") in out
+    assert out.count("[cellular]") == 5 and out.endswith("/5 checks passed\n")
+
+
 def test_verify_rejects_depths_past_the_suite_ceiling(capsys):
     ceilings = {name: ceiling for name, (_, ceiling) in SUITES.items() if ceiling is not None}
     # the acceptance depths stay allowed

@@ -1,8 +1,12 @@
 """Tests for the closed-form bounds, brute-force oracles, and decisions."""
 
 import itertools
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,29 @@ def test_diagonal_searches_build_no_full_box_table():
     assert mprime_bruteforce(3, -2, 1, RootSpec(5, 5), False, 40) == (UNBOUNDED, None)
     assert criteria._box_tables.cache_info().currsize == 0
     assert criteria._diagonal_tables.cache_info().currsize == 39  # levels 2..40
+
+
+_RETAINED_AFTER_A_FULL_SEARCH = """
+import gc, tracemalloc
+tracemalloc.start()
+from diagalg import criteria
+assert criteria.m_bruteforce(3, 1, 40) == (criteria.UNBOUNDED, None)
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_a_full_search_keeps_only_its_witness_tables():
+    # b(i, i) is even, so kind 3 never meets an odd argument and the search
+    # enumerates every level to 40 (215,308 partitions); only the per-level
+    # tables may stay.  A fresh process, as other tests fill the caches here.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RETAINED_AFTER_A_FULL_SEARCH],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5 * 2**20
 
 
 def test_oracle_suite_scans_all_boxes_only_to_its_first_hits(monkeypatch):

@@ -49,3 +49,17 @@ def test_every_public_definition_has_a_user_outside_the_tests():
             if not path.name.startswith("test_"):
                 used |= _names_used(ast.parse(path.read_text(), filename=str(path)))
     assert [name for name in public if name.split(".")[1] not in used] == []
+
+
+def test_verify_builds_every_check_result_in_one_function():
+    # that function turns a RuntimeError into a FAIL line; a suite that built
+    # its own results could stop the run with a traceback instead
+    path = Path(diagalg.__file__).parent / "verify.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_check")
+
+    def builds(tree):
+        return [node for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and "CheckResult" in _names_used(node.func)]
+
+    assert builds(check) and len(builds(tree)) == len(builds(check))
