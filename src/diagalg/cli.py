@@ -58,11 +58,12 @@ FAMILIES = ("brauer", "qbrauer", "bmw")
 
 def _add_param_flags(p: argparse.ArgumentParser, family: str) -> None:
     p.add_argument("--char", type=int, default=0, help="field characteristic (0 or a prime)")
+    only = "" if family == "brauer" else " (only with --q-pm-one)"
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--delta", type=int, help="integer loop parameter" + only)
+    group.add_argument("--delta-generic", action="store_true", help="transcendental delta" + only)
+    group.add_argument("--delta-nonint", action="store_true", help="delta outside the prime field" + only)
     if family == "brauer":
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--delta", type=int, help="integer loop parameter")
-        group.add_argument("--delta-generic", action="store_true", help="transcendental delta")
-        group.add_argument("--delta-nonint", action="store_true", help="delta outside the prime field")
         return
     qgroup = p.add_mutually_exclusive_group()
     qgroup.add_argument("--e", type=int, help="order of q^2 (q a root of unity)")
@@ -71,9 +72,6 @@ def _add_param_flags(p: argparse.ArgumentParser, family: str) -> None:
     p.add_argument("--f", type=int, help="order of q (defaults per --qe-sign)")
     p.add_argument("--qe-sign", type=int, choices=(1, -1),
                    help="sign of q^e (default 1); -1 makes --f default to 2e")
-    p.add_argument("--delta", type=int, help="integer delta (only with --q-pm-one)")
-    p.add_argument("--delta-generic", action="store_true", help="generic delta (only with --q-pm-one)")
-    p.add_argument("--delta-nonint", action="store_true", help="non-integer delta (only with --q-pm-one)")
     rgroup = p.add_mutually_exclusive_group()
     rgroup.add_argument("--N", type=int, help="exponent in r = eps * q^N (BMW: r = eps * q^(N-1))")
     rgroup.add_argument("--r-generic", action="store_true", help="r independent of q")
@@ -93,8 +91,9 @@ def _spec_from_args(family: str, args):
         return BrauerParams(args.char, _delta_from_args(args))
     if not args.q_pm_one and (args.delta is not None or args.delta_generic or args.delta_nonint):
         raise ParameterError("--delta, --delta-generic and --delta-nonint need --q-pm-one")
-    if args.q_pm_one and args.N is not None:
-        raise ParameterError("--N has no effect with --q-pm-one: at q = +-1 only delta is a parameter")
+    for flag, given in (("--N", args.N is not None), ("--r-generic", args.r_generic)):
+        if given and args.q_pm_one:
+            raise ParameterError(f"{flag} has no effect with --q-pm-one: at q = +-1 only delta is a parameter")
     for flag, given in (("--f (the order of q)", args.f), ("--qe-sign (the sign of q^e)", args.qe_sign)):
         if given is not None and args.e is None:
             raise ParameterError(f"{flag} needs --e")

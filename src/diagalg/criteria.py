@@ -91,42 +91,23 @@ def _box_tables(n: int) -> tuple[dict, dict]:
     (off_d).
 
     Every box of every partition of n is visited, shapes in the order of
-    partitions_of and boxes row-major; in row i that is the boxes j < i
-    (b-statistic), the diagonal box, then the boxes j > i (a-statistic).
-    A witness tuple is built only for a value not yet in its table.  The
-    off-diagonal keys are a subset of the any-d keys, so a value already in
-    off_d is in any_d too."""
+    partitions_of and boxes row-major, and d(i, j) is read from its
+    definition: a(i, j) = la_i + la_j - i - j for i <= j, and b(i, j) =
+    i + j - 2 - la'_i - la'_j for i > j, with parts 0 past the end.  The
+    first witness of each value is kept."""
     any_d: dict[int, Witness] = {}
     off_d: dict[int, Witness] = {}
     for la in partitions_of(n):
         conj = conjugate(la)
-        rows, cols = len(la), len(conj)
-        padded = la + (0,) * (cols - rows)  # la_j for j <= la_1, 0 past the last row
-        lower = [j - cj for j, cj in enumerate(conj, start=1)]  # b(i, j) = i - 2 - la'_i + lower[j-1]
-        for i, li, ci in zip(range(1, rows + 1), la, conj + (0,) * (rows - cols)):
-            base = i - 2 - ci
-            j = 0
-            for u in lower[: i - 1 if i <= li else li]:  # j < i and j <= la_i
-                j += 1
-                v = base + u
-                if v not in off_d:
-                    off_d[v] = w = (la, (i, j))
-                    if v not in any_d:
-                        any_d[v] = w
-            if li < i:
-                continue
-            v = 2 * (li - i)
-            if v not in any_d:
-                any_d[v] = (la, (i, i))
-            base = li - i  # a(i, j) = base + la_j - j
-            j = i
-            for lj in padded[i:li]:
-                j += 1
-                v = base + lj - j
-                if v not in off_d:
-                    off_d[v] = w = (la, (i, j))
-                    if v not in any_d:
-                        any_d[v] = w
+        part = (0,) + la + (0,) * len(conj)  # part[j] = la_j for every column j
+        cpart = (0,) + conj + (0,) * len(la)  # cpart[i] = la'_i for every row i
+        for i in range(1, len(la) + 1):
+            for j in range(1, part[i] + 1):
+                v = part[i] + part[j] - i - j if i <= j else i + j - 2 - cpart[i] - cpart[j]
+                witness = (la, (i, j))
+                any_d.setdefault(v, witness)
+                if i != j:
+                    off_d.setdefault(v, witness)
     return any_d, off_d
 
 

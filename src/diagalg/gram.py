@@ -14,20 +14,22 @@ mod P = _SCREEN_PRIME.  Its rank r is at most the rank over Q, since a
 minor that is nonzero mod P is nonzero over Z, so a full r settles it.  A
 deficient r is certified from the other side.  Back-substitution gives, for
 the pivot columns C and the others C', the X with G[:, C] X = G[:, C'] mod
-P.  Lifted to symmetric residues, X is checked exactly over Z; if the
-identity holds, every column is a combination of the r columns C, and the
-rank over Q is exactly r.  If it fails, X is rationally reconstructed
-(Wang, Guy and Davenport, SIGSAM Bull. 16, 1982) with one denominator
-D <= sqrt(P/2), and D G[:, C'] = G[:, C] (D X) is checked instead.  Only when
-that fails as well does `bareiss_rank`, fraction-free elimination over Z
-(Bareiss, Math. Comp. 22, 1968), give the rank.
+P.  X is rationally reconstructed first (Wang, Guy and Davenport, SIGSAM
+Bull. 16, 1982): one denominator D <= sqrt(P/2) is found with every entry
+of X congruent to a fraction whose numerator is at most sqrt(P/2) and
+whose denominator divides D, and D = 1 when every residue of X is small
+already.  Then D G[:, C'] = G[:, C] (D X), with D X lifted to symmetric
+residues, is checked exactly over Z; if it holds, every column is a
+combination of the r columns C, and the rank over Q is exactly r.  Only
+when no D exists or the identity fails does `bareiss_rank`, fraction-free
+elimination over Z (Bareiss, Math. Comp. 22, 1968), give the rank.
 
 Every answer is exact whatever P is: a P that divides a minor, or relations
 with large numerators or denominators, only send the matrix to Bareiss.
-Every trace Gram level with n <= 5 and |delta| <= 8 is certified, with
-D <= 12, by P the largest prime below 2^26.  Then 2*bits(P) + bits(cols) +
-1 <= 64 up to 2047 columns, and every lane of the elimination below is 8
-bytes, which a memoryview reads.
+Every trace Gram level with n <= 5 and |delta| <= 12 is certified by P the
+largest prime below 2^26, and D is 1, 2 or 12 on each deficient one.  For
+that P, 2*bits(P) + bits(cols) + 1 <= 64 up to 2047 columns, and every lane
+of the elimination below is 8 bytes, which a memoryview reads.
 
 `rank_mod_p` packs each row into one Python int, entry c in the lane of
 bits [c*w, (c+1)*w), w a whole number of bytes with w >= 2*bits(p) +
@@ -42,10 +44,9 @@ p + cols*p^2 <= 2^w: no lane carries into the next, and the rank is exact
 for every p.  The row is then unpacked once; its first lane that is nonzero
 mod p makes it a new pivot, and a row with none is dropped.
 Back-substitution runs on the same lanes with the same bound.  The check
-over Z packs each column of G once into signed lanes, one per row, so that
-each column of G[:, C] X costs one multiply-add per nonzero entry of X; the
-plain and the reconstructed check share that pack whenever its lanes are
-wide enough for every lane of the difference.
+over Z packs each column of G once into signed lanes, one per row, wide
+enough for every lane of the difference, so that each column of
+G[:, C] (D X) costs one multiply-add per nonzero entry of D X.
 
 `level_rank` is the rank of one level at an integer delta, and
 `first_degenerate_level` walks n = 2, 3, ... and reports the first level at
@@ -224,9 +225,9 @@ def _combination_holds(packed: list[int], columns: list[int], free: list[int], x
     """Whether d G[:, c'] = sum_k x[j][k] G[:, columns[k]] in the packed
     columns of G for each free column c' = free[j]: one multiply-add per
     nonzero coefficient and one comparison of packed ints.  A packed column
-    is the exact sum of its entries times 2^(lane * row), so columns that
-    are equal give equal ints at any lane width, and a False is final; a
-    True shows the identity over Z only in lanes as wide as _lane_size asks."""
+    is the exact sum of its entries times 2^(lane * row), so in lanes as
+    wide as _lane_size asks the two ints are equal exactly when the columns
+    are."""
     basis = [packed[c] for c in columns]
     for c, coefficients in zip(free, x):
         combination = 0
@@ -239,11 +240,11 @@ def _combination_holds(packed: list[int], columns: list[int], free: list[int], x
 
 
 def _common_denominator(x: list[list[int]], p: int) -> int | None:
-    """A D <= sqrt(p/2) with every entry of D x congruent mod p to an
-    integer of size at most sqrt(p/2), or None.  Each entry that D does not
-    yet clear is reconstructed as a fraction a/b, |a|, b <= sqrt(p/2), by the
-    extended Euclidean algorithm on p and D x stopped at the first remainder
-    <= sqrt(p/2), and D takes the factor b."""
+    """A D <= sqrt(p/2) such that every entry of x is congruent mod p to a
+    fraction a/b with |a| <= sqrt(p/2) and b dividing D, or None.  Each
+    entry that D does not yet clear is reconstructed as a fraction a/b,
+    |a|, b <= sqrt(p/2), by the extended Euclidean algorithm on p and D x
+    stopped at the first remainder <= sqrt(p/2), and D takes the factor b."""
     bound = isqrt(p // 2)
     d = 1
     for coefficients in x:
@@ -263,36 +264,19 @@ def _common_denominator(x: list[list[int]], p: int) -> int | None:
 
 def _certified(matrix: list[list[int]], echelon: Echelon) -> bool:
     """Whether the pivot columns of a screen of `matrix` span every column
-    over Q, shown by an exact integer identity (see the module docstring).
-    The columns of G are packed once, in lanes that fit every reconstructed
-    check (D and each entry of D X are at most sqrt(P/2)), or narrower
-    where the plain check needs less.  Only a check that passes in lanes
-    narrower than it needs is run again, in lanes of its own width."""
+    over Q, shown by one exact integer identity (see the module docstring):
+    D G[:, C'] = G[:, C] (D X), with the columns of G packed once in lanes
+    that fit every lane of the difference."""
     p, columns = echelon.p, echelon.columns
     free, relations = _relations(echelon, len(matrix[0]))
-    top_g = max(max(map(abs, row)) for row in matrix)
-    bound = isqrt(p // 2)
-    packed = None  # (lane bytes, packed columns of G)
-
-    def holds(d: int) -> bool:
-        nonlocal packed
-        lifted = [[(d * v + p // 2) % p - p // 2 for v in coefficients] for coefficients in relations]
-        top_x = max((max(map(abs, coefficients), default=0) for coefficients in lifted), default=0)
-        need = _lane_size(len(columns), top_x, d, top_g)
-        if packed is None:
-            size = min(need, _lane_size(len(columns), bound, bound, top_g))
-            packed = (size, _packed_columns(matrix, size))
-        if not _combination_holds(packed[1], columns, free, lifted, d):
-            return False
-        if need > packed[0]:
-            packed = (need, _packed_columns(matrix, need))
-            return _combination_holds(packed[1], columns, free, lifted, d)
-        return True
-
-    if holds(1):
-        return True
     d = _common_denominator(relations, p)
-    return d is not None and d > 1 and holds(d)
+    if d is None:
+        return False
+    lifted = [[(d * v + p // 2) % p - p // 2 for v in coefficients] for coefficients in relations]
+    top_x = max((max(map(abs, coefficients), default=0) for coefficients in lifted), default=0)
+    top_g = max(max(map(abs, row)) for row in matrix)
+    size = _lane_size(len(columns), top_x, d, top_g)
+    return _combination_holds(_packed_columns(matrix, size), columns, free, lifted, d)
 
 
 def rank(matrix: list[list], p: int = 0) -> int:

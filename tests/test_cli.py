@@ -210,6 +210,15 @@ def test_decide_invalid_parameters_exit_two(capsys):
     assert code == 2 and out == "" and "--qe-sign" in err and "--e" in err
     code, out, err = run(["decide", "bmw", "--e", "5", "--r-generic", "--eps", "-1"], capsys)
     assert code == 2 and out == "" and "--eps" in err and "--N" in err
+    # at most one delta flag in every family, and q = +-1 takes no r
+    for argv in (["qbrauer", "--q-pm-one", "--delta", "2", "--delta-generic"],
+                 ["bmw", "--q-pm-one", "--delta-generic", "--delta-nonint"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["decide", *argv])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and "not allowed with argument --delta" in err
+    code, out, err = run(["decide", "qbrauer", "--q-pm-one", "--r-generic", "--delta", "2"], capsys)
+    assert code == 2 and out == "" and "--r-generic has no effect" in err
 
 
 def test_weights_text_table(capsys):

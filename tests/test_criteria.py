@@ -97,8 +97,9 @@ def _reference_box_tables(n):
 
 def test_box_tables_match_the_box_definitions():
     # values and first witnesses, in insertion order: kinds 0 and 1 from the
-    # full box scan, kinds 2 and 3 from the diagonal one
-    for n in range(15):
+    # full box scan, kinds 2 and 3 from the diagonal one; oracle-equivalence
+    # at --max-n 20 builds full box tables up to level 23
+    for n in range(24):
         tables = criteria._box_tables(n) + criteria._diagonal_tables(n)
         assert len(tables) == 4
         for got, want in zip(tables, _reference_box_tables(n)):

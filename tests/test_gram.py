@@ -257,6 +257,13 @@ def test_rank_over_q_falls_back_to_bareiss_without_a_certificate(monkeypatch):
     # a relation with denominator 2 is reconstructed: no fallback
     assert rank([[2, 1], [4, 2], [6, 3]]) == 1
     assert len(calls) == 2
+    # column 4 is (1, k, k^2, k^3) on the unimodular columns 0-3: an integral
+    # relation with an entry past sqrt(P/2) is not reconstructed
+    k = 300
+    assert isqrt(_SCREEN_PRIME // 2) < k**3 < _SCREEN_PRIME // 2
+    bidiagonal = [[1, 0, 0, 0, 1], [-k, 1, 0, 0, 0], [0, -k, 1, 0, 0], [0, 0, -k, 1, 0], [0, 0, 0, 0, 0]]
+    assert rank(bidiagonal) == 4
+    assert len(calls) == 3
 
 
 def test_certificate_packs_the_columns_once(monkeypatch):
@@ -269,18 +276,13 @@ def test_certificate_packs_the_columns_once(monkeypatch):
 
     monkeypatch.setattr(gram, "_packed_columns", counted)
     monkeypatch.setattr(gram, "bareiss_rank", lambda matrix: pytest.fail("bareiss_rank reached"))
-    # the plain lift fails and the reconstructed check (D = 2) reuses the pack
+    # the relation has denominator D = 2, found before the one check
     assert rank([[2, 1], [4, 2], [6, 3]]) == 1
     assert packs == [4]
-    # column 4 is (1, k, k^2, k^3) on the unimodular columns 0-3: the plain
-    # check needs wider lanes than any reconstructed one, so it passes in
-    # the shared 4-byte lanes and is run again in 8-byte lanes
-    k = 300
-    assert isqrt(_SCREEN_PRIME // 2) < k**3 < _SCREEN_PRIME // 2
-    bidiagonal = [[1, 0, 0, 0, 1], [-k, 1, 0, 0, 0], [0, -k, 1, 0, 0], [0, 0, -k, 1, 0], [0, 0, 0, 0, 0]]
+    # the Gram matrix at delta = -1, n = 4 has D = 2 as well
     packs.clear()
-    assert rank(bidiagonal) == 4
-    assert packs == [4, 8]
+    assert rank(gram_matrix(4, -1, scaled=True)) == 91
+    assert len(packs) == 1
 
 
 def test_char_zero_levels_are_certified_without_bareiss(monkeypatch):
@@ -292,6 +294,15 @@ def test_char_zero_levels_are_certified_without_bareiss(monkeypatch):
               1: 2, 2: 3, 3: 4, 4: None, 5: None, 6: None, 7: None, 8: None}
     for delta, level in levels.items():
         assert first_degenerate_level(BrauerParams(0, IntegerDelta(delta)), 4) == level, delta
+    # every level, past the first degenerate one too: delta = -1 at n = 4
+    # needs the denominator D = 2
+    deficient = {(2, -2): 2, (2, 1): 1,
+                 (3, -4): 14, (3, -2): 5, (3, 1): 1, (3, 2): 10,
+                 (4, -6): 104, (4, -4): 84, (4, -2): 14, (4, -1): 91, (4, 1): 1, (4, 2): 35, (4, 3): 91}
+    for n in range(5):
+        for delta in levels:
+            expected = deficient.get((n, delta), len(all_diagrams(n)))
+            assert level_rank(BrauerParams(0, IntegerDelta(delta)), n) == expected, (n, delta)
 
 
 def test_rank_dispatches_on_prime_field_entries():
