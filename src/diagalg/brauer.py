@@ -1,5 +1,11 @@
 """Brauer diagrams and the diagram algebra Br_n(delta).
 
+The algebra is taken over Z[delta, delta^-1], with the loop value delta the
+symbolic DELTA defined here; every product, closure and trace in this
+module, and every caller of them, uses that one delta.  Numeric values of
+delta enter only at the Gram matrices, which are built from loop and cycle
+counts directly.
+
 A diagram on n strands is a perfect matching of 2n vertices: top vertices
 1..n and bottom vertices 1..n, stored 0-based as a partner array of length
 2n (top i at index i-1, bottom i at index n+i-1).  The product a * b stacks
@@ -26,6 +32,9 @@ from math import comb, factorial
 from typing import Iterator
 
 from .branching import double_factorial_odd
+from .exactalg import LaurentPoly
+
+DELTA = LaurentPoly.monomial(1, variable="delta")  # the loop value
 
 Perm = tuple[int, ...]  # one-line notation, 1-based values
 
@@ -284,8 +293,7 @@ class AlgebraElement:
     """A finite linear combination of Brauer diagrams on n strands.
 
     Coefficients are integers or integer-coefficient Laurent polynomials
-    (LaurentPoly in delta, the ring of the loop value); zero terms are
-    dropped.
+    in DELTA, the loop value; zero terms are dropped.
     """
 
     __slots__ = ("n", "terms")
@@ -327,7 +335,7 @@ class AlgebraElement:
         return " + ".join(f"{c}*{d}" for d, c in sorted(self.terms.items(), key=lambda t: t[0].matching))
 
 
-def multiply(x: AlgebraElement, y: AlgebraElement, delta) -> AlgebraElement:
+def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """The product in Br_n(delta): stack, remove loops, multiply by delta^loops."""
     if x.n != y.n:
         raise ValueError(f"size mismatch: {x.n} vs {y.n}")
@@ -337,7 +345,7 @@ def multiply(x: AlgebraElement, y: AlgebraElement, delta) -> AlgebraElement:
             d, loops = compose_diagrams(dx, dy)
             c = cx * cy
             if loops:
-                c = c * delta**loops
+                c = c * DELTA**loops
             out[d] = out[d] + c if d in out else c
     return AlgebraElement(x.n, out)
 
@@ -352,27 +360,27 @@ def embed(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(x.n + 1, {embed_diagram(d): c for d, c in x.terms.items()})
 
 
-def closure(x: AlgebraElement, delta) -> AlgebraElement:
+def closure(x: AlgebraElement) -> AlgebraElement:
     """cl: Br_n -> Br_(n-1), closing the last strand (delta per loop)."""
     out: dict[BrauerDiagram, object] = {}
     for d, c in x.terms.items():
         dd, loops = closure_diagram(d)
         if loops:
-            c = c * delta**loops
+            c = c * DELTA**loops
         out[dd] = out[dd] + c if dd in out else c
     return AlgebraElement(x.n - 1, out)
 
 
-def cond_exp(x: AlgebraElement, delta) -> AlgebraElement:
+def cond_exp(x: AlgebraElement) -> AlgebraElement:
     """The conditional expectation E = delta^-1 * cl : Br_n -> Br_(n-1)."""
-    return closure(x, delta).scale(delta**-1)
+    return closure(x).scale(DELTA**-1)
 
 
-def markov_trace(x: AlgebraElement, delta):
+def markov_trace(x: AlgebraElement):
     """tr(x) = sum of coeff * delta^(c(d) - n); tr(1) = 1."""
     total = None
     for d, c in x.terms.items():
-        t = c * delta ** (full_closure_cycles(d) - x.n)
+        t = c * DELTA ** (full_closure_cycles(d) - x.n)
         total = t if total is None else total + t
     return 0 if total is None else total
 

@@ -43,8 +43,6 @@ from .brauer import (
 from .exactalg import LaurentPoly
 from .partitions import Ordering, Partition, size
 
-DELTA = LaurentPoly.monomial(1, variable="delta")
-
 StandardTableau = tuple[tuple[int, ...], ...]  # rows of entries, 1-based values
 
 
@@ -172,10 +170,10 @@ def gl_basis(n: int) -> tuple[CellularBasisElement, ...]:
             for u in cosets:
                 left = AlgebraElement.from_diagram(perm_diagram(u))
                 for t in tableaux:
-                    m = multiply(left, multiply(murphy_m(sa, t, n), exd, DELTA), DELTA)
+                    m = multiply(left, multiply(murphy_m(sa, t, n), exd))
                     for v in cosets:
                         right = AlgebraElement.from_diagram(perm_diagram(perm_inverse(v)))
-                        c = multiply(m, right, DELTA)
+                        c = multiply(m, right)
                         out.append(CellularBasisElement(label, sa, t, u, v, c))
     if len(out) != len(all_diagrams(n)):
         raise RuntimeError(f"built {len(out)} cellular basis elements at n = {n}, expected (2n-1)!!")
@@ -291,7 +289,7 @@ def left_action_triangular(n: int) -> bool:
         ge = AlgebraElement.from_diagram(g)
         coefficient_tables: dict[tuple, dict[tuple, LaurentPoly]] = {}
         for i, c in enumerate(basis):
-            prod = multiply(ge, c.element, DELTA)
+            prod = multiply(ge, c.element)
             coeffs = expand_in_gl_basis(prod)
             table: dict[tuple, LaurentPoly] = {}
             for j, r in coeffs.items():
@@ -347,9 +345,9 @@ def ideal_identification(n: int) -> bool:
     e = AlgebraElement.from_diagram(generator("e", n - 1, n))
     reached: set[BrauerDiagram] = set()
     for a in all_diagrams(n):
-        ae = multiply(AlgebraElement.from_diagram(a), e, DELTA)
+        ae = multiply(AlgebraElement.from_diagram(a), e)
         for b in all_diagrams(n):
-            prod = multiply(ae, AlgebraElement.from_diagram(b), DELTA)
+            prod = multiply(ae, AlgebraElement.from_diagram(b))
             reached.update(prod.support())
     return reached == arc_diagrams
 
@@ -368,7 +366,7 @@ def weak_coherence_check(x: AlgebraElement, label: ReflectedLabel, n: int) -> bo
     for _ in range(n - k):
         y = embed(y)
     s = (n - k) // 2
-    y = multiply(y, AlgebraElement.from_diagram(ex_diagram(n, s)), DELTA)
+    y = multiply(y, AlgebraElement.from_diagram(ex_diagram(n, s)))
     target = ReflectedLabel(label.shape, n)
     member = layer_membership(y, target)
     return member["above"] and not member["strictly_above"]

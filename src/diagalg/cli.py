@@ -169,29 +169,28 @@ def render_verdict_json(family: str, spec, verdict: Verdict) -> str:
     return json.dumps(data, indent=2)
 
 
-def _render_verdict_text(verdict: Verdict, out) -> None:
+def _render_verdict_text(verdict: Verdict) -> None:
     if verdict.m is UNBOUNDED:
-        print("m = infinity (semisimple for all n)", file=out)
+        print("m = infinity (semisimple for all n)")
     else:
-        print(f"m = {verdict.m} (semisimple exactly for n <= {verdict.m})", file=out)
+        print(f"m = {verdict.m} (semisimple exactly for n <= {verdict.m})")
     for c in verdict.constituents:
-        print(f"  {c.name} = {_bound_text(c.value)}", file=out)
+        print(f"  {c.name} = {_bound_text(c.value)}")
     for name, value in verdict.normalized:
-        print(f"  normalized {name} = {value}", file=out)
+        print(f"  normalized {name} = {value}")
     if verdict.witness is not None:
         la, box = verdict.witness
-        print(f"  witness: partition {la} box {box}", file=out)
+        print(f"  witness: partition {la} box {box}")
 
 
-def cmd_decide(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_decide(args) -> int:
     spec = _spec_from_args(args.family, args)
     decide = {"brauer": decide_brauer, "qbrauer": decide_qbrauer, "bmw": decide_bmw}[args.family]
     verdict = decide(spec)
     if args.format == "json":
-        print(render_verdict_json(args.family, spec, verdict), file=out)
+        print(render_verdict_json(args.family, spec, verdict))
     else:
-        _render_verdict_text(verdict, out)
+        _render_verdict_text(verdict)
     return 0
 
 
@@ -235,8 +234,7 @@ def _weight_rows(spec, n: int) -> list[dict]:
     return rows
 
 
-def cmd_weights(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_weights(args) -> int:
     if not 0 <= args.n <= MAX_WEIGHT_LEVEL:
         raise ParameterError(f"--n must be between 0 and {MAX_WEIGHT_LEVEL}, got {args.n}")
     spec = _spec_from_args(args.family, args)
@@ -244,7 +242,7 @@ def cmd_weights(args, out=None) -> int:
     if args.format == "csv":
         import csv
 
-        writer = csv.writer(out)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["level", "partition", "symbolic", "status", "value", "witness_box"])
         for r in rows:
             writer.writerow(
@@ -259,7 +257,7 @@ def cmd_weights(args, out=None) -> int:
             )
         return 0
     if args.format == "json":  # tuples serialize as lists
-        print(json.dumps(rows, indent=2), file=out)
+        print(json.dumps(rows, indent=2))
         return 0
     for r in rows:
         la = r["partition"] or "()"
@@ -269,41 +267,39 @@ def cmd_weights(args, out=None) -> int:
         if r["status"] == "zero" and r["witness_box"] is not None:
             line += f" at box {r['witness_box']}"
         line += "]"
-        print(line, file=out)
+        print(line)
     return 0
 
 
 # --- gram -------------------------------------------------------------------
 
 
-def cmd_gram(args, out=None) -> int:
+def cmd_gram(args) -> int:
     from .brauer import all_diagrams
     from .gram import first_degenerate_level, level_rank
 
-    out = out if out is not None else sys.stdout
     spec = BrauerParams(args.char, IntegerDelta(args.delta))
     if args.n is None and args.n_max is None:
         raise ParameterError("gram needs --n (one level) or --n-max (scan)")
     if args.n_max is not None:
         level = first_degenerate_level(spec, args.n_max)
         if level is None:
-            print(f"no degenerate level up to n = {args.n_max}", file=out)
+            print(f"no degenerate level up to n = {args.n_max}")
         else:
-            print(f"first degenerate level: n = {level}", file=out)
+            print(f"first degenerate level: n = {level}")
         return 0
     r = level_rank(spec, args.n)
     dim = len(all_diagrams(args.n))
-    print(f"n = {args.n}: dimension {dim}, rank {r}, corank {dim - r}", file=out)
+    print(f"n = {args.n}: dimension {dim}, rank {r}, corank {dim - r}")
     return 0
 
 
 # --- verify -----------------------------------------------------------------
 
 
-def cmd_verify(args, out=None) -> int:
+def cmd_verify(args) -> int:
     from .verify import run_all, run_suite
 
-    out = out if out is not None else sys.stdout
     if args.suite == "all":
         results = run_all(args.max_n)
     else:
@@ -312,9 +308,9 @@ def cmd_verify(args, out=None) -> int:
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
         detail = f"  {r.detail}" if r.detail else ""
-        print(f"{mark}  [{r.suite}] {r.name}{detail}", file=out)
+        print(f"{mark}  [{r.suite}] {r.name}{detail}")
         failures += not r.passed
-    print(f"{len(results) - failures}/{len(results)} checks passed", file=out)
+    print(f"{len(results) - failures}/{len(results)} checks passed")
     return 1 if failures else 0
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .exactalg import RootSpec, signed_power_is_one
-from .partitions import Box, Partition, conjugate, partitions_of
+from .partitions import Box, Partition, box_statistics, partitions_of
 from .weights import (
     BMWParams,
     NotRootOfUnity,
@@ -91,23 +91,16 @@ def _box_tables(n: int) -> tuple[dict, dict]:
     (off_d).
 
     Every box of every partition of n is visited, shapes in the order of
-    partitions_of and boxes row-major, and d(i, j) is read from its
-    definition: a(i, j) = la_i + la_j - i - j for i <= j, and b(i, j) =
-    i + j - 2 - la'_i - la'_j for i > j, with parts 0 past the end.  The
-    first witness of each value is kept."""
+    partitions_of and boxes row-major, with d read from
+    `partitions.box_statistics`.  The first witness of each value is kept."""
     any_d: dict[int, Witness] = {}
     off_d: dict[int, Witness] = {}
     for la in partitions_of(n):
-        conj = conjugate(la)
-        part = (0,) + la + (0,) * len(conj)  # part[j] = la_j for every column j
-        cpart = (0,) + conj + (0,) * len(la)  # cpart[i] = la'_i for every row i
-        for i in range(1, len(la) + 1):
-            for j in range(1, part[i] + 1):
-                v = part[i] + part[j] - i - j if i <= j else i + j - 2 - cpart[i] - cpart[j]
-                witness = (la, (i, j))
-                any_d.setdefault(v, witness)
-                if i != j:
-                    off_d.setdefault(v, witness)
+        for box, d, _, _ in box_statistics(la):
+            witness = (la, box)
+            any_d.setdefault(d, witness)
+            if box[0] != box[1]:
+                off_d.setdefault(d, witness)
     return any_d, off_d
 
 

@@ -16,7 +16,8 @@ q^2.  For a field element these satisfy f = 2e, or f = e with e odd, but the
 pair is deliberately not constrained to that (the decision-theory sweep
 exercises raw (e, f) combinations).  All conditions of the form
 eps * q^x = +-1 reduce to congruences mod f via `signed_power_is_one`
-(eps * q^x = -1 is -eps * q^x = 1).
+(eps * q^x = -1 is -eps * q^x = 1), which also decides them for q not a
+root of unity (no RootSpec), where only x = 0 can hold.
 """
 
 from __future__ import annotations
@@ -328,7 +329,10 @@ class RationalFunction:
 
 
 class PrimeFieldElement:
-    """An element of F_p for a prime p, with products, quotients and powers."""
+    """An element of F_p for a prime p, with powers and equality.
+
+    It is a value, not an arithmetic type: a weight's value mod p is one
+    quotient of ints reduced once, and Gram entries are powers of delta."""
 
     __slots__ = ("p", "value")
 
@@ -340,29 +344,6 @@ class PrimeFieldElement:
 
     def __setattr__(self, *args):
         raise AttributeError("PrimeFieldElement is immutable")
-
-    def _coerce(self, other) -> "PrimeFieldElement | None":
-        if isinstance(other, PrimeFieldElement):
-            if other.p != self.p:
-                raise ValueError(f"mixed characteristics {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElement(self.p, other)
-        return None
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElement(self.p, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElement(self.p, self.value * pow(other.value, -1, self.p))
 
     def __pow__(self, n: int):
         if n < 0 and self.value == 0:
@@ -406,32 +387,37 @@ class RootSpec:
         return self.f == 2 * self.e or self.e % 2 == 1
 
 
-def signed_power_is_one(eps: int, x: int, spec: RootSpec, char2: bool = False) -> bool:
-    """Whether eps * q^x = 1 for q of order f (eps in {+1, -1}).
+def signed_power_is_one(eps: int, x: int, spec: RootSpec | None, char2: bool = False) -> bool:
+    """Whether eps * q^x = 1 for q of order f (eps in {+1, -1}), or for q
+    not a root of unity when spec is None: then q^x = 1 only at x = 0.
 
-    In characteristic 2 the sign is invisible, so the condition is f | x.
+    In characteristic 2 the sign is invisible, so the condition is f | x
+    (x = 0 off roots of unity).
     """
     if eps not in (1, -1):
         raise ValueError(f"eps must be +-1, got {eps}")
+    if spec is None:
+        return x == 0 and (eps == 1 or char2)
     if char2 or eps == 1:
         return x % spec.f == 0
     return spec.f % 2 == 0 and x % spec.f == spec.f // 2
 
 
-def qint(d: int, variable: str = "q") -> LaurentPoly:
+def qint(d: int) -> LaurentPoly:
     """Returns the q-integer [d] = (q^d - q^-d)/(q - q^-1) symbolically.
 
     [d] = q^(d-1) + q^(d-3) + ... + q^(1-d); [-d] = -[d] and [0] = 0.
     """
     if d < 0:
-        return -qint(-d, variable)
-    return LaurentPoly({d - 1 - 2 * k: 1 for k in range(d)}, variable)
+        return -qint(-d)
+    return LaurentPoly({d - 1 - 2 * k: 1 for k in range(d)})
 
 
 @cache
 def is_prime(n: int) -> bool:
     """Trial-division primality test, adequate for the small moduli here;
-    cached, since every PrimeFieldElement tests its modulus."""
+    cached, since validate_params tests the characteristic of every weight a
+    table or scan evaluates, and every PrimeFieldElement tests its modulus."""
     if n < 2:
         return False
     if n < 4:

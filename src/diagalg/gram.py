@@ -22,10 +22,15 @@ already.  Then D G[:, C'] = G[:, C] (D X), with D X lifted to symmetric
 residues, is checked exactly over Z; if it holds, every column is a
 combination of the r columns C, and the rank over Q is exactly r.  Only
 when no D exists or the identity fails does `bareiss_rank`, fraction-free
-elimination over Z (Bareiss, Math. Comp. 22, 1968), give the rank.
+elimination over Z (Bareiss, Math. Comp. 22, 1968), give the rank.  Both
+exact steps run within a budget: the certificate only on entries of at most
+CERTIFY_MAX_BITS bits, and Bareiss only on at most BAREISS_MAX_ROWS rows
+besides; past it the rank raises ParameterError (for example delta = P at
+n = 5, whose screen is the Gram matrix at delta = 0).
 
 Every answer is exact whatever P is: a P that divides a minor, or relations
-with large numerators or denominators, only send the matrix to Bareiss.
+with large numerators or denominators, only send the matrix to Bareiss, or
+past the budget to an error.
 Every trace Gram level with n <= 5 and |delta| <= 12 is certified by P the
 largest prime below 2^26, and D is 1, 2 or 12 on each deficient one.  For
 that P, 2*bits(P) + bits(cols) + 1 <= 64 up to 2047 columns, and every lane
@@ -70,6 +75,17 @@ from .weights import BrauerParams, IntegerDelta, ParameterError, n1_cap, validat
 
 _SCREEN_PRIME = 67_108_859  # the largest prime below 2^26: the char-0 screen
 MAX_LEVEL = 5  # (2*5-1)!! = 945 diagrams: the largest dense matrix built
+
+# The budget of the exact work behind a deficient char-0 screen; a full
+# screen needs none.  The certificate runs only on entries of at most
+# CERTIFY_MAX_BITS bits, and Bareiss, whose entries grow to about rows * bits,
+# only on matrices of at most BAREISS_MAX_ROWS rows besides.  Within it are
+# every level with n <= 4 and |delta| < 2^32 (there Bareiss takes up to about
+# 18 s on a 2-vCPU VM), and every level with n <= 5 and |delta| <= 12.  Past it, delta = P
+# at n = 5 would run Bareiss on 945 rows of 130-bit entries, for well over
+# 90 s.
+CERTIFY_MAX_BITS = 128
+BAREISS_MAX_ROWS = 105
 
 
 @cache
@@ -262,11 +278,12 @@ def _common_denominator(x: list[list[int]], p: int) -> int | None:
     return d
 
 
-def _certified(matrix: list[list[int]], echelon: Echelon) -> bool:
-    """Whether the pivot columns of a screen of `matrix` span every column
-    over Q, shown by one exact integer identity (see the module docstring):
-    D G[:, C'] = G[:, C] (D X), with the columns of G packed once in lanes
-    that fit every lane of the difference."""
+def _certified(matrix: list[list[int]], echelon: Echelon, top_g: int) -> bool:
+    """Whether the pivot columns of a screen of `matrix`, whose entries are
+    at most top_g in absolute value, span every column over Q, shown by one
+    exact integer identity (see the module docstring): D G[:, C'] =
+    G[:, C] (D X), with the columns of G packed once in lanes that fit
+    every lane of the difference."""
     p, columns = echelon.p, echelon.columns
     free, relations = _relations(echelon, len(matrix[0]))
     d = _common_denominator(relations, p)
@@ -274,14 +291,16 @@ def _certified(matrix: list[list[int]], echelon: Echelon) -> bool:
         return False
     lifted = [[(d * v + p // 2) % p - p // 2 for v in coefficients] for coefficients in relations]
     top_x = max((max(map(abs, coefficients), default=0) for coefficients in lifted), default=0)
-    top_g = max(max(map(abs, row)) for row in matrix)
     size = _lane_size(len(columns), top_x, d, top_g)
     return _combination_holds(_packed_columns(matrix, size), columns, free, lifted, d)
 
 
 def rank(matrix: list[list], p: int = 0) -> int:
     """Exact rank of an integer matrix: over F_p for a prime p, over Q for
-    p = 0.  A matrix of PrimeFieldElements is ranked over their field."""
+    p = 0.  A matrix of PrimeFieldElements is ranked over their field.
+
+    Over Q a deficient screen is settled within the budget of
+    CERTIFY_MAX_BITS and BAREISS_MAX_ROWS, or raises ParameterError."""
     if matrix and matrix[0] and isinstance(matrix[0][0], PrimeFieldElement):
         p = matrix[0][0].p
         matrix = [[x.value for x in row] for row in matrix]
@@ -289,9 +308,22 @@ def rank(matrix: list[list], p: int = 0) -> int:
         return len(rank_mod_p(matrix, p).columns)
     screen = rank_mod_p(matrix, _SCREEN_PRIME)
     r = len(screen.columns)
-    if not matrix or r == min(len(matrix), len(matrix[0])) or _certified(matrix, screen):
+    if not matrix or r == min(len(matrix), len(matrix[0])):
         return r
-    return bareiss_rank(matrix)
+    top_g = max(max(map(abs, row)) for row in matrix)
+    bits = top_g.bit_length()
+    if bits > CERTIFY_MAX_BITS:
+        budget = f"exact ranks take entries of at most {CERTIFY_MAX_BITS} bits, and these have {bits}"
+    elif _certified(matrix, screen, top_g):
+        return r
+    elif len(matrix) <= BAREISS_MAX_ROWS:
+        return bareiss_rank(matrix)
+    else:
+        budget = f"no certificate holds, and Bareiss runs only up to {BAREISS_MAX_ROWS} rows, not {len(matrix)}"
+    raise ParameterError(
+        f"the screen mod P = {_SCREEN_PRIME} gives rank {r}, below full, and the rank over Q is past "
+        f"the budget: {budget}"
+    )
 
 
 def generic_structure_check(n: int) -> bool:

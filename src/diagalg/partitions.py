@@ -14,8 +14,10 @@ where la_k (resp. la'_k) is the k-th part of la (resp. of its conjugate),
 taken to be 0 past the end.  On the diagonal, d(i, i) = 2*la_i - 2*i >= 0 and
 b(i, i) = -2*la'_i + 2*i - 2 is always even and <= -2.  Weight numerators for
 the Brauer-type algebras are products of (delta + d) over boxes, and their
-denominators are products of hook lengths, so these functions are the whole
-combinatorial core of the semisimplicity criteria.
+denominators are products of hook lengths, so these statistics are the whole
+combinatorial core of the semisimplicity criteria.  `box_statistics` is the
+one place they are computed: it yields d, b and the hook length of every box
+(a is needed only where i <= j, and there it equals d).
 """
 
 from __future__ import annotations
@@ -77,53 +79,22 @@ def conjugate(la: Partition) -> Partition:
     return tuple(conj)
 
 
-def boxes(la: Partition) -> Iterator[Box]:
-    """Yields the boxes of la in row-major order: (1,1), (1,2), ..."""
-    for i, row in enumerate(la, start=1):
-        for j in range(1, row + 1):
-            yield (i, j)
+def box_statistics(la: Partition) -> Iterator[tuple[Box, int, int, int]]:
+    """Yields (box, d, b, h) for each box (i, j) of la in row-major order:
+    the statistics d(i, j) and b(i, j) and the hook length
 
+        h(i, j) = la_i + la'_j + 1 - i - j >= 1.
 
-def contains_box(la: Partition, box: Box) -> bool:
-    """Returns True if box = (i, j) lies inside the Young diagram of la."""
-    i, j = box
-    return 1 <= i <= len(la) and 1 <= j <= la[i - 1]
-
-
-def _require_box(la: Partition, box: Box) -> None:
-    if not contains_box(la, box):
-        raise ValueError(f"box {box} not in partition {la}")
-
-
-def hook(la: Partition, box: Box) -> int:
-    """Returns the hook length of la at box = (i, j).
-
-    h(i, j) = la_i + la'_j + 1 - i - j, always >= 1 for a box of la.
-    """
-    _require_box(la, box)
-    i, j = box
-    return part(la, i) + part(conjugate(la), j) + 1 - i - j
-
-
-def avalue(la: Partition, box: Box) -> int:
-    """Returns a(i, j) = la_i + la_j - i - j at box = (i, j) of la."""
-    _require_box(la, box)
-    i, j = box
-    return part(la, i) + part(la, j) - i - j
-
-
-def bvalue(la: Partition, box: Box) -> int:
-    """Returns b(i, j) = -la'_i - la'_j + i + j - 2 at box = (i, j) of la."""
-    _require_box(la, box)
-    i, j = box
+    The conjugate is built once per shape."""
     conj = conjugate(la)
-    return -part(conj, i) - part(conj, j) + i + j - 2
-
-
-def dvalue(la: Partition, box: Box) -> int:
-    """Returns d(i, j): the a-value for i <= j, the b-value for i > j."""
-    i, j = box
-    return avalue(la, box) if i <= j else bvalue(la, box)
+    part = (0,) + la + (0,) * len(conj)  # part[j] = la_j for every column j
+    cpart = (0,) + conj + (0,) * len(la)  # cpart[i] = la'_i for every row i
+    for i in range(1, len(la) + 1):
+        li, ci = part[i], cpart[i]
+        for j in range(1, li + 1):
+            b = i + j - 2 - ci - cpart[j]
+            d = li + part[j] - i - j if i <= j else b
+            yield (i, j), d, b, li + cpart[j] + 1 - i - j
 
 
 def dominance_cmp(la: Partition, mu: Partition) -> Ordering:

@@ -46,7 +46,7 @@ from .exactalg import (
     qint,
     signed_power_is_one,
 )
-from .partitions import Box, Partition, avalue, boxes, bvalue, dvalue, hook, partitions_of
+from .partitions import Box, Partition, box_statistics, partitions_of
 
 
 class ParameterError(ValueError):
@@ -209,16 +209,10 @@ def validate_params(spec: ParamSpec) -> None:
             if N % spec.q.spec.e == 0:
                 raise ParameterError(f"e | N forces delta = [N]_q = 0 (e = {spec.q.spec.e})")
     else:  # BMW: delta = 0 iff r = q^-1 (eps*q^N = 1) or r = -q (eps*q^(N-2) = -1)
-        if isinstance(spec.q, NotRootOfUnity):
-            r_is_qinv = N == 0 and (eps == 1 or char2)
-            r_is_minus_q = N == 2 and (eps == -1 or char2)
-        else:
-            rs = spec.q.spec
-            r_is_qinv = signed_power_is_one(eps, N, rs, char2)
-            r_is_minus_q = signed_power_is_one(-eps, N - 2, rs, char2)
-        if r_is_qinv:
+        rs = spec.q.spec if isinstance(spec.q, RootOfUnity) else None
+        if signed_power_is_one(eps, N, rs, char2):
             raise ParameterError("r = q^-1 is excluded (it forces delta = 0)")
-        if r_is_minus_q:
+        if signed_power_is_one(-eps, N - 2, rs, char2):
             raise ParameterError("r = -q is excluded (it forces delta = 0)")
 
 
@@ -254,17 +248,17 @@ def box_factors(family: str, la: Partition) -> Iterator[BoxFactor]:
     """The factor record of each box of la, row-major, under the rule of
     `family`: (delta + d)/h for "brauer", [N+d]/[h] for "qbrauer", and for
     "bmw" eps*[N+d]/[h] off the diagonal and
-    (1 - eps*q^-(N+a))(1 + eps*q^(N+b)) / (1 - q^(-2h)) on it."""
-    for b in boxes(la):
-        h = hook(la, b)
+    (1 - eps*q^-(N+a))(1 + eps*q^(N+b)) / (1 - q^(-2h)) on it, where a = d.
+    The statistics d, b and h are read from `partitions.box_statistics`."""
+    for box, d, b, h in box_statistics(la):
         if family == "brauer":
-            yield BoxFactor(b, ((DELTA, dvalue(la, b)),), h, HOOK)
+            yield BoxFactor(box, ((DELTA, d),), h, HOOK)
         elif family == "qbrauer":
-            yield BoxFactor(b, ((QINT, dvalue(la, b)),), h, QHOOK)
-        elif b[0] != b[1]:
-            yield BoxFactor(b, ((EPS, 0), (QINT, dvalue(la, b))), h, QHOOK)
+            yield BoxFactor(box, ((QINT, d),), h, QHOOK)
+        elif box[0] != box[1]:
+            yield BoxFactor(box, ((EPS, 0), (QINT, d)), h, QHOOK)
         else:
-            yield BoxFactor(b, ((ONE_MINUS, avalue(la, b)), (ONE_PLUS, bvalue(la, b))), h, DIAG_HOOK)
+            yield BoxFactor(box, ((ONE_MINUS, d), (ONE_PLUS, b)), h, DIAG_HOOK)
 
 
 def rule(spec: ParamSpec) -> tuple[str, int | None, int]:
@@ -393,13 +387,12 @@ class WeightValue:
 
 def _term_vanishes(kind: str, x: int, eps: int, modulus: int, rs: RootSpec | None, char2: bool) -> bool:
     """Whether a term with x = N + shift is zero; `modulus` is p for delta
-    terms and e (0 off roots of unity) for q-integers, as for the hooks."""
+    terms and e (0 off roots of unity) for q-integers, as for the hooks, and
+    rs is None off roots of unity."""
     if kind == EPS:
         return False
     if kind in (ONE_MINUS, ONE_PLUS):
         sign = eps if kind == ONE_MINUS else -eps  # eps*q^x = -1 iff -eps*q^x = 1
-        if rs is None:
-            return x == 0 and (sign == 1 or char2)
         return signed_power_is_one(sign, x, rs, char2)
     return x % modulus == 0 if modulus else x == 0
 
@@ -428,10 +421,12 @@ def evaluate_weight(la: Partition, spec: ParamSpec) -> WeightValue:
     )
     value = None
     if family == "brauer":  # the product of (delta + d)/h over the boxes
-        value = PrimeFieldElement(p, 1) if p else Fraction(1)
+        num = den = 1
         for f in factors:
             ((_, d),) = f.terms
-            value = value * (N + d) / f.hook
+            num *= N + d
+            den *= f.hook
+        value = PrimeFieldElement(p, num * pow(den, -1, p)) if p else Fraction(num, den)
     return WeightValue(la, True, witness is not None, value, witness)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from diagalg.branching import double_factorial_odd
 from diagalg.brauer import (
+    DELTA,
     AlgebraElement,
     all_diagrams,
     closure,
@@ -36,8 +37,6 @@ from diagalg.brauer import (
     recompose,
 )
 from diagalg.exactalg import LaurentPoly
-
-DELTA = LaurentPoly.monomial(1, variable="delta")
 
 
 def elem(d, coeff=1):
@@ -93,7 +92,7 @@ def test_generators_and_composition_examples():
     assert d == e1 and loops == 1
     # (1 + s1) * e1 = 2 * e1
     x = add(one(2), elem(s1))
-    assert multiply(x, elem(e1), DELTA) == elem(e1, LaurentPoly.constant(2, "delta"))
+    assert multiply(x, elem(e1)) == elem(e1, LaurentPoly.constant(2, "delta"))
 
 
 def test_permutation_diagrams_compose_functionally():
@@ -150,24 +149,24 @@ def test_closure_examples():
     # closing e1 bends the arcs into a vertical strand, no loop
     e1 = generator("e", 1, 2)
     assert closure_diagram(e1) == (identity_diagram(1), 0)
-    x = closure(one(2), DELTA)
+    x = closure(one(2))
     assert x == elem(identity_diagram(1), DELTA)
     # the conditional expectation is normalized: E(1_n) = 1_(n-1)
-    assert cond_exp(one(2), DELTA) == one(1)
+    assert cond_exp(one(2)) == one(1)
 
 
 def test_closure_undoes_embedding():
     for n in range(1, 4):
         for d in all_diagrams(n):
             x = elem(d)
-            assert closure(embed(x), DELTA) == x.scale(DELTA)
+            assert closure(embed(x)) == x.scale(DELTA)
 
 
 def test_markov_trace_examples():
-    assert markov_trace(one(2), DELTA) == LaurentPoly.constant(1, "delta")
+    assert markov_trace(one(2)) == LaurentPoly.constant(1, "delta")
     e1, s1 = generator("e", 1, 2), generator("s", 1, 2)
-    assert markov_trace(elem(e1), DELTA) == DELTA**-1
-    assert markov_trace(elem(s1), DELTA) == DELTA**-1
+    assert markov_trace(elem(e1)) == DELTA**-1
+    assert markov_trace(elem(s1)) == DELTA**-1
     assert full_closure_cycles(identity_diagram(3)) == 3
 
 
@@ -176,9 +175,9 @@ def test_trace_equals_iterated_conditional_expectation():
         for d in all_diagrams(n):
             x = elem(d)
             for _ in range(n):
-                x = cond_exp(x, DELTA)
+                x = cond_exp(x)
             assert x.n == 0
-            expected = markov_trace(elem(d), DELTA)
+            expected = markov_trace(elem(d))
             assert x.coeff(identity_diagram(0)) == expected
 
 
@@ -188,9 +187,9 @@ def test_trace_is_symmetric_on_random_pairs():
         ds = all_diagrams(n)
         for _ in range(500):
             a, b = rng.choice(ds), rng.choice(ds)
-            xy = multiply(elem(a), elem(b), DELTA)
-            yx = multiply(elem(b), elem(a), DELTA)
-            assert markov_trace(xy, DELTA) == markov_trace(yx, DELTA)
+            xy = multiply(elem(a), elem(b))
+            yx = multiply(elem(b), elem(a))
+            assert markov_trace(xy) == markov_trace(yx)
 
 
 def test_trace_markov_property():
@@ -198,10 +197,8 @@ def test_trace_markov_property():
     for n in range(1, 4):
         e_n = generator("e", n, n + 1)
         for d in all_diagrams(n):
-            lhs = markov_trace(
-                multiply(elem(e_n, DELTA**-1), embed(elem(d)), DELTA), DELTA
-            )
-            rhs = DELTA**-2 * markov_trace(elem(d), DELTA)
+            lhs = markov_trace(multiply(elem(e_n, DELTA**-1), embed(elem(d))))
+            rhs = DELTA**-2 * markov_trace(elem(d))
             assert lhs == rhs
 
 
@@ -211,8 +208,8 @@ def test_conditional_expectation_bimodule_identity():
         e_n = elem(generator("e", n, n + 1))
         for d in all_diagrams(n):
             x = elem(d)
-            lhs = multiply(multiply(e_n, embed(x), DELTA), e_n, DELTA)
-            rhs = multiply(embed(embed(closure(x, DELTA))), e_n, DELTA)
+            lhs = multiply(multiply(e_n, embed(x)), e_n)
+            rhs = multiply(embed(embed(closure(x))), e_n)
             assert lhs == rhs
 
 
@@ -221,7 +218,7 @@ def test_temperley_lieb_and_symmetric_group_relations():
     unit = one(n)
     e = {j: elem(generator("e", j, n)) for j in range(1, n)}
     s = {j: elem(generator("s", j, n)) for j in range(1, n)}
-    mul = lambda a, b: multiply(a, b, DELTA)
+    mul = multiply
     for j in range(1, n):
         assert mul(e[j], e[j]) == e[j].scale(DELTA)
         assert mul(s[j], s[j]) == unit
@@ -243,8 +240,8 @@ def test_temperley_lieb_and_symmetric_group_relations():
 @settings(max_examples=250)
 def test_involution_is_an_antiautomorphism(pair):
     a, b = pair
-    lhs = involute(multiply(elem(a), elem(b), DELTA))
-    rhs = multiply(involute(elem(b)), involute(elem(a)), DELTA)
+    lhs = involute(multiply(elem(a), elem(b)))
+    rhs = multiply(involute(elem(b)), involute(elem(a)))
     assert lhs == rhs
 
 
@@ -252,8 +249,8 @@ def test_involution_is_an_antiautomorphism(pair):
 @settings(max_examples=250)
 def test_embedding_is_multiplicative(pair):
     a, b = pair
-    lhs = embed(multiply(elem(a), elem(b), DELTA))
-    rhs = multiply(embed(elem(a)), embed(elem(b)), DELTA)
+    lhs = embed(multiply(elem(a), elem(b)))
+    rhs = multiply(embed(elem(a)), embed(elem(b)))
     assert lhs == rhs
 
 
@@ -261,8 +258,8 @@ def test_embedding_is_multiplicative(pair):
 @settings(max_examples=250)
 def test_trace_of_x_xstar_has_exponent_zero(d):
     # tr(b b*) = delta^0; more generally tr(b b') = delta^k with k <= 0
-    x = multiply(elem(d), elem(involute_diagram(d)), DELTA)
-    assert markov_trace(x, DELTA).coeffs.get(0) is not None
+    x = multiply(elem(d), elem(involute_diagram(d)))
+    assert markov_trace(x).coeffs.get(0) is not None
 
 
 def test_ex_diagram_and_coset_examples():
@@ -324,4 +321,4 @@ def test_element_arithmetic_drops_zeros():
     x = add(elem(e1, Fraction(1, 2)), elem(e1, Fraction(-1, 2)))
     assert x.terms == {} and x == AlgebraElement(2)
     # (1 - s1) * e1 = e1 - e1 cancels in the product
-    assert multiply(add(one(2), elem(s1, -1)), elem(e1), DELTA).terms == {}
+    assert multiply(add(one(2), elem(s1, -1)), elem(e1)).terms == {}

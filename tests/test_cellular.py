@@ -10,7 +10,6 @@ from diagalg.brauer import (
     all_diagrams,
     generator,
     identity_diagram,
-    multiply,
     perm_diagram,
 )
 from diagalg.cellular import (
@@ -28,11 +27,8 @@ from diagalg.cellular import (
     transition_matrix,
     weak_coherence_check,
 )
-from diagalg.exactalg import LaurentPoly
 from diagalg.gram import bareiss_rank
 from diagalg.partitions import partitions_of
-
-DELTA = LaurentPoly.monomial(1, variable="delta")
 
 
 def factorial(n: int) -> int:

@@ -327,6 +327,14 @@ def test_gram_rejects_levels_past_the_budget(capsys):
     assert code == 0 and "dimension 15, rank 10, corank 5" in out
 
 
+def test_gram_refuses_a_rank_past_the_exact_budget(capsys):
+    # delta = P screens as delta = 0, and at n = 5 its powers P^k reach
+    # 130 bits, past the certificate's budget
+    code, out, err = run(["gram", "--char", "0", "--delta", "67108859", "--n", "5"], capsys)
+    assert code == 2 and out == ""
+    assert "mod P = 67108859 gives rank 0" in err and "at most 128 bits, and these have 130" in err
+
+
 def test_gram_rejects_levels_past_n1_in_characteristic_p(capsys):
     for flag in ("--n", "--n-max"):
         code, out, err = run(["gram", "--char", "3", "--delta", "1", flag, "4"], capsys)
@@ -419,7 +427,7 @@ def test_verify_reports_a_non_integer_cellular_coefficient(capsys, monkeypatch):
     from dataclasses import replace
 
     from diagalg import cellular
-    from diagalg.brauer import AlgebraElement
+    from diagalg.brauer import DELTA, AlgebraElement
 
     basis = cellular.gl_basis
 
@@ -427,7 +435,7 @@ def test_verify_reports_a_non_integer_cellular_coefficient(capsys, monkeypatch):
         b = basis(n)
         if n != 2:
             return b
-        terms = {d: c * cellular.DELTA for d, c in b[0].element.terms.items()}
+        terms = {d: c * DELTA for d, c in b[0].element.terms.items()}
         return (replace(b[0], element=AlgebraElement(n, terms)), *b[1:])
 
     monkeypatch.setattr(cellular, "gl_basis", delta_in_first_element)

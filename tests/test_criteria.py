@@ -27,7 +27,7 @@ from diagalg.criteria import (
     mprime_closed,
 )
 from diagalg.exactalg import RootSpec
-from diagalg.partitions import boxes, bvalue, contains_box, dvalue, partitions_of, size
+from diagalg.partitions import partitions_of, size
 from diagalg.weights import (
     BMWParams,
     BrauerParams,
@@ -79,17 +79,46 @@ def test_closed_forms_match_bruteforce():
             assert m_closed(kind, x) == m_bruteforce(kind, x, 40), (kind, x)
 
 
+# The box statistics written out here from their definitions, apart from
+# `partitions.box_statistics`, which the search reads: la_k and la'_k (the
+# number of parts >= k) are 0 past the end.
+
+
+def _boxes(la):
+    """The boxes of la in row-major order."""
+    return [(i, j) for i, row in enumerate(la, start=1) for j in range(1, row + 1)]
+
+
+def _contains(la, box):
+    i, j = box
+    return 1 <= i <= len(la) and 1 <= j <= la[i - 1]
+
+
+def _bvalue(la, box):
+    """b(i, j) = -la'_i - la'_j + i + j - 2."""
+    i, j = box
+    return -sum(x >= i for x in la) - sum(x >= j for x in la) + i + j - 2
+
+
+def _dvalue(la, box):
+    """d(i, j) = a(i, j) = la_i + la_j - i - j for i <= j, else b(i, j)."""
+    i, j = box
+    if i > j:
+        return _bvalue(la, box)
+    return sum(la[k - 1] if k <= len(la) else 0 for k in (i, j)) - i - j
+
+
 def _reference_box_tables(n):
     """The four first-witness tables straight from the box definitions."""
     any_d, off_d, diag_d, diag_b = {}, {}, {}, {}
     for la in partitions_of(n):
-        for i, j in boxes(la):
+        for i, j in _boxes(la):
             witness = (la, (i, j))
-            d = dvalue(la, (i, j))
+            d = _dvalue(la, (i, j))
             any_d.setdefault(d, witness)
             if i == j:
                 diag_d.setdefault(d, witness)
-                diag_b.setdefault(bvalue(la, (i, j)), witness)
+                diag_b.setdefault(_bvalue(la, (i, j)), witness)
             else:
                 off_d.setdefault(d, witness)
     return any_d, off_d, diag_d, diag_b
@@ -113,8 +142,8 @@ def test_diagonal_tables_match_the_diagonal_boxes():
         for la in partitions_of(n):
             for i in range(1, len(la) + 1):
                 if la[i - 1] >= i:
-                    diag_d.setdefault(dvalue(la, (i, i)), (la, (i, i)))
-                    diag_b.setdefault(bvalue(la, (i, i)), (la, (i, i)))
+                    diag_d.setdefault(_dvalue(la, (i, i)), (la, (i, i)))
+                    diag_b.setdefault(_bvalue(la, (i, i)), (la, (i, i)))
         got_d, got_b = criteria._diagonal_tables(n)
         assert list(got_d.items()) == list(diag_d.items()), n
         assert list(got_b.items()) == list(diag_b.items()), n
@@ -175,11 +204,11 @@ def test_bruteforce_witnesses_are_valid():
         level, witness = m_bruteforce(kind, arg, 30)
         assert witness is not None
         la, box = witness
-        assert size(la) == level
+        assert size(la) == level and _contains(la, box)
         if kind == 3:
-            assert box[0] == box[1] and bvalue(la, box) == -arg
+            assert box[0] == box[1] and _bvalue(la, box) == -arg
         else:
-            assert dvalue(la, box) == -arg
+            assert _dvalue(la, box) == -arg
             if kind == 1:
                 assert box[0] != box[1]
             if kind == 2:
@@ -379,7 +408,7 @@ def test_decisions_never_call_the_search(monkeypatch):
         verdict = decide[type(spec)](spec)
         if verdict.witness is not None:
             la, box = verdict.witness
-            assert size(la) == verdict.m and contains_box(la, box)
+            assert size(la) == verdict.m and _contains(la, box)
         fields = [getattr(spec, name) for name in ("delta", "q", "r") if hasattr(spec, name)]
         regimes.add((type(spec), min(spec.characteristic, 3), *map(type, fields)))
     # every family, characteristic 0, 2 and odd, and every delta, q and r regime

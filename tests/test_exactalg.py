@@ -16,6 +16,8 @@ from diagalg.exactalg import (
     qint,
     signed_power_is_one,
 )
+from diagalg.partitions import partitions_of
+from diagalg.weights import BrauerParams, IntegerDelta, evaluate_weight
 
 Q = LaurentPoly.monomial(1)
 QINV = LaurentPoly.monomial(-1)
@@ -61,12 +63,12 @@ def test_laurent_coefficients_are_integers():
 
 
 def test_laurent_variable_tags():
-    d = LaurentPoly.monomial(1, variable="delta")
+    v = LaurentPoly.monomial(1, variable="v")
     with pytest.raises(ValueError):
-        Q + d
+        Q + v
     # constants are variable-agnostic
-    assert LaurentPoly.constant(3, "delta") == LaurentPoly.constant(3, "q")
-    assert (d + 1).variable == "delta"
+    assert LaurentPoly.constant(3, "v") == LaurentPoly.constant(3, "q")
+    assert (v + 1).variable == "v"
 
 
 def test_qint_examples():
@@ -155,18 +157,13 @@ def test_rational_function_field_axioms(a, b, c, d):
 
 def test_prime_field_arithmetic():
     a = PrimeFieldElement(7, 3)
-    b = PrimeFieldElement(7, 5)
-    assert a * b == 1
-    assert a / b == 3 * 3 % 7
-    assert a**-1 == 5
-    assert a * -1 == 4 and 2 * a == 6
-    assert PrimeFieldElement(7, 10) == 3
+    assert a**-1 == 5 and a**2 == 2 and a**0 == 1
+    assert PrimeFieldElement(7, 10) == 3 == PrimeFieldElement(7, -4)
+    assert PrimeFieldElement(7, 3) != PrimeFieldElement(5, 3)
     with pytest.raises(ValueError):
         PrimeFieldElement(6, 1)
-    with pytest.raises(ValueError):
-        a * PrimeFieldElement(5, 1)
-    assert PrimeFieldElement(5, 2) / PrimeFieldElement(5, 3) == 4
-    assert PrimeFieldElement(5, 2) / 3 == 4
+    with pytest.raises(ZeroDivisionError):
+        PrimeFieldElement(7, 0) ** -1
 
 
 def test_root_spec_validation_and_consistency():
@@ -195,6 +192,15 @@ def test_signed_power_congruences():
     # characteristic 2 collapses signs
     assert signed_power_is_one(-1, 0, odd, char2=True)
     assert signed_power_is_one(-1, 5, odd, char2=True)  # q^5 = -1 = 1
+    # no RootSpec: q is not a root of unity, so q^x = 1 only at x = 0, and
+    # -q^0 = -1 is 1 only in characteristic 2
+    assert signed_power_is_one(1, 0, None) and signed_power_is_one(1, 0, None, char2=True)
+    assert not signed_power_is_one(-1, 0, None)
+    assert signed_power_is_one(-1, 0, None, char2=True)
+    for x in (-7, -1, 1, 2, 10):
+        for eps in (1, -1):
+            for char2 in (False, True):
+                assert not signed_power_is_one(eps, x, None, char2)
 
 
 def test_prime_utilities():
@@ -203,12 +209,16 @@ def test_prime_utilities():
 
 
 def test_prime_field_tests_its_modulus_once():
-    # every product and quotient builds a PrimeFieldElement, which checks p
+    # each evaluation validates the characteristic and builds its value as
+    # a PrimeFieldElement, and both test p; only the first call computes
+    p = 999983
     is_prime.cache_clear()
-    x = PrimeFieldElement(999983, 2)
-    for k in range(1, 100):
-        x = x * (k + 1) / k
-    assert x.value == 200 and is_prime.cache_info().misses == 1
+    values = [evaluate_weight(la, BrauerParams(p, IntegerDelta(p + 3))).value
+              for n in range(8) for la in partitions_of(n)]
+    assert len(values) == 45 and all(v.p == p for v in values)
+    assert values[1] == 3 and values[2] == 5  # (1,) and (2,): delta and (delta+2)(delta-1)/2
+    info = is_prime.cache_info()
+    assert info.misses == 1 and info.hits >= 2 * len(values) - 1
 
 
 @given(st.integers(2, 24))

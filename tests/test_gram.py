@@ -342,3 +342,26 @@ def test_level_rank_respects_the_n1_cap():
     assert level_rank(spec, 2) == 1  # delta = 1: the all-ones matrix
     with pytest.raises(ParameterError):
         level_rank(spec, 3)
+
+
+def test_rank_over_q_past_the_budget_raises_before_bareiss(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("bareiss_rank reached")
+
+    monkeypatch.setattr(gram, "bareiss_rank", refuse)
+    p = _SCREEN_PRIME
+    # the screen is zero and no certificate holds: Bareiss would run on 106 rows
+    rows = gram.BAREISS_MAX_ROWS + 1
+    with pytest.raises(ParameterError, match=f"mod P = {p} gives rank 0.*up to 105 rows, not 106"):
+        rank([[p if i == j else 0 for j in range(rows)] for i in range(rows)])
+    # a 226-bit entry is past the certificate's budget, even on two rows
+    with pytest.raises(ParameterError, match=f"mod P = {p} gives rank 1.*at most 128 bits, and these have 226"):
+        rank([[p * 2**200, 0], [0, 1]])
+    # a full screen needs no exact step, whatever the size of the entries
+    assert rank([[p * 2**200 + 1, 0], [0, 1]]) == 2
+
+
+def test_rank_over_q_at_the_row_budget_still_runs_bareiss():
+    p = _SCREEN_PRIME
+    rows = gram.BAREISS_MAX_ROWS
+    assert rank([[p if i == j else 0 for j in range(rows)] for i in range(rows)]) == rows

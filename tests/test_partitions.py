@@ -6,13 +6,9 @@ from hypothesis import strategies as st
 
 from diagalg.partitions import (
     Ordering,
-    avalue,
-    boxes,
-    bvalue,
+    box_statistics,
     conjugate,
     dominance_cmp,
-    dvalue,
-    hook,
     partition,
     partitions_of,
     size,
@@ -46,34 +42,63 @@ def test_conjugate_examples():
             assert conjugate(la) == tuple(sum(1 for x in la if x >= j) for j in columns)
 
 
+def _stats(la):
+    """box -> (d, b, h), as box_statistics yields them."""
+    return {box: (d, b, h) for box, d, b, h in box_statistics(la)}
+
+
 def test_hook_examples():
-    assert hook((2, 1), (1, 1)) == 3
-    assert hook((2, 1), (1, 2)) == 1
-    assert hook((2, 1), (2, 1)) == 1
+    assert {box: h for box, (_, _, h) in _stats((2, 1)).items()} == {(1, 1): 3, (1, 2): 1, (2, 1): 1}
     # hooks of the staircase (3, 2, 1) at the diagonal
-    assert [hook((3, 2, 1), (i, i)) for i in (1, 2)] == [5, 1]
+    assert [_stats((3, 2, 1))[(i, i)][2] for i in (1, 2)] == [5, 1]
 
 
 def test_box_statistics_examples():
+    # row-major, as (box, d, b, h)
+    assert list(box_statistics((2, 1))) == [((1, 1), 2, -4, 3), ((1, 2), 0, -2, 1), ((2, 1), -2, -2, 1)]
+    assert list(box_statistics(())) == []
     # d on the diagonal is 2*la_i - 2*i
-    assert dvalue((2,), (1, 1)) == 2
-    assert dvalue((1, 1), (1, 1)) == 0
-    assert avalue((2, 1), (1, 2)) == 2 + 1 - 1 - 2
+    assert _stats((2,))[(1, 1)][0] == 2
+    assert _stats((1, 1))[(1, 1)][0] == 0
+    # above the diagonal d is a(i, j)
+    assert _stats((2, 1))[(1, 2)][0] == 2 + 1 - 1 - 2
     # b-value from the paper formula; the conjugate of (1,1) is (2)
-    assert bvalue((1, 1), (1, 1)) == -4
-    assert bvalue((2, 1), (2, 1)) == -1 - 2 + 2 + 1 - 2
-    # off-diagonal d dispatches on i <= j
-    assert dvalue((2, 1), (2, 1)) == bvalue((2, 1), (2, 1))
-    assert dvalue((2, 1), (1, 2)) == avalue((2, 1), (1, 2))
+    assert _stats((1, 1))[(1, 1)][1] == -4
+    assert _stats((2, 1))[(2, 1)][1] == -1 - 2 + 2 + 1 - 2
+    # below the diagonal d is b(i, j)
+    assert _stats((2, 1))[(2, 1)][0] == _stats((2, 1))[(2, 1)][1]
 
 
 def test_dvalue_table_matches_paper_grid():
     # First boxes of a large diagram: d(1,2) = la1 + la2 - 3, d(2,1) = -la'1 - la'2 + 1
     la = (5, 4, 2, 1)
     conj = conjugate(la)
-    assert dvalue(la, (1, 2)) == la[0] + la[1] - 3
-    assert dvalue(la, (2, 1)) == -conj[0] - conj[1] + 1
-    assert dvalue(la, (3, 2)) == -conj[1] - conj[2] + 3
+    stats = _stats(la)
+    assert stats[(1, 2)][0] == la[0] + la[1] - 3
+    assert stats[(2, 1)][0] == -conj[0] - conj[1] + 1
+    assert stats[(3, 2)][0] == -conj[1] - conj[2] + 3
+
+
+def test_box_statistics_match_the_definitions():
+    # every |la| <= 12: the boxes row-major, and a, b, d and h as the module
+    # docstring defines them, with la_k and la'_k 0 past the end
+    for n in range(13):
+        for la in partitions_of(n):
+            conj = conjugate(la)
+
+            def row(k):
+                return la[k - 1] if k <= len(la) else 0
+
+            def col(k):
+                return conj[k - 1] if k <= len(conj) else 0
+
+            want = []
+            for i in range(1, len(la) + 1):
+                for j in range(1, la[i - 1] + 1):
+                    a = row(i) + row(j) - i - j
+                    b = -col(i) - col(j) + i + j - 2
+                    want.append(((i, j), a if i <= j else b, b, row(i) + col(j) + 1 - i - j))
+            assert list(box_statistics(la)) == want, la
 
 
 def test_dominance_examples():
@@ -116,8 +141,7 @@ def test_conjugate_is_an_involution(la):
 @settings(max_examples=200)
 def test_hooks_are_positive_and_corner_iff_hook_one(la):
     conj = conjugate(la)
-    for i, j in boxes(la):
-        h = hook(la, (i, j))
+    for (i, j), (_, _, h) in _stats(la).items():
         assert h >= 1
         is_corner = la[i - 1] == j and conj[j - 1] == i
         assert (h == 1) == is_corner
@@ -126,22 +150,22 @@ def test_hooks_are_positive_and_corner_iff_hook_one(la):
 @given(partitions_st())
 @settings(max_examples=200)
 def test_box_statistics_conjugation_identity(la):
-    # b_{la'}(j, i) = -a_la(i, j) - 2 for every box; restricted to i <= j this
-    # says the lower-triangular d-values of la' mirror the upper ones of la.
-    conj = conjugate(la)
-    for i, j in boxes(la):
-        assert bvalue(conj, (j, i)) == -avalue(la, (i, j)) - 2
-        if i < j:
-            assert dvalue(conj, (j, i)) == -dvalue(la, (i, j)) - 2
+    # b_{la'}(j, i) = -a_la(i, j) - 2 for every box, and a = d where i <= j;
+    # off the diagonal the d-values of la' mirror those of la.
+    stats, mirror = _stats(la), _stats(conjugate(la))
+    for (i, j), (d, _, _) in stats.items():
+        if i <= j:
+            assert mirror[(j, i)][1] == -d - 2
+        if i != j:
+            assert mirror[(j, i)][0] == -d - 2
 
 
 @given(partitions_st())
 @settings(max_examples=200)
 def test_diagonal_statistics(la):
-    for i, j in boxes(la):
+    for (i, j), (d, b, _) in _stats(la).items():
         if i == j:
-            assert dvalue(la, (i, i)) == 2 * la[i - 1] - 2 * i >= 0
-            b = bvalue(la, (i, i))
+            assert d == 2 * la[i - 1] - 2 * i >= 0
             assert b <= -2 and b % 2 == 0
 
 
@@ -149,15 +173,16 @@ def test_diagonal_statistics(la):
 @settings(max_examples=150)
 def test_dvalue_monotone_along_rows_and_columns(la):
     # d decreases rightward/downward while i <= j, increases while i > j
-    for i, j in boxes(la):
+    stats = _stats(la)
+    for (i, j), (d, _, _) in stats.items():
         right, down = (i, j + 1), (i + 1, j)
         for nxt in (right, down):
-            if not (1 <= nxt[0] <= len(la) and nxt[1] <= la[nxt[0] - 1]):
+            if nxt not in stats:
                 continue
             if i <= j and nxt[0] <= nxt[1]:
-                assert dvalue(la, nxt) <= dvalue(la, (i, j))
+                assert stats[nxt][0] <= d
             if i > j and nxt[0] > nxt[1]:
-                assert dvalue(la, nxt) >= dvalue(la, (i, j))
+                assert stats[nxt][0] >= d
 
 
 @given(st.integers(0, 11))

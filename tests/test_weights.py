@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagalg.branching import path_count, reflected_level
+from diagalg.brauer import DELTA
 from diagalg.exactalg import (
     LaurentPoly,
     PrimeFieldElement,
@@ -16,7 +17,7 @@ from diagalg.exactalg import (
     is_prime,
     qint,
 )
-from diagalg.partitions import boxes, hook, partitions_of
+from diagalg.partitions import box_statistics, partitions_of
 from diagalg.weights import (
     BMWParams,
     BrauerParams,
@@ -40,7 +41,6 @@ from diagalg.weights import (
     weight_factor_descriptions,
 )
 
-DELTA = LaurentPoly.monomial(1, variable="delta")
 ONE_D = LaurentPoly.constant(1, "delta")
 Q = LaurentPoly.monomial(1, variable="q")
 
@@ -62,7 +62,7 @@ def test_brauer_weight_normalization():
         total = rf(LaurentPoly.constant(0, "delta"))
         for x in reflected_level(n):
             total = total + brauer_weight(x.shape) * Fraction(path_count(x))
-        assert total == rf(LaurentPoly.monomial(n, 1, "delta"))
+        assert total == rf(DELTA**n)
 
 
 def test_qbrauer_weight_examples():
@@ -202,7 +202,7 @@ def test_generic_r_at_a_root_of_unity_checks_the_hooks():
                 for n in range(9):
                     for la in partitions_of(n):
                         w = evaluate_weight(la, spec)
-                        divisible = any(hook(la, b) % e == 0 for b in boxes(la))
+                        divisible = any(h % e == 0 for _, _, _, h in box_statistics(la))
                         assert w.evaluable is not divisible
                         assert w.is_zero is (None if divisible else False)
                         outcomes.add(divisible)
