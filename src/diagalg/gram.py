@@ -9,32 +9,39 @@ field F_p.
 
 `rank` is the one entry point, and every rank is one modular elimination:
 `rank_mod_p`, row echelon form over F_p, which returns the echelon (the
-pivot column of each pivot row, and the rows).  Over Q the elimination runs
-mod P = _SCREEN_PRIME.  Its rank r is at most the rank over Q, since a
-minor that is nonzero mod P is nonzero over Z, so a full r settles it.  A
-deficient r is certified from the other side.  Back-substitution gives, for
-the pivot columns C and the others C', the X with G[:, C] X = G[:, C'] mod
-P.  X is rationally reconstructed first (Wang, Guy and Davenport, SIGSAM
-Bull. 16, 1982): one denominator D <= sqrt(P/2) is found with every entry
-of X congruent to a fraction whose numerator is at most sqrt(P/2) and
+pivot column of each pivot row, and the rows).  Over Q the eliminations run
+mod the screen primes: P = _SCREEN_PRIME, then the primes below it.  The
+rank r mod any prime is at most the rank over Q, since a minor that is
+nonzero mod a prime is nonzero over Z, so a full r settles it.  A deficient
+screen mod P is certified from the other side.  Back-substitution gives,
+for the pivot columns C and the others C', the X with G[:, C] X = G[:, C']
+mod P.  X is rationally reconstructed first (Wang, Guy and Davenport,
+SIGSAM Bull. 16, 1982): one denominator D <= sqrt(P/2) is found with every
+entry of X congruent to a fraction whose numerator is at most sqrt(P/2) and
 whose denominator divides D, and D = 1 when every residue of X is small
 already.  Then D G[:, C'] = G[:, C] (D X), with D X lifted to symmetric
 residues, is checked exactly over Z; if it holds, every column is a
 combination of the r columns C, and the rank over Q is exactly r.  Only
-when no D exists or the identity fails does `bareiss_rank`, fraction-free
-elimination over Z (Bareiss, Math. Comp. 22, 1968), give the rank.  Both
-exact steps run within a budget: the certificate only on entries of at most
-CERTIFY_MAX_BITS bits, and Bareiss only on at most BAREISS_MAX_ROWS rows
-besides; past it the rank raises ParameterError (for example delta = P at
-n = 5, whose screen is the Gram matrix at delta = 0).
+when no D exists or the identity fails does the matrix go on to further
+screens, each a prime below the last (Cabay, SYMSAM 1971), and r becomes
+the largest rank seen; the Hadamard bound in `rank` says when they have
+settled it.  Both steps run within a budget: the certificate only on
+entries of at most CERTIFY_MAX_BITS bits, and the screens only while the
+bound needs at most MAX_SCREENS primes; past it the rank raises
+ParameterError (for example delta = -1 - P*Q at n = 4, which is -1 mod P
+and mod Q and has 208-bit entries).
 
 Every answer is exact whatever P is: a P that divides a minor, or relations
-with large numerators or denominators, only send the matrix to Bareiss, or
-past the budget to an error.
+with large numerators or denominators, only send the matrix to further
+screens, or past the budget to an error.
 Every trace Gram level with n <= 5 and |delta| <= 12 is certified by P the
-largest prime below 2^26, and D is 1, 2 or 12 on each deficient one.  For
-that P, 2*bits(P) + bits(cols) + 1 <= 64 up to 2047 columns, and every lane
-of the elimination below is 8 bytes, which a memoryview reads.
+largest prime below 2^26, and D is 1, 2 or 12 on each deficient one.  A
+Gram level that is deficient over Q has delta a root, |delta| <= 8 at
+n <= 5, so every such level is certified mod P; only arbitrary matrices can
+be deficient over Q, uncertified and past the budget of screens, such as a
+105 x 105 matrix of rank 104 with 128-bit entries.  Every screen prime is
+below 2^26, so 2*bits(q) + bits(cols) + 1 <= 64 up to 2047 columns, and
+every lane of the elimination below is 8 bytes, which a memoryview reads.
 
 `rank_mod_p` packs each row into one Python int, entry c in the lane of
 bits [c*w, (c+1)*w), w a whole number of bytes with w >= 2*bits(p) +
@@ -70,7 +77,7 @@ from typing import NamedTuple
 
 from .branching import double_factorial_odd
 from .brauer import all_diagrams, compose_diagrams, full_closure_cycles, involute_diagram
-from .exactalg import PrimeFieldElement
+from .exactalg import PrimeFieldElement, is_prime
 from .weights import BrauerParams, IntegerDelta, ParameterError, n1_cap, validate_params
 
 _SCREEN_PRIME = 67_108_859  # the largest prime below 2^26: the char-0 screen
@@ -78,14 +85,16 @@ MAX_LEVEL = 5  # (2*5-1)!! = 945 diagrams: the largest dense matrix built
 
 # The budget of the exact work behind a deficient char-0 screen; a full
 # screen needs none.  The certificate runs only on entries of at most
-# CERTIFY_MAX_BITS bits, and Bareiss, whose entries grow to about rows * bits,
-# only on matrices of at most BAREISS_MAX_ROWS rows besides.  Within it are
-# every level with n <= 4 and |delta| < 2^32 (there Bareiss takes up to about
-# 18 s on a 2-vCPU VM), and every level with n <= 5 and |delta| <= 12.  Past it, delta = P
-# at n = 5 would run Bareiss on 945 rows of 130-bit entries, for well over
-# 90 s.
+# CERTIFY_MAX_BITS bits, and the screens only while the Hadamard bound of
+# `rank` needs at most MAX_SCREENS primes.  24 primes below 2^26 have a
+# squared product past 2^1247, which proves a rank r of entries below 2^b
+# whenever (r+1) (log2(r+1) + 2b) < 1247: every matrix of at most 7
+# columns with entries below 2^73 (21 primes), or of rank 1 with entries
+# below 2^310.  Every level with n <= 5 and delta = P, 64P, P - 1 or P - 2
+# is settled by the second screen (each 3-5 s at n = 5 on a 2-vCPU VM);
+# delta = -1 - P*Q, -1 mod both, exits 2 after it.
 CERTIFY_MAX_BITS = 128
-BAREISS_MAX_ROWS = 105
+MAX_SCREENS = 24
 
 
 @cache
@@ -109,35 +118,6 @@ def gram_matrix(n: int, delta, scaled: bool = False) -> list[list]:
     k = gram_exponents(n)
     powers = {e: delta ** (e + shift) for e in set().union(*k)}
     return [[powers[e] for e in row] for row in k]
-
-
-def bareiss_rank(matrix: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    m = [list(row) for row in matrix]
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        for i in range(r + 1, rows):
-            row = m[i]
-            for j in range(c + 1, cols):
-                q, rem = divmod(row[j] * top[c] - row[c] * top[j], prev)
-                if rem:
-                    raise ArithmeticError("non-exact integer division in elimination")
-                row[j] = q
-            row[c] = 0
-        prev = top[c]
-        r += 1
-    return r
 
 
 _LANE_FORMATS = {4: "I", 8: "Q"} if sys.byteorder == "little" else {}
@@ -295,35 +275,53 @@ def _certified(matrix: list[list[int]], echelon: Echelon, top_g: int) -> bool:
     return _combination_holds(_packed_columns(matrix, size), columns, free, lifted, d)
 
 
+def _screen_primes():
+    """The screen primes over Q: P = _SCREEN_PRIME, which needs no test,
+    then the primes below it in descending order."""
+    yield _SCREEN_PRIME
+    yield from (q for q in range(_SCREEN_PRIME - 1, 1, -1) if is_prime(q))
+
+
 def rank(matrix: list[list], p: int = 0) -> int:
     """Exact rank of an integer matrix: over F_p for a prime p, over Q for
     p = 0.  A matrix of PrimeFieldElements is ranked over their field.
 
-    Over Q a deficient screen is settled within the budget of
-    CERTIFY_MAX_BITS and BAREISS_MAX_ROWS, or raises ParameterError."""
+    Over Q the matrix is screened mod P, then mod the primes below it, and
+    r is the largest rank seen.  A full screen returns r, and so does the
+    first screen when its certificate holds (see the module docstring).
+    Otherwise the Hadamard bound decides: every screened prime q has rank
+    mod q <= r, so q divides every (r+1)-minor; a nonzero (r+1)-minor has
+    absolute value at most (sqrt(r+1) max|g|)^(r+1); so once (prod q)^2 >
+    (r+1)^(r+1) max|g|^(2r+2), every (r+1)-minor is zero and the rank over
+    Q is exactly r.  The second screen always runs, since it settles a
+    delta that is degenerate only mod P; after it, a bound that would need
+    more than MAX_SCREENS primes raises ParameterError."""
     if matrix and matrix[0] and isinstance(matrix[0][0], PrimeFieldElement):
         p = matrix[0][0].p
         matrix = [[x.value for x in row] for row in matrix]
     if p:
         return len(rank_mod_p(matrix, p).columns)
-    screen = rank_mod_p(matrix, _SCREEN_PRIME)
-    r = len(screen.columns)
-    if not matrix or r == min(len(matrix), len(matrix[0])):
-        return r
-    top_g = max(max(map(abs, row)) for row in matrix)
-    bits = top_g.bit_length()
-    if bits > CERTIFY_MAX_BITS:
-        budget = f"exact ranks take entries of at most {CERTIFY_MAX_BITS} bits, and these have {bits}"
-    elif _certified(matrix, screen, top_g):
-        return r
-    elif len(matrix) <= BAREISS_MAX_ROWS:
-        return bareiss_rank(matrix)
-    else:
-        budget = f"no certificate holds, and Bareiss runs only up to {BAREISS_MAX_ROWS} rows, not {len(matrix)}"
-    raise ParameterError(
-        f"the screen mod P = {_SCREEN_PRIME} gives rank {r}, below full, and the rank over Q is past "
-        f"the budget: {budget}"
-    )
+    full = min(len(matrix), len(matrix[0])) if matrix else 0
+    r, product = 0, 1
+    for count, q in enumerate(_screen_primes(), 1):
+        screen = rank_mod_p(matrix, q)
+        r = max(r, len(screen.columns))
+        if r == full:
+            return r
+        if count == 1:
+            top_g = max(max(map(abs, row)) for row in matrix)
+            if top_g.bit_length() <= CERTIFY_MAX_BITS and _certified(matrix, screen, top_g):
+                return r
+        product *= q
+        bound = (r + 1) ** (r + 1) * top_g ** (2 * r + 2)
+        if product**2 > bound:
+            return r
+        if count > 1 and (product * q ** (MAX_SCREENS - count)) ** 2 <= bound:
+            raise ParameterError(
+                f"the screens mod {count} primes, P = {_SCREEN_PRIME} down to {q}, give rank at most {r}, "
+                f"below full, and the rank over Q is past the budget: no certificate holds, and the Hadamard "
+                f"bound needs more than {MAX_SCREENS} primes"
+            )
 
 
 def generic_structure_check(n: int) -> bool:

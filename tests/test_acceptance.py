@@ -111,7 +111,7 @@ def test_criterion_5_gram_cross_validation_char_zero():
 
 
 def test_criterion_5_gram_ranks_at_level_five_char_zero():
-    # deficient 945 x 945 ranks over Q, certified without Bareiss; only the
+    # deficient 945 x 945 ranks over Q, certified by the first screen; only the
     # eliminations are timed
     matrices = {d: gram_matrix(5, d, scaled=True) for d in (2, -2)}
     start = time.monotonic()

@@ -328,11 +328,15 @@ def test_gram_rejects_levels_past_the_budget(capsys):
 
 
 def test_gram_refuses_a_rank_past_the_exact_budget(capsys):
-    # delta = P screens as delta = 0, and at n = 5 its powers P^k reach
-    # 130 bits, past the certificate's budget
-    code, out, err = run(["gram", "--char", "0", "--delta", "67108859", "--n", "5"], capsys)
+    # delta = P screens as delta = 0 mod P, and is full mod the next prime
+    code, out, _ = run(["gram", "--char", "0", "--delta", "67108859", "--n", "4"], capsys)
+    assert code == 0 and "rank 105" in out
+    # delta = -1 - PQ is -1 mod both screen primes, where the rank is 91, and
+    # its 208-bit entries need a Hadamard bound past the budget of primes
+    code, out, err = run(["gram", "--char", "0", "--delta", "-4503597479886984", "--n", "4"], capsys)
     assert code == 2 and out == ""
-    assert "mod P = 67108859 gives rank 0" in err and "at most 128 bits, and these have 130" in err
+    assert "mod 2 primes, P = 67108859 down to 67108837, give rank at most 91" in err
+    assert "needs more than 24 primes" in err
 
 
 def test_gram_rejects_levels_past_n1_in_characteristic_p(capsys):

@@ -13,7 +13,6 @@ from diagalg.exactalg import PrimeFieldElement
 from diagalg.gram import (
     _SCREEN_PRIME,
     _relations,
-    bareiss_rank,
     first_degenerate_level,
     generic_structure_check,
     gram_exponents,
@@ -108,20 +107,6 @@ def _fraction_rank(mat) -> int:
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         r += 1
     return r
-
-
-def test_bareiss_rank_matches_fraction_elimination():
-    rng_matrices = st.lists(
-        st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=4, max_size=4
-    )
-
-    @given(rng_matrices)
-    @settings(max_examples=120)
-    def inner(rows):
-        mat = tuple(tuple(r) for r in rows)
-        assert bareiss_rank(mat) == _fraction_rank(mat)
-
-    inner()
 
 
 def test_rank_mod_p():
@@ -238,32 +223,47 @@ def test_rank_over_q_matches_fraction_elimination(matrix):
     assert rank(matrix) == _fraction_rank(matrix)
 
 
-def test_rank_over_q_falls_back_to_bareiss_without_a_certificate(monkeypatch):
-    calls = []
+def _screens(monkeypatch) -> list[int]:
+    """The primes of every `rank_mod_p` call from now on, in order."""
+    primes = []
+    screen = gram.rank_mod_p
 
-    def counted(matrix):
-        calls.append(matrix)
-        return bareiss_rank(matrix)
+    def counted(matrix, p):
+        primes.append(p)
+        return screen(matrix, p)
 
-    monkeypatch.setattr(gram, "bareiss_rank", counted)
-    # deficient only mod the screen prime: no relation among the columns exists
-    assert rank([[_SCREEN_PRIME, 0], [0, 1]]) == 2
-    assert len(calls) == 1
+    monkeypatch.setattr(gram, "rank_mod_p", counted)
+    return primes
+
+
+P, Q, R = _SCREEN_PRIME, 67_108_837, 67_108_819  # the first three screen primes
+
+
+def test_rank_over_q_screens_more_primes_without_a_certificate(monkeypatch):
+    screens = _screens(monkeypatch)
+    # deficient only mod the screen prime: no relation among the columns
+    # exists, and the rank is full mod Q
+    assert rank([[P, 0], [0, 1]]) == 2
+    assert screens == [P, Q]
     # column 1 is 10007/9973 times column 0, past the reconstruction bound
-    # sqrt(P/2) in both numerator and denominator
-    assert isqrt(_SCREEN_PRIME // 2) < 9973
+    # sqrt(P/2) in both numerator and denominator; rank 1 mod P and mod Q,
+    # and (PQ)^2 is past the Hadamard bound 2^2 (5 * 10007)^4
+    assert isqrt(P // 2) < 9973
+    screens.clear()
     assert rank([[9973, 10007], [-2 * 9973, -2 * 10007], [5 * 9973, 5 * 10007]]) == 1
-    assert len(calls) == 2
-    # a relation with denominator 2 is reconstructed: no fallback
+    assert screens == [P, Q]
+    # a relation with denominator 2 is reconstructed: one screen
+    screens.clear()
     assert rank([[2, 1], [4, 2], [6, 3]]) == 1
-    assert len(calls) == 2
+    assert screens == [P]
     # column 4 is (1, k, k^2, k^3) on the unimodular columns 0-3: an integral
     # relation with an entry past sqrt(P/2) is not reconstructed
     k = 300
-    assert isqrt(_SCREEN_PRIME // 2) < k**3 < _SCREEN_PRIME // 2
+    assert isqrt(P // 2) < k**3 < P // 2
     bidiagonal = [[1, 0, 0, 0, 1], [-k, 1, 0, 0, 0], [0, -k, 1, 0, 0], [0, 0, -k, 1, 0], [0, 0, 0, 0, 0]]
+    screens.clear()
     assert rank(bidiagonal) == 4
-    assert len(calls) == 3
+    assert screens == [P, Q]
 
 
 def test_certificate_packs_the_columns_once(monkeypatch):
@@ -275,34 +275,59 @@ def test_certificate_packs_the_columns_once(monkeypatch):
         return pack(matrix, size)
 
     monkeypatch.setattr(gram, "_packed_columns", counted)
-    monkeypatch.setattr(gram, "bareiss_rank", lambda matrix: pytest.fail("bareiss_rank reached"))
+    screens = _screens(monkeypatch)
     # the relation has denominator D = 2, found before the one check
     assert rank([[2, 1], [4, 2], [6, 3]]) == 1
-    assert packs == [4]
+    assert packs == [4] and screens == [P]
     # the Gram matrix at delta = -1, n = 4 has D = 2 as well
     packs.clear()
+    screens.clear()
     assert rank(gram_matrix(4, -1, scaled=True)) == 91
-    assert len(packs) == 1
+    assert len(packs) == 1 and screens == [P]
+
+
+# the deficient char-0 levels (n, delta) with n <= 4 and |delta| <= 8, and
+# their ranks
+_DEFICIENT = {(2, -2): 2, (2, 1): 1,
+              (3, -4): 14, (3, -2): 5, (3, 1): 1, (3, 2): 10,
+              (4, -6): 104, (4, -4): 84, (4, -2): 14, (4, -1): 91, (4, 1): 1, (4, 2): 35, (4, 3): 91}
 
 
 def test_char_zero_levels_are_certified_without_bareiss(monkeypatch):
-    def refuse(matrix):
-        raise AssertionError("bareiss_rank reached")
+    screen = gram.rank_mod_p
 
-    monkeypatch.setattr(gram, "bareiss_rank", refuse)
+    def refuse(matrix, p):
+        if p != P:
+            raise AssertionError(f"screened mod {p}")
+        return screen(matrix, p)
+
+    monkeypatch.setattr(gram, "rank_mod_p", refuse)
     levels = {-8: None, -7: None, -6: 4, -5: None, -4: 3, -3: None, -2: 2, -1: 4,
               1: 2, 2: 3, 3: 4, 4: None, 5: None, 6: None, 7: None, 8: None}
     for delta, level in levels.items():
         assert first_degenerate_level(BrauerParams(0, IntegerDelta(delta)), 4) == level, delta
     # every level, past the first degenerate one too: delta = -1 at n = 4
     # needs the denominator D = 2
-    deficient = {(2, -2): 2, (2, 1): 1,
-                 (3, -4): 14, (3, -2): 5, (3, 1): 1, (3, 2): 10,
-                 (4, -6): 104, (4, -4): 84, (4, -2): 14, (4, -1): 91, (4, 1): 1, (4, 2): 35, (4, 3): 91}
     for n in range(5):
         for delta in levels:
-            expected = deficient.get((n, delta), len(all_diagrams(n)))
+            expected = _DEFICIENT.get((n, delta), len(all_diagrams(n)))
             assert level_rank(BrauerParams(0, IntegerDelta(delta)), n) == expected, (n, delta)
+
+
+def test_levels_deficient_only_mod_the_screen_primes_have_full_rank(monkeypatch):
+    # delta = a + kP is a degenerate value a mod P, and with |k| <= 64 its
+    # entries stay within 128 bits at n = 4, so the certificate runs and
+    # fails; the screen mod Q is full
+    for (n, a) in _DEFICIENT:
+        for k in (-64, -1, 1, 63):
+            assert level_rank(BrauerParams(0, IntegerDelta(a + k * P)), n) == len(all_diagrams(n)), (n, a, k)
+    # 1 + PQ is 1 mod P and mod Q, where the rank is 1: the third prime
+    # settles it
+    screens = _screens(monkeypatch)
+    for n in (2, 3):
+        screens.clear()
+        assert level_rank(BrauerParams(0, IntegerDelta(1 + P * Q)), n) == len(all_diagrams(n))
+        assert screens == [P, Q, R]
 
 
 def test_rank_dispatches_on_prime_field_entries():
@@ -344,24 +369,27 @@ def test_level_rank_respects_the_n1_cap():
         level_rank(spec, 3)
 
 
-def test_rank_over_q_past_the_budget_raises_before_bareiss(monkeypatch):
-    def refuse(matrix):
-        raise AssertionError("bareiss_rank reached")
-
-    monkeypatch.setattr(gram, "bareiss_rank", refuse)
-    p = _SCREEN_PRIME
-    # the screen is zero and no certificate holds: Bareiss would run on 106 rows
-    rows = gram.BAREISS_MAX_ROWS + 1
-    with pytest.raises(ParameterError, match=f"mod P = {p} gives rank 0.*up to 105 rows, not 106"):
-        rank([[p if i == j else 0 for j in range(rows)] for i in range(rows)])
-    # a 226-bit entry is past the certificate's budget, even on two rows
-    with pytest.raises(ParameterError, match=f"mod P = {p} gives rank 1.*at most 128 bits, and these have 226"):
-        rank([[p * 2**200, 0], [0, 1]])
+def test_rank_over_q_past_the_budget_raises_before_bareiss():
+    # PQ divides the first entry, so both screens have rank 1, and the
+    # Hadamard bound 2^2 (PQ 2^300)^4, about 2^1410, needs more than the
+    # 24 primes whose squared product is about 2^1248
+    with pytest.raises(ParameterError, match=f"mod 2 primes, P = {P} down to {Q}, give rank at most 1.*more than 24"):
+        rank([[P * Q * 2**300, 0], [0, 1]])
+    # a 226-bit entry is past the certificate's budget, and the screen mod Q
+    # is full
+    assert rank([[P * 2**200, 0], [0, 1]]) == 2
     # a full screen needs no exact step, whatever the size of the entries
-    assert rank([[p * 2**200 + 1, 0], [0, 1]]) == 2
+    assert rank([[P * 2**200 + 1, 0], [0, 1]]) == 2
 
 
-def test_rank_over_q_at_the_row_budget_still_runs_bareiss():
-    p = _SCREEN_PRIME
-    rows = gram.BAREISS_MAX_ROWS
-    assert rank([[p if i == j else 0 for j in range(rows)] for i in range(rows)]) == rows
+def test_rank_over_q_needs_no_row_budget(monkeypatch):
+    screens = _screens(monkeypatch)
+    # the screen mod P is zero and no certificate holds; mod Q it is full
+    for rows in (105, 106):
+        assert rank([[P if i == j else 0 for j in range(rows)] for i in range(rows)]) == rows
+    assert screens == [P, Q, P, Q]
+    # delta = P screens as delta = 0 mod P, and its 130-bit entries are past
+    # the certificate's budget; a 945-row level has full rank mod Q
+    screens.clear()
+    assert level_rank(BrauerParams(0, IntegerDelta(P)), 5) == 945
+    assert screens == [P, Q]
