@@ -4,8 +4,10 @@ The bilinear form is (b, b') -> tr(b * b'); on diagrams the value is a pure
 power delta^k with k = loops(b, b') + cycles(b b') - n <= 0, and k = 0
 exactly when b' = b*.  Scaling the matrix by delta^n clears denominators, so
 for integral delta the scaled Gram matrix is an integer matrix.  Matrices are
-plain lists of rows whose entries are ints or PrimeFieldElements of one
-field F_p.
+plain lists of rows.  `rank` takes entries that are ints or
+PrimeFieldElements of one field F_p.  `gram_matrix` gives entries of
+delta's type (int, Fraction or PrimeFieldElement), except that an unscaled
+matrix at an int delta has Fraction entries, never floats.
 
 `rank` is the one entry point, and every rank is one modular elimination:
 `rank_mod_p`, row echelon form over F_p, which returns the echelon (the
@@ -71,6 +73,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from fractions import Fraction
 from functools import cache
 from math import isqrt
 from typing import NamedTuple
@@ -115,6 +118,7 @@ def gram_matrix(n: int, delta, scaled: bool = False) -> list[list]:
     delta^n, making entries polynomial (integral for integral delta).  Each
     distinct power of delta is computed once and shared by its entries."""
     shift = n if scaled else 0
+    delta = delta if scaled or not isinstance(delta, int) else Fraction(delta)  # int ** -k is a float
     k = gram_exponents(n)
     powers = {e: delta ** (e + shift) for e in set().union(*k)}
     return [[powers[e] for e in row] for row in k]

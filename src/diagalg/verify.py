@@ -16,6 +16,9 @@ Suites:
   oracle-equivalence closed-form bounds and witnesses against brute-force
                      search, decision witnesses against actual weight vanishing
   specialization     q = 1 degeneration of q-weights to classical weights
+  gram               the generic structure of the trace form, and the first
+                     degenerate Gram level = the first vanishing weight
+                     level = decide_brauer's bound, over Q and F_3, F_5, F_7
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .criteria import (
     mprime_closed,
 )
 from .exactalg import LaurentPoly, RationalFunction, RootSpec, qint
+from .gram import first_degenerate_level, generic_structure_check
 from .partitions import partitions_of, size
 from .weights import (
     BMWParams,
@@ -71,7 +75,9 @@ from .weights import (
     bmw_weight_at_power,
     brauer_weight,
     evaluate_weight,
+    n1_cap,
     qbrauer_weight_at_power,
+    vanishing_level,
 )
 
 _SEED = 20260814
@@ -283,6 +289,41 @@ def suite_specialization(max_n: int = 5) -> list[CheckResult]:
     return [_check("specialization", name, check) for name, check in checks]
 
 
+def _levels_agree(p: int, deltas, max_n: int) -> bool:
+    """For each integer delta (a residue in characteristic p), up to level
+    top = min(max_n, n_1): a decided bound m <= top with a witness is both
+    the first degenerate Gram level and the first level with a vanishing
+    weight; otherwise neither exists.  A bound m = n_1 with no witness is the
+    last semisimple level, not a degenerate one."""
+    for d in deltas:
+        spec = BrauerParams(p, IntegerDelta(d))
+        cap = n1_cap(spec)
+        top = max_n if cap is None else min(max_n, cap)
+        verdict = decide_brauer(spec)
+        m = verdict.m if verdict.witness is not None and verdict.m <= top else None
+        vanishing = vanishing_level(spec, top)
+        if first_degenerate_level(spec, top) != m or (vanishing and vanishing[0]) != m:
+            return False
+    return True
+
+
+def suite_gram(max_n: int = 4) -> list[CheckResult]:
+    """The third method against the other two: Gram ranks of the trace form
+    against weight vanishing and the decided bound.  Every integer root of a
+    Gram determinant at n <= 4 lies in [-6, 3], so 0 < |delta| <= 8 covers
+    each one with margin; level 5 (945 diagrams) is left to `diagalg gram`."""
+    n_gram = min(max_n, 4)
+    checks = (
+        (f"delta^0 entries pair each diagram with its involute, n <= {n_gram}",
+         lambda: all(generic_structure_check(n) for n in range(1, n_gram + 1))),
+        (f"first degenerate Gram level = first vanishing weight = m, char 0, 0 < |delta| <= 8, n <= {n_gram}",
+         lambda: _levels_agree(0, [d for d in range(-8, 9) if d], n_gram)),
+        (f"the same in chars 3, 5, 7, every residue, n <= min({n_gram}, p - 1)",
+         lambda: all(_levels_agree(p, range(1, p), n_gram) for p in (3, 5, 7))),
+    )
+    return [_check("gram", name, check) for name, check in checks]
+
+
 # Each suite with the deepest max_n it accepts, None where every check caps
 # its own depth.  Past the ceiling the work grows without a cap: the coset
 # identity ~4x per level (14: about 14 s, 15: about a minute), tr(xy) on 100
@@ -295,6 +336,7 @@ SUITES = {
     "cellular": (suite_cellular, None),
     "oracle-equivalence": (suite_oracle_equivalence, 20),
     "specialization": (suite_specialization, None),
+    "gram": (suite_gram, None),
 }
 
 

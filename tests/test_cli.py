@@ -352,9 +352,20 @@ def test_gram_rejects_scans_over_no_level(capsys):
 
 
 def test_verify_suite_exit_zero(capsys):
-    code, out, _ = run(["verify", "--suite", "counting", "--max-n", "5"], capsys)
-    assert code == 0
-    assert "4/4 checks passed" in out
+    for argv, last_line in (
+        (["--suite", "counting", "--max-n", "5"], "4/4 checks passed"),
+        (["--suite", "gram"], "3/3 checks passed"),
+    ):
+        code, out, _ = run(["verify", *argv], capsys)
+        assert code == 0 and "FAIL" not in out
+        assert out.endswith(last_line + "\n")
+
+
+def test_readme_lists_every_verification_suite():
+    # the --suite help sends users to this README section for the names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Verification suites", 1)[1].split("\n## ", 1)[0]
+    assert all(f"* `{name}` — " in section for name in SUITES)
 
 
 def test_verify_suite_names_come_from_the_suites_table(capsys):
@@ -391,6 +402,19 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     code, out, _ = run(["verify", "--suite", "counting"], capsys)
     assert code == 1
     assert "FAIL" in out and "counterexample" in out
+
+
+def test_verify_gram_suite_fails_when_no_gram_level_degenerates(capsys, monkeypatch):
+    # the three-way checks compare real levels: a Gram scan that never finds
+    # a degenerate level fails both of them
+    from diagalg import verify as verify_module
+
+    monkeypatch.setattr(verify_module, "first_degenerate_level", lambda spec, n_max: None)
+    code, out, _ = run(["verify", "--suite", "gram"], capsys)
+    assert code == 1
+    assert out.count("FAIL  [gram] first degenerate Gram level") == 1
+    assert out.count("FAIL  [gram] the same in chars 3, 5, 7") == 1
+    assert out.endswith("1/3 checks passed\n")
 
 
 def test_verify_reports_a_transition_matrix_with_no_integer_inverse(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from diagalg import gram
 from diagalg.brauer import all_diagrams, involute_diagram
+from diagalg.criteria import decide_brauer
 from diagalg.exactalg import PrimeFieldElement
 from diagalg.gram import (
     _SCREEN_PRIME,
@@ -21,7 +22,7 @@ from diagalg.gram import (
     rank,
     rank_mod_p,
 )
-from diagalg.weights import BrauerParams, IntegerDelta, ParameterError
+from diagalg.weights import BrauerParams, IntegerDelta, ParameterError, vanishing_level
 
 
 def test_gram_exponents_small():
@@ -71,6 +72,9 @@ def test_gram_matrix_values_small():
     g = gram_matrix(2, Fraction(5))
     assert g[0][0] == 1
     assert all(g[i][j] in (1, Fraction(1, 5)) for i in range(3) for j in range(3))
+    # an int delta gives the same exact entries, never floats
+    assert gram_matrix(2, 5) == g
+    assert all(type(x) in (int, Fraction) for row in gram_matrix(2, 5) for x in row)
 
 
 def test_gram_structure_k_zero_iff_involute():
@@ -351,6 +355,17 @@ def test_first_degenerate_level_char_p():
     # scanning past the evaluability cap n_1 = p - 1 is rejected
     with pytest.raises(ParameterError):
         first_degenerate_level(spec, 5)
+
+
+def test_a_bound_at_the_cap_with_no_witness_is_not_degenerate():
+    # in characteristic 3 at delta = 2 the bound m = 2 is the cap n_1 = p - 1
+    # alone: level 2 is the last semisimple level, and neither the Gram form
+    # nor a weight degenerates up to it
+    spec = BrauerParams(3, IntegerDelta(2))
+    verdict = decide_brauer(spec)
+    assert verdict.m == 2 and verdict.witness is None
+    assert first_degenerate_level(spec, 2) is None
+    assert vanishing_level(spec, 2) is None
 
 
 def test_first_degenerate_level_validates():
