@@ -9,7 +9,7 @@ is semisimple exactly for n <= m.
 
 import argparse
 
-from diagalg.criteria import decide_bmw, decide_qbrauer
+from diagalg.criteria import decide
 from diagalg.exactalg import RootSpec
 from diagalg.weights import BMWParams, QBrauerParams, RootOfUnity, SignedPower
 
@@ -21,7 +21,7 @@ def qbrauer_table(e_values, doubled):
         f = 2 * e if doubled else e
         cells = []
         for N in range(-e + 1, 0):
-            m = decide_qbrauer(QBrauerParams(0, RootOfUnity(RootSpec(e, f)), SignedPower(1, N))).m
+            m = decide(QBrauerParams(0, RootOfUnity(RootSpec(e, f)), SignedPower(1, N))).m
             cells.append(f"N={N}:{m}")
         print(f"  e={e:<3} " + "  ".join(cells))
     print()
@@ -32,7 +32,7 @@ def bmw_table(e_values):
     for e in e_values:
         cells = []
         for N in range(-e + 1, 1):
-            m = decide_bmw(BMWParams(0, RootOfUnity(RootSpec(e, 2 * e)), SignedPower(-1, N))).m
+            m = decide(BMWParams(0, RootOfUnity(RootSpec(e, 2 * e)), SignedPower(-1, N))).m
             cells.append(f"N={N}:{m}")
         print(f"  e={e:<3} " + "  ".join(cells))
     print()

@@ -24,13 +24,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .criteria import (
-    UNBOUNDED,
-    Verdict,
-    decide_bmw,
-    decide_brauer,
-    decide_qbrauer,
-)
+from .criteria import UNBOUNDED, Verdict, decide
 from .exactalg import PrimeFieldElement, RootSpec
 from .partitions import partitions_of
 from .weights import (
@@ -185,7 +179,6 @@ def _render_verdict_text(verdict: Verdict) -> None:
 
 def cmd_decide(args) -> int:
     spec = _spec_from_args(args.family, args)
-    decide = {"brauer": decide_brauer, "qbrauer": decide_qbrauer, "bmw": decide_bmw}[args.family]
     verdict = decide(spec)
     if args.format == "json":
         print(render_verdict_json(args.family, spec, verdict))

@@ -343,13 +343,15 @@ def generic_structure_check(n: int) -> bool:
 
 
 def _checked_delta(params, n: int) -> int:
-    """The integer delta of `params`, once level n is known to be within the
-    MAX_LEVEL budget and, in characteristic p, at most n_1 = p - 1 (beyond
-    that the form's hook denominators are meaningless).  Runs before any
-    diagram is enumerated."""
+    """The integer delta of `params`, once level n is known to be at least 0,
+    within the MAX_LEVEL budget and, in characteristic p, at most
+    n_1 = p - 1 (beyond that the form's hook denominators are meaningless).
+    Runs before any diagram is enumerated."""
     if not isinstance(params, BrauerParams) or not isinstance(params.delta, IntegerDelta):
         raise ParameterError("Gram ranks need a Brauer spec with integer delta")
     validate_params(params)
+    if n < 0:
+        raise ParameterError(f"level n = {n} is negative")
     if n > MAX_LEVEL:
         count = double_factorial_odd(n) if n < 64 else f"{2 * n - 1}!!"
         raise ParameterError(
@@ -377,9 +379,9 @@ def first_degenerate_level(params, n_max: int) -> int | None:
     `params` is a weights.BrauerParams with an IntegerDelta; characteristic
     p restricts to n_max <= p - 1.
     """
-    _checked_delta(params, n_max)
     if n_max < 2:
         raise ParameterError(f"n_max must be at least 2, got {n_max}")
+    _checked_delta(params, n_max)
     for n in range(2, n_max + 1):
         if level_rank(params, n) < len(all_diagrams(n)):
             return n

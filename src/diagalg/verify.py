@@ -18,7 +18,7 @@ Suites:
   specialization     q = 1 degeneration of q-weights to classical weights
   gram               the generic structure of the trace form, and the first
                      degenerate Gram level = the first vanishing weight
-                     level = decide_brauer's bound, over Q and F_3, F_5, F_7
+                     level = the decided bound, over Q and F_3, F_5, F_7
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .branching import double_factorial_odd, path_count, reflected_level
@@ -53,9 +54,7 @@ from .cellular import (
     weak_coherence_check,
 )
 from .criteria import (
-    decide_bmw,
-    decide_brauer,
-    decide_qbrauer,
+    decide,
     m_bruteforce,
     m_closed,
     mprime_bruteforce,
@@ -159,12 +158,14 @@ def _markov_property(max_n: int) -> bool:
     return True
 
 
-def _weight_normalization(max_n: int) -> bool:
+def _normalization_holds(weight: Callable, delta: LaurentPoly, max_n: int) -> bool:
+    """For each level n <= max_n, the sum over the shapes x of the level of
+    path_count(x) * weight(x.shape) is delta^n."""
     for n in range(max_n + 1):
-        total = RationalFunction(LaurentPoly.constant(0, "delta"))
+        total = RationalFunction(LaurentPoly.constant(0, delta.variable))
         for x in reflected_level(n):
-            total = total + brauer_weight(x.shape) * path_count(x)
-        if total != RationalFunction(DELTA**n):
+            total = total + weight(x.shape) * path_count(x)
+        if total != RationalFunction(delta**n):
             return False
     return True
 
@@ -180,7 +181,8 @@ def suite_trace(max_n: int = 4, pairs: int = 100) -> list[CheckResult]:
         (f"closure trace = iterated E trace, n <= {n_iter}",
          lambda: all(_iterated_trace(x) == markov_trace(x)
                      for n in range(n_iter + 1) for x in map(AlgebraElement.from_diagram, all_diagrams(n)))),
-        (f"sum of path_count * weight = delta^n, n <= {n_norm}", lambda: _weight_normalization(n_norm)),
+        (f"sum of path_count * weight = delta^n, n <= {n_norm}",
+         lambda: _normalization_holds(brauer_weight, DELTA, n_norm)),
     )
     return [_check("trace", name, check) for name, check in checks]
 
@@ -213,7 +215,7 @@ def suite_cellular(max_n: int = 3) -> list[CheckResult]:
     return [_check("cellular", name, check) for name, check in checks]
 
 
-def _witness_vanishes(decide, spec) -> bool:
+def _witness_vanishes(spec) -> bool:
     """The decision's witness shape has the decided size and a weight that
     evaluates to zero."""
     verdict = decide(spec)
@@ -230,13 +232,13 @@ def suite_oracle_equivalence(max_n: int = 10) -> list[CheckResult]:
     limit = 2 * max_n + 10
     e_cap = min(max_n, 8)
     cases = (
-        (decide_brauer, BrauerParams(0, IntegerDelta(2))),
-        (decide_brauer, BrauerParams(5, IntegerDelta(2))),
-        (decide_qbrauer, QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(1, -3))),
-        (decide_qbrauer, QBrauerParams(0, NotRootOfUnity(), SignedPower(-1, 3))),
-        (decide_bmw, BMWParams(0, RootOfUnity(RootSpec(5, 10)), SignedPower(-1, -2))),
-        (decide_bmw, BMWParams(0, NotRootOfUnity(), SignedPower(-1, 4))),
-        (decide_bmw, BMWParams(0, NotRootOfUnity(), SignedPower(1, -2))),
+        BrauerParams(0, IntegerDelta(2)),
+        BrauerParams(5, IntegerDelta(2)),
+        QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(1, -3)),
+        QBrauerParams(0, NotRootOfUnity(), SignedPower(-1, 3)),
+        BMWParams(0, RootOfUnity(RootSpec(5, 10)), SignedPower(-1, -2)),
+        BMWParams(0, NotRootOfUnity(), SignedPower(-1, 4)),
+        BMWParams(0, NotRootOfUnity(), SignedPower(1, -2)),
     )
     checks = (
         (f"m0/m1/m2/m3 closed form = search, |arg| <= {max_n}",
@@ -248,7 +250,7 @@ def suite_oracle_equivalence(max_n: int = 10) -> list[CheckResult]:
                      for rs in (RootSpec(e, e), RootSpec(e, 2 * e))
                      for N, kind, eps, char2 in product(range(-e + 1, 1), (1, 2, 3), (1, -1), (False, True)))),
         ("decision witnesses have vanishing weights",
-         lambda: all(_witness_vanishes(decide, spec) for decide, spec in cases)),
+         lambda: all(map(_witness_vanishes, cases))),
     )
     return [_check("oracle-equivalence", name, check) for name, check in checks]
 
@@ -265,18 +267,6 @@ def _q_one_degeneration(qb_cap: int, bmw_cap: int) -> bool:
     return True
 
 
-def _q_weight_normalization(max_n: int) -> bool:
-    for N in (3, 5, -4):
-        delta_q = qint(N)
-        for n in range(max_n + 1):
-            total = RationalFunction(LaurentPoly.constant(0, "q"), LaurentPoly.constant(1, "q"))
-            for x in reflected_level(n):
-                total = total + qbrauer_weight_at_power(x.shape, N) * path_count(x)
-            if total != RationalFunction(delta_q, LaurentPoly.constant(1, "q")) ** n:
-                return False
-    return True
-
-
 def suite_specialization(max_n: int = 5) -> list[CheckResult]:
     """q = 1 degenerations and the q-analogue of the normalization."""
     qb_cap = min(max_n, 6)
@@ -284,7 +274,9 @@ def suite_specialization(max_n: int = 5) -> list[CheckResult]:
     n_norm = min(max_n, 4)
     checks = (
         (f"weights at q = 1 match delta = N, |la| <= {qb_cap}", lambda: _q_one_degeneration(qb_cap, bmw_cap)),
-        (f"q-weight normalization at delta = [N], n <= {n_norm}", lambda: _q_weight_normalization(n_norm)),
+        (f"q-weight normalization at delta = [N], n <= {n_norm}",
+         lambda: all(_normalization_holds(partial(qbrauer_weight_at_power, N=N), qint(N), n_norm)
+                     for N in (3, 5, -4))),
     )
     return [_check("specialization", name, check) for name, check in checks]
 
@@ -299,7 +291,7 @@ def _levels_agree(p: int, deltas, max_n: int) -> bool:
         spec = BrauerParams(p, IntegerDelta(d))
         cap = n1_cap(spec)
         top = max_n if cap is None else min(max_n, cap)
-        verdict = decide_brauer(spec)
+        verdict = decide(spec)
         m = verdict.m if verdict.witness is not None and verdict.m <= top else None
         vanishing = vanishing_level(spec, top)
         if first_degenerate_level(spec, top) != m or (vanishing and vanishing[0]) != m:

@@ -12,9 +12,7 @@ import time
 from diagalg.branching import double_factorial_odd, path_count, reflected_level
 from diagalg.brauer import all_diagrams, coset_counting_identity, factorize, recompose
 from diagalg.criteria import (
-    decide_bmw,
-    decide_brauer,
-    decide_qbrauer,
+    decide,
     m_bruteforce,
     m_closed,
     mprime_bruteforce,
@@ -82,19 +80,19 @@ def test_criterion_4_worked_examples_reproduced():
         for N in (x for x in range(-e + 1, 0) if x % 2):
             want = min(e - 1, (e - N) // 2 + 1, -N + 3, N + e + 1)
             spec = QBrauerParams(0, RootOfUnity(RootSpec(e, e)), SignedPower(1, N))
-            assert decide_qbrauer(spec).m == want
+            assert decide(spec).m == want
     # q-Brauer at even e with q^e = -1, N odd in (-e, 0)
     for e in range(2, 13, 2):
         for N in (x for x in range(-e + 1, 0) if x % 2):
             want = min(e - 1, -N + 3, N + e + 1)
             spec = QBrauerParams(0, RootOfUnity(RootSpec(e, 2 * e)), SignedPower(1, N))
-            assert decide_qbrauer(spec).m == want
+            assert decide(spec).m == want
     # BMW at odd e, f = 2e, r = -q^(N-1), N even in (-e, 0]
     for e in range(3, 14, 2):
         for N in (x for x in range(-e + 1, 1) if x % 2 == 0):
             want = min(e - 1, N + e + 1, -N + 3, N // 2 + e)
             spec = BMWParams(0, RootOfUnity(RootSpec(e, 2 * e)), SignedPower(-1, N))
-            assert decide_bmw(spec).m == want
+            assert decide(spec).m == want
 
 
 def test_criterion_5_gram_cross_validation_char_zero():
@@ -106,7 +104,7 @@ def test_criterion_5_gram_cross_validation_char_zero():
         vanish = vanishing_level(spec, 4)
         assert degenerate == level
         assert vanish is not None and vanish[0] == level
-        assert decide_brauer(spec).m == level
+        assert decide(spec).m == level
     assert time.monotonic() - start < 60.0
 
 
@@ -128,7 +126,7 @@ def test_criterion_6_gram_cross_validation_char_p():
             if predicted > 4:
                 continue
             spec = BrauerParams(p, IntegerDelta(N))
-            assert decide_brauer(spec).m == predicted
+            assert decide(spec).m == predicted
             assert first_degenerate_level(spec, 4) == predicted
     assert time.monotonic() - start < 120.0
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: output formats and exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,9 +11,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagalg.cli import main, render_verdict_json
-from diagalg.criteria import UNBOUNDED, decide_bmw, decide_brauer, decide_qbrauer
+from diagalg.criteria import UNBOUNDED, decide
 from diagalg.exactalg import RootSpec
 from diagalg.verify import SUITES
 from diagalg.weights import (
@@ -150,15 +153,15 @@ def test_decide_json_unbounded_flag(capsys):
 
 def test_json_round_trip_for_all_families():
     cases = (
-        ("brauer", BrauerParams(0, IntegerDelta(2)), decide_brauer),
-        ("brauer", BrauerParams(0, GenericDelta()), decide_brauer),
-        ("brauer", BrauerParams(5, IntegerDelta(2)), decide_brauer),
-        ("qbrauer", QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(1, -3)), decide_qbrauer),
-        ("qbrauer", QBrauerParams(0, NotRootOfUnity(), GenericR()), decide_qbrauer),
-        ("bmw", BMWParams(0, RootOfUnity(RootSpec(5, 10)), SignedPower(-1, -2)), decide_bmw),
-        ("bmw", BMWParams(0, NotRootOfUnity(), SignedPower(-1, 4)), decide_bmw),
+        ("brauer", BrauerParams(0, IntegerDelta(2))),
+        ("brauer", BrauerParams(0, GenericDelta())),
+        ("brauer", BrauerParams(5, IntegerDelta(2))),
+        ("qbrauer", QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(1, -3))),
+        ("qbrauer", QBrauerParams(0, NotRootOfUnity(), GenericR())),
+        ("bmw", BMWParams(0, RootOfUnity(RootSpec(5, 10)), SignedPower(-1, -2))),
+        ("bmw", BMWParams(0, NotRootOfUnity(), SignedPower(-1, 4))),
     )
-    for family, spec, decide in cases:
+    for family, spec in cases:
         verdict = decide(spec)
         data = json.loads(render_verdict_json(family, spec, verdict))
         assert data["family"] == family
@@ -293,6 +296,69 @@ def test_weights_json(capsys):
     assert [r["value"] for r in data] == ["2", "1", "1"]
 
 
+# Edge values of the integer flags: around the witness budget 10^5, the
+# largest e tabulated elsewhere (10^7), the characteristic limit 2^31, the
+# screen prime P = 67108859, and far past every budget.
+_EDGE_INTS = st.sampled_from(
+    (0, 1, -1, 10**5 - 1, 10**5 + 1, 10**7, -(10**7), 2**31 - 1, 2**31, 67108859, -67108859, 10**30)
+) | st.integers(-12, 12)
+
+
+def _flag(name, values=None):
+    """The flag `name` with one drawn value, or alone where it takes none."""
+    return st.just([name]) if values is None else values.map(lambda v: [name, str(v)])
+
+
+@st.composite
+def _decide_or_weights_argv(draw):
+    """An argument vector of `decide` or `weights` over every flag of the
+    family: mostly one flag of each exclusive group, now and then none or
+    two (for q-Brauer and BMW, the delta flags mostly none, since they need
+    --q-pm-one); each other flag present or not, and `--n` mostly present."""
+    command = draw(st.sampled_from(("decide", "weights")))
+    family = draw(st.sampled_from(("brauer", "qbrauer", "bmw")))
+    one = (0, 1, 1, 1, 1, 1, 1, 2)
+    deltas = [_flag("--delta", _EDGE_INTS), _flag("--delta-generic"), _flag("--delta-nonint")]
+    groups = [(deltas, one if family == "brauer" else (0, 0, 0, 0, 1, 2))]
+    chars = st.sampled_from((0, 2, 3, 5, 7)) | _EDGE_INTS
+    single = [_flag("--char", chars)]
+    if family != "brauer":
+        groups += [
+            ([_flag("--e", _EDGE_INTS), _flag("--not-root"), _flag("--q-pm-one")], one),
+            ([_flag("--N", _EDGE_INTS), _flag("--r-generic")], one),
+        ]
+        signs = st.sampled_from((1, -1, 1, -1, 0))
+        single += [_flag("--f", _EDGE_INTS), _flag("--qe-sign", signs), _flag("--eps", signs)]
+    formats = ("text", "csv", "json") if command == "weights" else ("text", "json")
+    single.append(_flag("--format", st.sampled_from(formats)))
+    argv = [command, family]
+    if command == "weights" and draw(st.integers(0, 9)):
+        argv += draw(_flag("--n", st.sampled_from((-1, 0, 8, 21))))
+    for group, counts in groups:
+        for _ in range(draw(st.sampled_from(counts))):
+            argv += draw(st.one_of(group))
+    for flag in single:
+        if draw(st.booleans()):
+            argv += draw(flag)
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_decide_or_weights_argv())
+def test_decide_and_weights_answer_or_refuse_every_flag_vector(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a usage error with exit 2
+            code = exc.code
+    assert code in (0, 2), (argv, code)
+    if code == 0:
+        assert out.getvalue().strip(), argv
+    else:
+        assert err.getvalue().strip(), argv
+
+
 def test_weights_rejects_levels_outside_the_table_budget(capsys):
     for n in ("-1", "21", "30"):
         code, out, err = run(["weights", "brauer", "--delta", "2", "--n", n], capsys)
@@ -323,6 +389,9 @@ def test_gram_rejects_levels_past_the_budget(capsys):
     for argv in (["--char", "5", "--n", "6"], ["--n", "6"], ["--n-max", "6"]):
         code, _, err = run(["gram", "--delta", "2", *argv], capsys)
         assert code == 2 and "10395" in err
+    # a negative level is refused before any diagram is enumerated
+    code, out, err = run(["gram", "--delta", "2", "--n", "-1"], capsys)
+    assert code == 2 and out == "" and "level n = -1" in err
     code, out, _ = run(["gram", "--char", "7", "--delta", "2", "--n", "3"], capsys)
     assert code == 0 and "dimension 15, rank 10, corank 5" in out
 

@@ -18,9 +18,7 @@ from diagalg.criteria import (
     UnboundedType,
     Verdict,
     bound_min,
-    decide_bmw,
-    decide_brauer,
-    decide_qbrauer,
+    decide,
     m_bruteforce,
     m_closed,
     mprime_bruteforce,
@@ -264,18 +262,18 @@ def test_closed_forms_reject_bad_arguments():
 
 
 def test_decide_brauer_cases():
-    assert decide_brauer(BrauerParams(0, GenericDelta())).m is UNBOUNDED
-    assert decide_brauer(BrauerParams(0, NonIntegerDelta())).m is UNBOUNDED
-    assert decide_brauer(BrauerParams(7, GenericDelta())).m == 6
-    assert decide_brauer(BrauerParams(0, IntegerDelta(2))).m == 3
-    assert decide_brauer(BrauerParams(0, IntegerDelta(5))).m == 6
-    assert decide_brauer(BrauerParams(0, IntegerDelta(-1))).m == 4
-    v = decide_brauer(BrauerParams(5, IntegerDelta(2)))
+    assert decide(BrauerParams(0, GenericDelta())).m is UNBOUNDED
+    assert decide(BrauerParams(0, NonIntegerDelta())).m is UNBOUNDED
+    assert decide(BrauerParams(7, GenericDelta())).m == 6
+    assert decide(BrauerParams(0, IntegerDelta(2))).m == 3
+    assert decide(BrauerParams(0, IntegerDelta(5))).m == 6
+    assert decide(BrauerParams(0, IntegerDelta(-1))).m == 4
+    v = decide(BrauerParams(5, IntegerDelta(2)))
     assert v.m == 3
     assert [c.value for c in v.constituents] == [4, 3, 6]
     assert v.normalized == (("N", 2),)
     # delta reduces mod p before the formula applies
-    assert decide_brauer(BrauerParams(5, IntegerDelta(7))) == v
+    assert decide(BrauerParams(5, IntegerDelta(7))) == v
 
 
 def _rui_z(n: int) -> set[int]:
@@ -290,48 +288,48 @@ def test_decide_brauer_matches_rui_in_char_zero():
     for delta in range(-80, 81):
         if delta:
             first = next(n for n in itertools.count(1) if delta in _rui_z(n))
-            assert decide_brauer(BrauerParams(0, IntegerDelta(delta))).m == first - 1, delta
+            assert decide(BrauerParams(0, IntegerDelta(delta))).m == first - 1, delta
 
 
 def test_decide_qbrauer_cases():
-    assert decide_qbrauer(QBrauerParams(0, NotRootOfUnity(), GenericR())).m is UNBOUNDED
-    assert decide_qbrauer(QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), GenericR())).m == 6
-    v = decide_qbrauer(QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(1, -3)))
+    assert decide(QBrauerParams(0, NotRootOfUnity(), GenericR())).m is UNBOUNDED
+    assert decide(QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), GenericR())).m == 6
+    v = decide(QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(1, -3)))
     assert v.m == 5 and v.normalized == (("N", -3),)
     assert [c.value for c in v.constituents] == [6, 6, 6, 5]
-    v = decide_qbrauer(QBrauerParams(0, RootOfUnity(RootSpec(6, 12)), SignedPower(1, -3)))
+    v = decide(QBrauerParams(0, RootOfUnity(RootSpec(6, 12)), SignedPower(1, -3)))
     assert v.m == 4
     assert [c.value for c in v.constituents] == [5, 6, 12, 4]
     # the sign of r does not matter for the q-Brauer bound
-    plus = decide_qbrauer(QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(1, -3)))
-    minus = decide_qbrauer(QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(-1, -3)))
+    plus = decide(QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(1, -3)))
+    minus = decide(QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(-1, -3)))
     assert plus.m == minus.m == 5
-    assert decide_qbrauer(QBrauerParams(0, NotRootOfUnity(), SignedPower(-1, 3))).m == 4
+    assert decide(QBrauerParams(0, NotRootOfUnity(), SignedPower(-1, 3))).m == 4
     # q = +-1 reduces to the classical decision
-    pm = decide_qbrauer(QBrauerParams(0, PlusMinusOne(IntegerDelta(2)), GenericR()))
-    assert pm == decide_brauer(BrauerParams(0, IntegerDelta(2)))
+    pm = decide(QBrauerParams(0, PlusMinusOne(IntegerDelta(2)), GenericR()))
+    assert pm == decide(BrauerParams(0, IntegerDelta(2)))
 
 
 def test_decide_bmw_cases():
-    assert decide_bmw(BMWParams(0, NotRootOfUnity(), GenericR())).m is UNBOUNDED
-    assert decide_bmw(BMWParams(0, RootOfUnity(RootSpec(9, 9)), GenericR())).m == 8
-    v = decide_bmw(BMWParams(0, RootOfUnity(RootSpec(5, 10)), SignedPower(-1, -2)))
+    assert decide(BMWParams(0, NotRootOfUnity(), GenericR())).m is UNBOUNDED
+    assert decide(BMWParams(0, RootOfUnity(RootSpec(9, 9)), GenericR())).m == 8
+    v = decide(BMWParams(0, RootOfUnity(RootSpec(5, 10)), SignedPower(-1, -2)))
     assert v.m == 4 and v.normalized == (("eps", -1), ("N", -2))
     assert [c.value for c in v.constituents] == [4, 4, UNBOUNDED, 4]
-    assert decide_bmw(BMWParams(0, NotRootOfUnity(), SignedPower(-1, 4))).m == 2
-    assert decide_bmw(BMWParams(0, NotRootOfUnity(), SignedPower(1, -2))).m == 2
+    assert decide(BMWParams(0, NotRootOfUnity(), SignedPower(-1, 4))).m == 2
+    assert decide(BMWParams(0, NotRootOfUnity(), SignedPower(1, -2))).m == 2
     # N = 0 is admissible for eps = -1: the kind-1 form gives the one-row witness
-    zero = decide_bmw(BMWParams(0, NotRootOfUnity(), SignedPower(-1, 0)))
+    zero = decide(BMWParams(0, NotRootOfUnity(), SignedPower(-1, 0)))
     assert zero.m == 3 and zero.witness == ((3,), (1, 2))
     # normalization folds the sign through q^e = -1
-    a = decide_bmw(BMWParams(0, RootOfUnity(RootSpec(5, 10)), SignedPower(1, 3)))
+    a = decide(BMWParams(0, RootOfUnity(RootSpec(5, 10)), SignedPower(1, 3)))
     assert dict(a.normalized) == {"eps": -1, "N": -2}
     assert a.m == v.m
 
 
 def test_decide_char_two_merges_signs():
-    a = decide_bmw(BMWParams(2, NotRootOfUnity(), SignedPower(1, 3)))
-    b = decide_bmw(BMWParams(2, NotRootOfUnity(), SignedPower(-1, 3)))
+    a = decide(BMWParams(2, NotRootOfUnity(), SignedPower(1, 3)))
+    b = decide(BMWParams(2, NotRootOfUnity(), SignedPower(-1, 3)))
     assert a.m == b.m
     # in characteristic 2 the diagonal b-condition applies for either sign
     assert any(c.name.startswith("m3") for c in a.constituents)
@@ -339,17 +337,17 @@ def test_decide_char_two_merges_signs():
 
 def test_decide_witnesses_have_vanishing_weights():
     cases = (
-        (decide_brauer, BrauerParams(0, IntegerDelta(2))),
-        (decide_brauer, BrauerParams(5, IntegerDelta(2))),
-        (decide_qbrauer, QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(1, -3))),
-        (decide_qbrauer, QBrauerParams(0, NotRootOfUnity(), SignedPower(-1, 3))),
-        (decide_bmw, BMWParams(0, RootOfUnity(RootSpec(5, 10)), SignedPower(-1, -2))),
-        (decide_bmw, BMWParams(0, NotRootOfUnity(), SignedPower(-1, 4))),
-        (decide_bmw, BMWParams(0, NotRootOfUnity(), SignedPower(1, -2))),
-        (decide_bmw, BMWParams(2, NotRootOfUnity(), SignedPower(1, 3))),
-        (decide_bmw, BMWParams(0, NotRootOfUnity(), SignedPower(-1, 0))),
+        BrauerParams(0, IntegerDelta(2)),
+        BrauerParams(5, IntegerDelta(2)),
+        QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(1, -3)),
+        QBrauerParams(0, NotRootOfUnity(), SignedPower(-1, 3)),
+        BMWParams(0, RootOfUnity(RootSpec(5, 10)), SignedPower(-1, -2)),
+        BMWParams(0, NotRootOfUnity(), SignedPower(-1, 4)),
+        BMWParams(0, NotRootOfUnity(), SignedPower(1, -2)),
+        BMWParams(2, NotRootOfUnity(), SignedPower(1, 3)),
+        BMWParams(0, NotRootOfUnity(), SignedPower(-1, 0)),
     )
-    for decide, spec in cases:
+    for spec in cases:
         verdict = decide(spec)
         assert verdict.witness is not None
         la, box = verdict.witness
@@ -358,30 +356,44 @@ def test_decide_witnesses_have_vanishing_weights():
         assert value.evaluable and value.is_zero
 
 
+def test_each_spec_gets_its_own_family_rule():
+    # one decision reads the family from the spec; a spec cannot be paired
+    # with another family's rule, under either name
+    cases = (
+        (BMWParams(0, RootOfUnity(RootSpec(5, 10)), SignedPower(-1, -2)), 4),
+        (BMWParams(0, NotRootOfUnity(), SignedPower(-1, 4)), 2),
+        (QBrauerParams(0, NotRootOfUnity(), SignedPower(-1, 4)), 5),
+        (QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(1, -3)), 5),
+    )
+    for spec, m in cases:
+        assert decide(spec).m == m, spec
+        assert criteria.decide_brauer(spec).m == m, spec
+
+
 def test_decide_rejects_degenerate_parameters():
     with pytest.raises(ParameterError):
-        decide_brauer(BrauerParams(0, IntegerDelta(0)))
+        decide(BrauerParams(0, IntegerDelta(0)))
     with pytest.raises(ParameterError):
-        decide_qbrauer(QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(1, 0)))
+        decide(QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(1, 0)))
     with pytest.raises(ParameterError):
-        decide_bmw(BMWParams(0, NotRootOfUnity(), SignedPower(1, 0)))
+        decide(BMWParams(0, NotRootOfUnity(), SignedPower(1, 0)))
 
 
 def test_worked_grid_spot_checks():
     # odd e, f = e: min{e-1, (e-N)/2+1, -N+3, N+e+1}
     for e, N in ((5, -1), (7, -3), (13, -11)):
         want = min(e - 1, (e - N) // 2 + 1, -N + 3, N + e + 1)
-        got = decide_qbrauer(QBrauerParams(0, RootOfUnity(RootSpec(e, e)), SignedPower(1, N))).m
+        got = decide(QBrauerParams(0, RootOfUnity(RootSpec(e, e)), SignedPower(1, N))).m
         assert got == want
     # even e, f = 2e: min{e-1, -N+3, N+e+1}
     for e, N in ((4, -1), (8, -5), (12, -11)):
         want = min(e - 1, -N + 3, N + e + 1)
-        got = decide_qbrauer(QBrauerParams(0, RootOfUnity(RootSpec(e, 2 * e)), SignedPower(1, N))).m
+        got = decide(QBrauerParams(0, RootOfUnity(RootSpec(e, 2 * e)), SignedPower(1, N))).m
         assert got == want
     # BMW, odd e, f = 2e, eps = -1, even N: min{e-1, N+e+1, -N+3, N/2+e}
     for e, N in ((5, -2), (7, 0), (13, -8)):
         want = min(e - 1, N + e + 1, -N + 3, N // 2 + e)
-        got = decide_bmw(BMWParams(0, RootOfUnity(RootSpec(e, 2 * e)), SignedPower(-1, N))).m
+        got = decide(BMWParams(0, RootOfUnity(RootSpec(e, 2 * e)), SignedPower(-1, N))).m
         assert got == want
 
 
@@ -398,14 +410,13 @@ def test_decisions_never_call_the_search(monkeypatch):
     specs = [BrauerParams(p, d) for p in (0, 2, 3, 5, 1009) for d in deltas]
     for p in (0, 2, 3, 5):
         specs += [cls(p, q, r) for cls in (QBrauerParams, BMWParams) for q in qs for r in rs]
-    decide = {BrauerParams: decide_brauer, QBrauerParams: decide_qbrauer, BMWParams: decide_bmw}
     regimes = set()
     for spec in specs:
         try:
             validate_params(spec)
         except (ParameterError, ValueError):
             continue
-        verdict = decide[type(spec)](spec)
+        verdict = decide(spec)
         if verdict.witness is not None:
             la, box = verdict.witness
             assert size(la) == verdict.m and _contains(la, box)
@@ -424,11 +435,11 @@ def test_decisions_build_no_losing_witness():
     e, p = 10**7 + 1, 10**7 + 19
     root = RootOfUnity(RootSpec(e, e))
     cases = (
-        (decide_qbrauer, QBrauerParams(0, root, SignedPower(1, 10**7))),
-        (decide_bmw, BMWParams(0, root, SignedPower(1, 10**7))),
-        (decide_brauer, BrauerParams(p, IntegerDelta(p - 1))),
+        QBrauerParams(0, root, SignedPower(1, 10**7)),
+        BMWParams(0, root, SignedPower(1, 10**7)),
+        BrauerParams(p, IntegerDelta(p - 1)),
     )
-    for decide, spec in cases:
+    for spec in cases:
         tracemalloc.start()
         try:
             verdict = decide(spec)
@@ -439,12 +450,12 @@ def test_decisions_build_no_losing_witness():
 
 
 def test_decisions_refuse_witnesses_past_the_budget():
-    at_budget = decide_brauer(BrauerParams(0, IntegerDelta(MAX_WITNESS_LEVEL - 1)))
+    at_budget = decide(BrauerParams(0, IntegerDelta(MAX_WITNESS_LEVEL - 1)))
     assert at_budget.m == MAX_WITNESS_LEVEL and size(at_budget.witness[0]) == MAX_WITNESS_LEVEL
     for delta in (MAX_WITNESS_LEVEL, 10**7, 10**100):
         start = time.monotonic()
         with pytest.raises(ParameterError, match="witness budget"):
-            decide_brauer(BrauerParams(0, IntegerDelta(delta)))
+            decide(BrauerParams(0, IntegerDelta(delta)))
         assert time.monotonic() - start < 0.5
     # a bound set by the cap alone has no witness to build
-    assert decide_qbrauer(QBrauerParams(0, RootOfUnity(RootSpec(10**7 + 1, 10**7 + 1)), GenericR())).m == 10**7
+    assert decide(QBrauerParams(0, RootOfUnity(RootSpec(10**7 + 1, 10**7 + 1)), GenericR())).m == 10**7

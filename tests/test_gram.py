@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from diagalg import gram
 from diagalg.brauer import all_diagrams, involute_diagram
-from diagalg.criteria import decide_brauer
+from diagalg.criteria import decide
 from diagalg.exactalg import PrimeFieldElement
 from diagalg.gram import (
     _SCREEN_PRIME,
@@ -362,7 +362,7 @@ def test_a_bound_at_the_cap_with_no_witness_is_not_degenerate():
     # alone: level 2 is the last semisimple level, and neither the Gram form
     # nor a weight degenerates up to it
     spec = BrauerParams(3, IntegerDelta(2))
-    verdict = decide_brauer(spec)
+    verdict = decide(spec)
     assert verdict.m == 2 and verdict.witness is None
     assert first_degenerate_level(spec, 2) is None
     assert vanishing_level(spec, 2) is None
