@@ -38,10 +38,9 @@ by an actual vanishing weight rather than by the cap n_1 alone.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache
 
-from .exactalg import RootSpec, signed_power_is_one
+from .exactalg import Record, RootSpec, signed_power_is_one
 from .partitions import Box, Partition, box_statistics, partitions_of
 from .weights import (
     BMWParams,
@@ -268,23 +267,23 @@ def mprime_closed(kind: int, N: int, eps: int, spec: RootSpec, char2: bool) -> A
 MAX_WITNESS_LEVEL = 100_000
 
 
-@dataclass(frozen=True)
-class Constituent:
+class Constituent(Record):
     """One labeled bound entering the min."""
 
+    __slots__ = ("name", "value")
     name: str
     value: int | UnboundedType
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """The semisimplicity bound: the algebra at level n is semisimple if
     and only if n <= m (UNBOUNDED meaning: for all n)."""
 
+    __slots__ = ("m", "constituents", "witness", "normalized")
     m: int | UnboundedType
     constituents: tuple[Constituent, ...]
     witness: Witness | None
-    normalized: tuple[tuple[str, int], ...] = ()
+    normalized: tuple[tuple[str, int], ...]
 
 
 def _m0_parts(*args: int) -> list[Part]:

@@ -18,12 +18,17 @@ exercises raw (e, f) combinations).  All conditions of the form
 eps * q^x = +-1 reduce to congruences mod f via `signed_power_is_one`
 (eps * q^x = -1 is -eps * q^x = 1), which also decides them for q not a
 root of unity (no RootSpec), where only x = 0 can hold.
+
+The module also holds the two base classes of the decision chain
+(`weights`, `criteria`): `ParameterError`, raised for parameters outside
+the theorems' hypotheses (RootSpec refuses e < 2 and f outside {e, 2e} with
+it), and `Record`, the immutable value that RootSpec, the parameter specs
+and the verdicts are built on.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -364,8 +369,57 @@ class PrimeFieldElement:
         return f"PrimeFieldElement({self.p}, {self.value})"
 
 
-@dataclass(frozen=True)
-class RootSpec:
+class ParameterError(ValueError):
+    """Raised for parameter combinations outside the theorems' hypotheses."""
+
+
+class Record:
+    """Base of the immutable values of the decision chain (RootSpec, the
+    parameter specs of `weights`, the verdicts of `criteria`).
+
+    A subclass names its fields, in order, in `__slots__`; it is built
+    positionally, compares equal only to a record of its own type with equal
+    fields, hashes as its field tuple and reprs as `Name(field=value, ...)`.
+    Assignment and deletion raise AttributeError; copy and pickle rebuild it
+    through `__reduce__`.  This is what a frozen dataclass gives, without the
+    import and the per-class code generation of `dataclasses` at start-up,
+    which each query of the command line pays.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class RootSpec(Record):
     """Order data for q a root of unity: f = ord(q), e = ord(q^2) = e(q).
 
     Any e >= 2 with f in {e, 2e} is accepted; `field_consistent` flags the
@@ -373,14 +427,16 @@ class RootSpec:
     f = e forces e odd).
     """
 
+    __slots__ = ("e", "f")
     e: int
     f: int
 
-    def __post_init__(self):
-        if self.e < 2:
-            raise ValueError(f"e must be >= 2, got {self.e}")
-        if self.f not in (self.e, 2 * self.e):
-            raise ValueError(f"f must be e or 2e, got e={self.e}, f={self.f}")
+    def __init__(self, e: int, f: int):
+        if e < 2:
+            raise ParameterError(f"e must be >= 2, got {e}")
+        if f not in (e, 2 * e):
+            raise ParameterError(f"f must be e or 2e, got e={e}, f={f}")
+        super().__init__(e, f)
 
     @property
     def field_consistent(self) -> bool:

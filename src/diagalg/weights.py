@@ -31,7 +31,6 @@ of unity is a pure congruence test on RootSpec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -39,8 +38,10 @@ from typing import Iterator, NamedTuple
 
 from .exactalg import (
     LaurentPoly,
+    ParameterError,
     PrimeFieldElement,
     RationalFunction,
+    Record,
     RootSpec,
     is_prime,
     qint,
@@ -49,64 +50,64 @@ from .exactalg import (
 from .partitions import Box, Partition, box_statistics, partitions_of
 
 
-class ParameterError(ValueError):
-    """Raised for parameter combinations outside the theorems' hypotheses."""
-
-
 # --- parameter variants ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenericDelta:
+class GenericDelta(Record):
     """delta transcendental over the prime field."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class NonIntegerDelta:
+
+class NonIntegerDelta(Record):
     """delta not in the image of Z in the field (so delta + d never vanishes)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class IntegerDelta:
+
+class IntegerDelta(Record):
     """delta = N * 1 in the field, for an integer N."""
 
+    __slots__ = ("value",)
     value: int
 
 
 DeltaParam = GenericDelta | NonIntegerDelta | IntegerDelta
 
 
-@dataclass(frozen=True)
-class NotRootOfUnity:
+class NotRootOfUnity(Record):
     """q of infinite multiplicative order (and q != +-1)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class RootOfUnity:
+
+class RootOfUnity(Record):
     """q a root of unity with orders spec = RootSpec(e, f)."""
 
+    __slots__ = ("spec",)
     spec: RootSpec
 
 
-@dataclass(frozen=True)
-class PlusMinusOne:
+class PlusMinusOne(Record):
     """q = +-1: the algebra degenerates to the Brauer algebra at `delta`."""
 
+    __slots__ = ("delta",)
     delta: DeltaParam
 
 
 QParam = NotRootOfUnity | RootOfUnity | PlusMinusOne
 
 
-@dataclass(frozen=True)
-class GenericR:
+class GenericR(Record):
     """r algebraically independent from q (never a signed power)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class SignedPower:
+
+class SignedPower(Record):
     """r = eps * q^N for the q-Brauer family, r = eps * q^(N-1) for BMW."""
 
+    __slots__ = ("eps", "N")
     eps: int
     N: int
 
@@ -114,21 +115,21 @@ class SignedPower:
 RParam = GenericR | SignedPower
 
 
-@dataclass(frozen=True)
-class BrauerParams:
+class BrauerParams(Record):
+    __slots__ = ("characteristic", "delta")
     characteristic: int
     delta: DeltaParam
 
 
-@dataclass(frozen=True)
-class QBrauerParams:
+class QBrauerParams(Record):
+    __slots__ = ("characteristic", "q", "r")
     characteristic: int
     q: QParam
     r: RParam
 
 
-@dataclass(frozen=True)
-class BMWParams:
+class BMWParams(Record):
+    __slots__ = ("characteristic", "q", "r")
     characteristic: int
     q: QParam
     r: RParam
@@ -367,8 +368,7 @@ def weight_factor_descriptions(la: Partition, spec: ParamSpec) -> tuple[str, ...
 # --- evaluation ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightValue:
+class WeightValue(Record):
     """Outcome of evaluating one weight under a ParamSpec.
 
     `evaluable` is False when a denominator vanishes (only possible past
@@ -378,6 +378,7 @@ class WeightValue:
     zero-ness is decided.
     """
 
+    __slots__ = ("shape", "evaluable", "is_zero", "value", "witness_box")
     shape: Partition
     evaluable: bool
     is_zero: bool | None

@@ -112,7 +112,11 @@ queries += [[*q, "--format", "json"] for q in queries]
 queries += [["weights", "brauer", "--delta", "2", "--n", "3", "--format", f] for f in ("text", "csv", "json")]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(q) for q in queries]
-print(json.dumps({"codes": codes, "modules": sorted(m for m in sys.modules if m.split(".")[0] == "diagalg")}))
+print(json.dumps({
+    "codes": codes,
+    "modules": sorted(m for m in sys.modules if m.split(".")[0] == "diagalg"),
+    "stdlib": [m for m in ("dataclasses", "inspect") if m in sys.modules],
+}))
 """
 
 
@@ -131,6 +135,10 @@ def test_decide_and_weights_load_only_the_decision_chain():
         "diagalg", "diagalg.cli", "diagalg.criteria", "diagalg.weights", "diagalg.exactalg",
         "diagalg.partitions",
     }
+    # the records of the decision chain are slotted `exactalg.Record`s: the
+    # import of dataclasses (with inspect) and its per-class code generation
+    # cost more than the whole rest of `import diagalg.cli`
+    assert data["stdlib"] == []
     for argv, last_line in (
         (["gram", "--delta", "2", "--n", "3"], "n = 3: dimension 15, rank 10, corank 5"),
         (["verify", "--suite", "counting", "--max-n", "3"], "4/4 checks passed"),
@@ -347,16 +355,19 @@ def _decide_or_weights_argv(draw):
 @given(_decide_or_weights_argv())
 def test_decide_and_weights_answer_or_refuse_every_flag_vector(argv):
     out, err = io.StringIO(), io.StringIO()
+    usage_error = False
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse refuses a usage error with exit 2
-            code = exc.code
+            code, usage_error = exc.code, True
     assert code in (0, 2), (argv, code)
     if code == 0:
         assert out.getvalue().strip(), argv
-    else:
+    elif usage_error:
         assert err.getvalue().strip(), argv
+    else:  # every refusal of a parsed vector is a ParameterError
+        assert err.getvalue().startswith("parameter error: "), (argv, err.getvalue())
 
 
 def test_weights_rejects_levels_outside_the_table_budget(capsys):

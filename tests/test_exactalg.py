@@ -1,5 +1,8 @@
-"""Tests for the exact scalar layer: Laurent polynomials, rational functions, F_p."""
+"""Tests for the exact scalar layer: Laurent polynomials, rational functions, F_p,
+and the immutable records of the decision chain."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -7,17 +10,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagalg.criteria import Verdict, decide
 from diagalg.exactalg import (
     LaurentPoly,
+    ParameterError,
     PrimeFieldElement,
     RationalFunction,
+    Record,
     RootSpec,
     is_prime,
     qint,
     signed_power_is_one,
 )
 from diagalg.partitions import partitions_of
-from diagalg.weights import BrauerParams, IntegerDelta, evaluate_weight
+from diagalg.weights import (
+    BMWParams,
+    BrauerParams,
+    GenericDelta,
+    IntegerDelta,
+    NotRootOfUnity,
+    QBrauerParams,
+    RootOfUnity,
+    SignedPower,
+    evaluate_weight,
+)
 
 Q = LaurentPoly.monomial(1)
 QINV = LaurentPoly.monomial(-1)
@@ -171,10 +187,71 @@ def test_root_spec_validation_and_consistency():
     assert RootSpec(5, 5).field_consistent
     assert not RootSpec(4, 4).field_consistent
     assert RootSpec(4, 8).field_consistent
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="e must be >= 2, got 1"):
         RootSpec(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="f must be e or 2e, got e=4, f=6"):
         RootSpec(4, 6)
+
+
+_BMW = BMWParams(0, RootOfUnity(RootSpec(5, 10)), SignedPower(-1, -2))
+_RECORDS = (
+    IntegerDelta(2),
+    GenericDelta(),
+    RootSpec(5, 10),
+    _BMW,
+    QBrauerParams(0, NotRootOfUnity(), SignedPower(1, 3)),
+    decide(_BMW),
+)
+
+
+def test_records_compare_by_type_and_fields():
+    q, b = QBrauerParams(3, NotRootOfUnity(), SignedPower(1, 2)), BMWParams(3, NotRootOfUnity(), SignedPower(1, 2))
+    assert q != b and b != q and hash(q) == hash(b)
+    assert IntegerDelta(2) != (2,) and (2,) != IntegerDelta(2) and RootSpec(5, 10) != (5, 10)
+    assert GenericDelta() == GenericDelta() and GenericDelta() != NotRootOfUnity()
+    assert IntegerDelta(2) == IntegerDelta(2) and IntegerDelta(2) != IntegerDelta(3)
+    table = {b: "bmw", q: "qbrauer"}
+    assert table[BMWParams(3, NotRootOfUnity(), SignedPower(1, 2))] == "bmw"
+    for record in _RECORDS:
+        twin = type(record)(*record._values())
+        assert twin == record and hash(twin) == hash(record) == hash(record._values())
+
+
+def test_record_repr_names_every_field():
+    assert repr(IntegerDelta(2)) == "IntegerDelta(value=2)"
+    assert repr(GenericDelta()) == "GenericDelta()"
+    assert repr(RootSpec(5, 10)) == "RootSpec(e=5, f=10)"
+    assert repr(_BMW) == (
+        "BMWParams(characteristic=0, q=RootOfUnity(spec=RootSpec(e=5, f=10)), r=SignedPower(eps=-1, N=-2))"
+    )
+    assert repr(decide(BrauerParams(0, IntegerDelta(2)))) == (
+        "Verdict(m=3, constituents=(Constituent(name='m0(2)', value=3),), witness=((2, 1), (2, 1)), normalized=())"
+    )
+
+
+def test_records_are_immutable_and_copy_and_pickle_to_equals():
+    spec = RootSpec(5, 10)
+    with pytest.raises(AttributeError):
+        spec.e = 7
+    with pytest.raises(AttributeError):
+        spec.other = 1
+    with pytest.raises(AttributeError):
+        del spec.e
+    assert spec == RootSpec(5, 10)
+    for record in _RECORDS:
+        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
+
+
+def test_records_take_exactly_their_fields():
+    for call in (lambda: IntegerDelta(), lambda: IntegerDelta(1, 2), lambda: GenericDelta(0),
+                 lambda: Verdict(3, (), None), lambda: RootSpec(5)):
+        with pytest.raises(TypeError):
+            call()
+    # the annotations document the types of exactly the slotted fields
+    assert len(Record.__subclasses__()) >= 15
+    for cls in Record.__subclasses__():
+        assert cls.__slots__ == tuple(cls.__dict__.get("__annotations__", {})), cls
 
 
 def test_signed_power_congruences():
