@@ -13,24 +13,25 @@ consists of the layers with |la| < n, and ideals must be up-sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
+from .exactalg import Record
 from .partitions import Ordering, Partition, dominance_cmp, partition, partitions_of, size
 
 
-@dataclass(frozen=True)
-class ReflectedLabel:
+class ReflectedLabel(Record):
     """A node (shape, level) of the branching graph."""
 
+    __slots__ = ("shape", "level")
     shape: Partition
     level: int
 
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"negative level {self.level}")
-        if size(self.shape) > self.level or (self.level - size(self.shape)) % 2:
-            raise ValueError(f"shape {self.shape} cannot appear at level {self.level}")
+    def __init__(self, shape: Partition, level: int):
+        if level < 0:
+            raise ValueError(f"negative level {level}")
+        if size(shape) > level or (level - size(shape)) % 2:
+            raise ValueError(f"shape {shape} cannot appear at level {level}")
+        super().__init__(shape, level)
 
 
 def young_up(la: Partition) -> tuple[Partition, ...]:

@@ -13,6 +13,12 @@ a over b (a's bottom row glued to b's top row) and multiplies by delta per
 closed loop removed.  Permutation diagrams join bottom i to top pi(i), so
 perm_diagram(p) * perm_diagram(q) = perm_diagram(p o q).
 
+A matching is checked where it is assembled from pairs a caller supplies,
+in `diagram_from_pairs`, through which every diagram but a product is
+built.  `compose_diagrams` joins each vertex to the other end of its
+strand, so its output is a matching by construction and is not checked
+again; the Gram exponents of level 5 compose about 446k pairs.
+
 The module also provides the tower structure used by the Markov trace:
 embed (add a vertical strand on the right), closure (join the last top and
 bottom vertices; a strand there closes into a delta loop), the conditional
@@ -25,33 +31,26 @@ the diagram with s nested-free arcs on the rightmost positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import comb, factorial
 from typing import Iterator
 
 from .branching import double_factorial_odd
-from .exactalg import LaurentPoly
+from .exactalg import LaurentPoly, Record
 
 DELTA = LaurentPoly.monomial(1, variable="delta")  # the loop value
 
 Perm = tuple[int, ...]  # one-line notation, 1-based values
 
 
-@dataclass(frozen=True)
-class BrauerDiagram:
-    """A perfect matching of n top and n bottom vertices (partner array)."""
+class BrauerDiagram(Record):
+    """A perfect matching of n top and n bottom vertices (partner array).
 
+    The type takes its matching as given: `diagram_from_pairs` checks it."""
+
+    __slots__ = ("matching",)
     matching: tuple[int, ...]
-
-    def __post_init__(self):
-        m = self.matching
-        if len(m) % 2:
-            raise ValueError("matching must have even length")
-        for i, p in enumerate(m):
-            if not 0 <= p < len(m) or p == i or m[p] != i:
-                raise ValueError(f"not a fixed-point-free involution: {m}")
 
     @property
     def n(self) -> int:
@@ -82,11 +81,16 @@ class BrauerDiagram:
 
 
 def diagram_from_pairs(n: int, pairs) -> BrauerDiagram:
-    """Builds a diagram from 0-based vertex pairs covering 0..2n-1."""
+    """Builds a diagram from 0-based vertex pairs covering 0..2n-1; pairs
+    that do not make a fixed-point-free involution are a ValueError."""
     m = [-1] * (2 * n)
     for x, y in pairs:
         m[x], m[y] = y, x
-    return BrauerDiagram(tuple(m))
+    m = tuple(m)
+    for i, p in enumerate(m):
+        if not 0 <= p < 2 * n or p == i or m[p] != i:
+            raise ValueError(f"not a fixed-point-free involution: {m}")
+    return BrauerDiagram(m)
 
 
 def identity_diagram(n: int) -> BrauerDiagram:
@@ -310,6 +314,9 @@ class AlgebraElement:
 
     def __setattr__(self, *args):
         raise AttributeError("AlgebraElement is immutable")
+
+    def __reduce__(self):
+        return AlgebraElement, (self.n, self.terms)
 
     @classmethod
     def from_diagram(cls, d: BrauerDiagram, coeff=1) -> "AlgebraElement":

@@ -19,7 +19,6 @@ arbitrary elements exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
@@ -40,7 +39,7 @@ from .brauer import (
     perm_extend,
     perm_inverse,
 )
-from .exactalg import LaurentPoly
+from .exactalg import LaurentPoly, Record
 from .partitions import Ordering, Partition, size
 
 StandardTableau = tuple[tuple[int, ...], ...]  # rows of entries, 1-based values
@@ -144,10 +143,10 @@ def murphy_m(sa: StandardTableau, t: StandardTableau, n: int) -> AlgebraElement:
     return AlgebraElement(n, terms)
 
 
-@dataclass(frozen=True)
-class CellularBasisElement:
+class CellularBasisElement(Record):
     """One basis element c = u * m_(sa,t) * ex(n,s) * v^-1 of layer (la, n)."""
 
+    __slots__ = ("label", "left_tableau", "right_tableau", "left_coset", "right_coset", "element")
     label: ReflectedLabel
     left_tableau: StandardTableau
     right_tableau: StandardTableau

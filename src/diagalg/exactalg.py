@@ -13,17 +13,18 @@ of `evaluate` and as constants a rational function is multiplied by.
 Root-of-unity data is carried by RootSpec(e, f): f is the multiplicative
 order of q and e = e(q) is the least d >= 1 with [d]_q = 0, i.e. the order of
 q^2.  For a field element these satisfy f = 2e, or f = e with e odd, but the
-pair is deliberately not constrained to that (the decision-theory sweep
-exercises raw (e, f) combinations).  All conditions of the form
+pair is deliberately not constrained to that (the oracle-equivalence suite
+of `verify` checks the closed forms on RootSpec(e, e) for even e too, a
+pair no field element has).  All conditions of the form
 eps * q^x = +-1 reduce to congruences mod f via `signed_power_is_one`
 (eps * q^x = -1 is -eps * q^x = 1), which also decides them for q not a
 root of unity (no RootSpec), where only x = 0 can hold.
 
-The module also holds the two base classes of the decision chain
-(`weights`, `criteria`): `ParameterError`, raised for parameters outside
-the theorems' hypotheses (RootSpec refuses e < 2 and f outside {e, 2e} with
-it), and `Record`, the immutable value that RootSpec, the parameter specs
-and the verdicts are built on.
+The module also holds two base classes: `ParameterError`, raised for
+parameters outside the theorems' hypotheses (RootSpec refuses e < 2 and f
+outside {e, 2e} with it), and `Record`, the one base of every immutable
+value with named fields in the package, from RootSpec, the parameter specs
+and the verdicts to Brauer diagrams and the results of `verify`.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ class LaurentPoly:
 
     def __setattr__(self, *args):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):
+        return LaurentPoly, (self.coeffs, self.variable)
 
     @classmethod
     def constant(cls, c: int, variable: str = "q") -> "LaurentPoly":
@@ -350,6 +354,9 @@ class PrimeFieldElement:
     def __setattr__(self, *args):
         raise AttributeError("PrimeFieldElement is immutable")
 
+    def __reduce__(self):
+        return PrimeFieldElement, (self.p, self.value)
+
     def __pow__(self, n: int):
         if n < 0 and self.value == 0:
             raise ZeroDivisionError("cannot invert 0")
@@ -374,36 +381,41 @@ class ParameterError(ValueError):
 
 
 class Record:
-    """Base of the immutable values of the decision chain (RootSpec, the
-    parameter specs of `weights`, the verdicts of `criteria`).
+    """Base of every immutable value with named fields in the package: the
+    records of the decision chain (RootSpec, the parameter specs of
+    `weights`, the verdicts of `criteria`), Brauer diagrams, branching
+    labels, cellular basis elements, box factors, echelon forms and check
+    results.
 
     A subclass names its fields, in order, in `__slots__`; it is built
     positionally, compares equal only to a record of its own type with equal
     fields, hashes as its field tuple and reprs as `Name(field=value, ...)`.
-    Assignment and deletion raise AttributeError; copy and pickle rebuild it
-    through `__reduce__`.  This is what a frozen dataclass gives, without the
-    import and the per-class code generation of `dataclasses` at start-up,
-    which each query of the command line pays.
+    The tuple of field values is kept in one more slot, so equality, hashing
+    and pickling build no tuple per call.  Assignment and deletion raise
+    AttributeError; copy and pickle rebuild it through `__reduce__`.  A
+    subclass costs no import and no code generated per class at start-up,
+    which each query of the command line would pay.
     """
 
-    __slots__ = ()
+    __slots__ = ("_field_values",)
 
     def __init__(self, *values):
         if len(values) != len(self.__slots__):
             raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
+        object.__setattr__(self, "_field_values", values)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return self._field_values
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return self._field_values == other._field_values
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._field_values)
 
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -416,7 +428,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._field_values
 
 
 class RootSpec(Record):

@@ -76,11 +76,10 @@ from array import array
 from fractions import Fraction
 from functools import cache
 from math import isqrt
-from typing import NamedTuple
 
 from .branching import double_factorial_odd
 from .brauer import all_diagrams, compose_diagrams, full_closure_cycles, involute_diagram
-from .exactalg import PrimeFieldElement, is_prime
+from .exactalg import PrimeFieldElement, Record, is_prime
 from .weights import BrauerParams, IntegerDelta, ParameterError, n1_cap, validate_params
 
 _SCREEN_PRIME = 67_108_859  # the largest prime below 2^26: the char-0 screen
@@ -151,10 +150,11 @@ def _unpack(x: int, size: int, count: int):
     return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
-class Echelon(NamedTuple):
+class Echelon(Record):
     """Row echelon form of an integer matrix over F_p, in packed lanes of
     `width` bits (see the module docstring).  The rank is len(columns)."""
 
+    __slots__ = ("p", "width", "columns", "rows")
     p: int
     width: int
     columns: list[int]  # the pivot column of each pivot row, in the order found

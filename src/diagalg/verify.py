@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
@@ -60,7 +59,7 @@ from .criteria import (
     mprime_bruteforce,
     mprime_closed,
 )
-from .exactalg import LaurentPoly, RationalFunction, RootSpec, qint
+from .exactalg import LaurentPoly, ParameterError, RationalFunction, Record, RootSpec, qint
 from .gram import first_degenerate_level, generic_structure_check
 from .partitions import partitions_of, size
 from .weights import (
@@ -82,14 +81,14 @@ from .weights import (
 _SEED = 20260814
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one named check inside a suite."""
 
+    __slots__ = ("suite", "name", "passed", "detail")
     suite: str
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
 
 
 def _check(suite: str, name: str, check: Callable[[], bool]) -> CheckResult:
@@ -98,7 +97,7 @@ def _check(suite: str, name: str, check: Callable[[], bool]) -> CheckResult:
     as its detail, and the suite goes on.  Every suite builds its results
     here."""
     try:
-        return CheckResult(suite, name, bool(check()))
+        return CheckResult(suite, name, bool(check()), "")
     except RuntimeError as exc:
         return CheckResult(suite, name, False, str(exc))
 
@@ -335,7 +334,7 @@ SUITES = {
 def run_suite(name: str, max_n: int | None = None) -> list[CheckResult]:
     """Runs one suite by name (see SUITES); max_n overrides the default depth."""
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+        raise ParameterError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     _check_depth(name, max_n)
     fn = SUITES[name][0]
     return fn() if max_n is None else fn(max_n)
@@ -345,10 +344,10 @@ def _check_depth(name: str, max_n: int | None) -> None:
     if max_n is None:
         return
     if max_n < 2:
-        raise ValueError(f"max_n must be >= 2, got {max_n}: below it some checks cover no case")
+        raise ParameterError(f"max_n must be >= 2, got {max_n}: below it some checks cover no case")
     ceiling = SUITES[name][1]
     if ceiling is not None and max_n > ceiling:
-        raise ValueError(f"max_n for suite {name!r} must be <= {ceiling}, got {max_n}")
+        raise ParameterError(f"max_n for suite {name!r} must be <= {ceiling}, got {max_n}")
 
 
 def run_all(max_n: int | None = None) -> list[CheckResult]:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from operator import mul
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .exactalg import (
     LaurentPoly,
@@ -235,10 +235,11 @@ QHOOK = "[h]"  # [h]_q: zero iff e | h
 DIAG_HOOK = "1-q^(-2h)"  # zero iff e | h
 
 
-class BoxFactor(NamedTuple):
+class BoxFactor(Record):
     """The factor of one box: the product of `terms` over the hook h
     in the denominator form `den`."""
 
+    __slots__ = ("box", "terms", "hook", "den")
     box: Box
     terms: tuple[tuple[str, int], ...]
     hook: int

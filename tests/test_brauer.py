@@ -106,9 +106,11 @@ def test_permutation_diagrams_compose_functionally():
 def test_composition_is_associative_with_loop_totals():
     for n in range(4):
         ds = all_diagrams(n)
+        matchings = set(ds)  # compose_diagrams skips the matching check: each product must be one of these
         for a in ds:
             for b in ds:
                 ab, l_ab = compose_diagrams(a, b)
+                assert ab in matchings
                 for c in ds:
                     left, l_left = compose_diagrams(ab, c)
                     bc, l_bc = compose_diagrams(b, c)

@@ -149,6 +149,14 @@ def test_decide_and_weights_load_only_the_decision_chain():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == last_line
+    # every record of the package, Brauer diagrams and check results too, is
+    # an `exactalg.Record`, so even the heaviest command loads neither module
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, diagalg.verify; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_decide_json_unbounded_flag(capsys):
@@ -451,6 +459,7 @@ def test_readme_lists_every_verification_suite():
 def test_verify_suite_names_come_from_the_suites_table(capsys):
     code, out, err = run(["verify", "--suite", "nope"], capsys)
     assert code == 2 and out == "" and "unknown suite 'nope'" in err
+    assert err.startswith("parameter error: ")
     assert all(name in err for name in SUITES)
     for suite in (*SUITES, "all"):
         code, out, _ = run(["verify", "--suite", suite, "--max-n", "2"], capsys)
@@ -461,6 +470,7 @@ def test_verify_rejects_depths_that_check_nothing(capsys):
     for suite, max_n in (("counting", "0"), ("oracle-equivalence", "1"), ("all", "-3")):
         code, out, err = run(["verify", "--suite", suite, "--max-n", max_n], capsys)
         assert code == 2 and "max_n must be >= 2" in err and "PASS" not in out
+        assert err.startswith("parameter error: ")
     code, out, _ = run(["verify", "--suite", "oracle-equivalence", "--max-n", "2"], capsys)
     assert code == 0 and "3/3 checks passed" in out
 
@@ -532,8 +542,6 @@ def test_verify_reports_a_failed_count_guard_as_failed_checks(capsys, monkeypatc
 
 
 def test_verify_reports_a_non_integer_cellular_coefficient(capsys, monkeypatch):
-    from dataclasses import replace
-
     from diagalg import cellular
     from diagalg.brauer import DELTA, AlgebraElement
 
@@ -544,7 +552,10 @@ def test_verify_reports_a_non_integer_cellular_coefficient(capsys, monkeypatch):
         if n != 2:
             return b
         terms = {d: c * DELTA for d, c in b[0].element.terms.items()}
-        return (replace(b[0], element=AlgebraElement(n, terms)), *b[1:])
+        c = b[0]
+        patched = cellular.CellularBasisElement(c.label, c.left_tableau, c.right_tableau, c.left_coset,
+                                                c.right_coset, AlgebraElement(n, terms))
+        return (patched, *b[1:])
 
     monkeypatch.setattr(cellular, "gl_basis", delta_in_first_element)
     cellular._transition_inverse.cache_clear()
@@ -567,3 +578,4 @@ def test_verify_rejects_depths_past_the_suite_ceiling(capsys):
         code, out, err = run(["verify", "--suite", suite, "--max-n", str(ceiling + 1)], capsys)
         assert time.monotonic() - start < 5.0
         assert code == 2 and out == "" and f"<= {ceiling}" in err
+        assert err.startswith("parameter error: ")

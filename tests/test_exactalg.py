@@ -1,5 +1,5 @@
 """Tests for the exact scalar layer: Laurent polynomials, rational functions, F_p,
-and the immutable records of the decision chain."""
+and the immutable records built on `exactalg.Record`."""
 
 import copy
 import pickle
@@ -10,6 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagalg.branching import ReflectedLabel
+from diagalg.brauer import DELTA, AlgebraElement, identity_diagram
+from diagalg.cellular import gl_basis
 from diagalg.criteria import Verdict, decide
 from diagalg.exactalg import (
     LaurentPoly,
@@ -22,7 +25,9 @@ from diagalg.exactalg import (
     qint,
     signed_power_is_one,
 )
+from diagalg.gram import rank_mod_p
 from diagalg.partitions import partitions_of
+from diagalg.verify import CheckResult
 from diagalg.weights import (
     BMWParams,
     BrauerParams,
@@ -32,6 +37,7 @@ from diagalg.weights import (
     QBrauerParams,
     RootOfUnity,
     SignedPower,
+    box_factors,
     evaluate_weight,
 )
 
@@ -201,6 +207,12 @@ _RECORDS = (
     _BMW,
     QBrauerParams(0, NotRootOfUnity(), SignedPower(1, 3)),
     decide(_BMW),
+    identity_diagram(2),
+    ReflectedLabel((1,), 3),
+    gl_basis(2)[1],
+    next(box_factors("bmw", (1,))),
+    rank_mod_p([[1, 2], [3, 4]], 7),
+    CheckResult("counting", "a check", False, "counterexample: n=2"),
 )
 
 
@@ -214,7 +226,14 @@ def test_records_compare_by_type_and_fields():
     assert table[BMWParams(3, NotRootOfUnity(), SignedPower(1, 2))] == "bmw"
     for record in _RECORDS:
         twin = type(record)(*record._values())
-        assert twin == record and hash(twin) == hash(record) == hash(record._values())
+        assert twin == record
+        try:
+            fields_hash = hash(record._values())
+        except TypeError:  # a list or an AlgebraElement field: the record is unhashable too
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(twin) == hash(record) == fields_hash
 
 
 def test_record_repr_names_every_field():
@@ -227,6 +246,9 @@ def test_record_repr_names_every_field():
     assert repr(decide(BrauerParams(0, IntegerDelta(2)))) == (
         "Verdict(m=3, constituents=(Constituent(name='m0(2)', value=3),), witness=((2, 1), (2, 1)), normalized=())"
     )
+    assert repr(identity_diagram(1)) == "BrauerDiagram(matching=(1, 0))"
+    assert repr(ReflectedLabel((2, 1), 5)) == "ReflectedLabel(shape=(2, 1), level=5)"
+    assert repr(CheckResult("gram", "a check", True, "")) == "CheckResult(suite='gram', name='a check', passed=True, detail='')"
 
 
 def test_records_are_immutable_and_copy_and_pickle_to_equals():
@@ -241,6 +263,11 @@ def test_records_are_immutable_and_copy_and_pickle_to_equals():
     for record in _RECORDS:
         for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
+    # the values records hold copy and pickle as well: a weight's value mod p,
+    # and a cellular basis element's AlgebraElement with Laurent coefficients
+    for value in (PrimeFieldElement(7, 3), AlgebraElement(1, {identity_diagram(1): DELTA})):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
 
 
 def test_records_take_exactly_their_fields():
