@@ -251,6 +251,9 @@ class RationalFunction:
     def __setattr__(self, *args):
         raise AttributeError("RationalFunction is immutable")
 
+    def __reduce__(self):
+        return RationalFunction, (self.num, self.den)
+
     @classmethod
     def constant(cls, c: int | Fraction, variable: str = "q") -> "RationalFunction":
         """The rational number c as an integer numerator over an integer denominator."""

@@ -2,12 +2,18 @@
 
 The bilinear form is (b, b') -> tr(b * b'); on diagrams the value is a pure
 power delta^k with k = loops(b, b') + cycles(b b') - n <= 0, and k = 0
-exactly when b' = b*.  Scaling the matrix by delta^n clears denominators, so
-for integral delta the scaled Gram matrix is an integer matrix.  Matrices are
-plain lists of rows.  `rank` takes entries that are ints or
-PrimeFieldElements of one field F_p.  `gram_matrix` gives entries of
-delta's type (int, Fraction or PrimeFieldElement), except that an unscaled
-matrix at an int delta has Fraction entries, never floats.
+exactly when b' = b*.  The exponents are symmetric under a group of four:
+k(a, b) = k(b, a), because the Markov trace is a trace, and k(a, b) =
+k(b*, a*) = k(a*, b*), because * is an anti-automorphism, (ab)* = b* a*,
+that fixes the trace.  So `gram_exponents` composes one pair of diagrams
+per orbit of {transpose, *} and writes the orbit's entries from it.
+
+Scaling the matrix by delta^n clears denominators, so for integral delta
+the scaled Gram matrix is an integer matrix.  Matrices are plain lists of
+rows.  `rank` takes entries that are ints or PrimeFieldElements of one
+field F_p.  `gram_matrix` gives entries of delta's type (int, Fraction or
+PrimeFieldElement), except that an unscaled matrix at an int delta has
+Fraction entries, never floats.
 
 `rank` is the one entry point, and every rank is one modular elimination:
 `rank_mod_p`, row echelon form over F_p, which returns the echelon (the
@@ -100,15 +106,28 @@ MAX_SCREENS = 24
 
 
 @cache
-def gram_exponents(n: int) -> tuple[tuple[int, ...], ...]:
-    """The integer matrix k with tr(b_i * b_j) = delta^k[i][j]."""
+def involute_indices(n: int) -> tuple[int, ...]:
+    """The index in all_diagrams(n) of the involute b* of each diagram b."""
     ds = all_diagrams(n)
+    index = {d: i for i, d in enumerate(ds)}
+    return tuple(index[involute_diagram(d)] for d in ds)
+
+
+@cache
+def gram_exponents(n: int) -> tuple[tuple[int, ...], ...]:
+    """The integer matrix k with tr(b_i * b_j) = delta^k[i][j], from one
+    composition per {transpose, *} orbit of pairs (see the module docstring)."""
+    ds = all_diagrams(n)
+    star = involute_indices(n)
     size = len(ds)
-    k = [[0] * size for _ in range(size)]
+    k = [[None] * size for _ in range(size)]
     for i in range(size):
+        a, row, si = ds[i], k[i], star[i]
         for j in range(i, size):
-            d, loops = compose_diagrams(ds[i], ds[j])
-            k[i][j] = k[j][i] = loops + full_closure_cycles(d) - n
+            if row[j] is None:
+                d, loops = compose_diagrams(a, ds[j])
+                sj = star[j]
+                row[j] = k[j][i] = k[si][sj] = k[sj][si] = loops + full_closure_cycles(d) - n
     return tuple(tuple(row) for row in k)
 
 
@@ -334,11 +353,9 @@ def generic_structure_check(n: int) -> bool:
     This is the structural reason the Gram determinant is nonzero for
     generic delta: the only delta^0 entries form a permutation matrix.
     """
-    ds = all_diagrams(n)
-    index = {d: i for i, d in enumerate(ds)}
     return all(
-        max(row) <= 0 and row.count(0) == 1 and row[index[involute_diagram(b)]] == 0
-        for b, row in zip(ds, gram_exponents(n))
+        max(row) <= 0 and row.count(0) == 1 and row[s] == 0
+        for s, row in zip(involute_indices(n), gram_exponents(n))
     )
 
 

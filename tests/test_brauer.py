@@ -103,6 +103,58 @@ def test_permutation_diagrams_compose_functionally():
     assert involute_diagram(perm_diagram(p)) == perm_diagram(perm_inverse(p))
 
 
+def _components(size: int, edges) -> tuple[list[int], int]:
+    """Union-find on vertices 0..size-1: the root of each vertex, and the
+    number of components."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in edges:
+        parent[find(x)] = find(y)
+    roots = [find(x) for x in range(size)]
+    return roots, len(set(roots))
+
+
+def _reference_compose(a, b) -> tuple[tuple[int, ...], int]:
+    """a over b on the 3n stacked vertices: a's top row 0..n-1, the middle
+    row n..2n-1 (a's bottom, b's top) and b's bottom row 2n..3n-1.  Each
+    component holds two outer vertices, the ends of one strand of the
+    product, or none, a closed loop in the middle row."""
+    n = a.n
+    edges = list(enumerate(a.matching)) + [(v + n, w + n) for v, w in enumerate(b.matching)]
+    roots, _ = _components(3 * n, edges)
+    outer = list(range(n)) + list(range(2 * n, 3 * n))  # product vertex v is outer[v]
+    ends: dict[int, list[int]] = {}
+    for v, x in enumerate(outer):
+        ends.setdefault(roots[x], []).append(v)
+    matching = [-1] * (2 * n)
+    for v, w in ends.values():
+        matching[v], matching[w] = w, v
+    loops = len({roots[x] for x in range(n, 2 * n)} - set(ends))
+    return tuple(matching), loops
+
+
+def test_compose_and_closure_match_union_find_references():
+    rng = random.Random(20261019)
+    ds5 = all_diagrams(5)
+    pairs = [(a, b) for n in range(4) for a in all_diagrams(n) for b in all_diagrams(n)]
+    pairs += [(rng.choice(ds5), rng.choice(ds5)) for _ in range(2000)]
+    for a, b in pairs:
+        d, loops = compose_diagrams(a, b)
+        assert (d.matching, loops) == _reference_compose(a, b)
+    for d in {d for pair in pairs for d in pair}:
+        n = d.n
+        closed = list(enumerate(d.matching)) + [(i, n + i) for i in range(n)]
+        assert full_closure_cycles(d) == _components(2 * n, closed)[1]
+    with pytest.raises(ValueError, match="^size mismatch: 2 vs 3$"):
+        compose_diagrams(identity_diagram(2), identity_diagram(3))
+
+
 def test_composition_is_associative_with_loop_totals():
     for n in range(4):
         ds = all_diagrams(n)

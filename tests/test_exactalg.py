@@ -264,8 +264,14 @@ def test_records_are_immutable_and_copy_and_pickle_to_equals():
         for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
     # the values records hold copy and pickle as well: a weight's value mod p,
-    # and a cellular basis element's AlgebraElement with Laurent coefficients
-    for value in (PrimeFieldElement(7, 3), AlgebraElement(1, {identity_diagram(1): DELTA})):
+    # a cellular basis element's AlgebraElement with Laurent coefficients,
+    # and a symbolic weight
+    values = (
+        PrimeFieldElement(7, 3),
+        AlgebraElement(1, {identity_diagram(1): DELTA}),
+        RationalFunction(LaurentPoly({1: 2}), LaurentPoly({0: 1, 2: -3})),
+    )
+    for value in values:
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
 

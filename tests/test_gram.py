@@ -68,6 +68,24 @@ def test_gram_exponents_match_cycle_count_reference():
         assert gram_exponents(n) == expected
 
 
+def test_gram_exponents_compose_one_pair_per_transpose_star_orbit(monkeypatch):
+    # k(a, b) = k(b, a) = k(a*, b*) = k(b*, a*): one composition per orbit
+    calls = []
+    compose = gram.compose_diagrams
+    monkeypatch.setattr(gram, "compose_diagrams", lambda a, b: calls.append((a, b)) or compose(a, b))
+    for n, expected in enumerate((1, 1, 6, 76, 2965)):
+        ds = all_diagrams(n)
+        star = [ds.index(involute_diagram(d)) for d in ds]
+        orbits = {
+            frozenset({(i, j), (j, i), (star[i], star[j]), (star[j], star[i])})
+            for i in range(len(ds))
+            for j in range(len(ds))
+        }
+        calls.clear()
+        gram_exponents.__wrapped__(n)
+        assert len(calls) == len(orbits) == expected
+
+
 def test_gram_matrix_values_small():
     g = gram_matrix(2, Fraction(5))
     assert g[0][0] == 1
