@@ -7,17 +7,21 @@ delta enter only at the Gram matrices, which are built from loop and cycle
 counts directly.
 
 A diagram on n strands is a perfect matching of 2n vertices: top vertices
-1..n and bottom vertices 1..n, stored 0-based as a partner array of length
-2n (top i at index i-1, bottom i at index n+i-1).  The product a * b stacks
-a over b (a's bottom row glued to b's top row) and multiplies by delta per
-closed loop removed.  Permutation diagrams join bottom i to top pi(i), so
+1..n and bottom vertices 1..n, stored 0-based as a partner tuple of length
+2n (top i at index i-1, bottom i at index n+i-1), so a diagram is the
+tuple itself, hashed and ordered as one.  The product a * b stacks a over b
+(a's bottom row glued to b's top row) and multiplies by delta per closed
+loop removed.  Permutation diagrams join bottom i to top pi(i), so
 perm_diagram(p) * perm_diagram(q) = perm_diagram(p o q).
 
 A matching is checked where it is assembled from pairs a caller supplies,
-in `diagram_from_pairs`, through which every diagram but a product is
-built.  `compose_diagrams` joins each vertex to the other end of its
-strand, so its output is a matching by construction and is not checked
-again; the Gram exponents of level 5 compose 225 369 pairs.
+in `diagram_from_pairs`, through which every diagram that is not derived
+from another is built.  The derived ones are not checked again: their
+outputs are matchings by construction.  `compose_diagrams` joins each
+vertex to the other end of its strand (the Gram exponents of level 5
+compose 225 369 pairs), and `involute_diagram`, `embed_diagram` and
+`closure_diagram` relabel the vertices of a matching, adding or removing
+one pair of partners.
 
 The module also provides the tower structure used by the Markov trace:
 embed (add a vertical strand on the right), closure (join the last top and
@@ -37,60 +41,30 @@ from math import comb, factorial
 from typing import Iterator
 
 from .branching import double_factorial_odd
-from .exactalg import LaurentPoly, Record
+from .exactalg import LaurentPoly
 
 DELTA = LaurentPoly.monomial(1, variable="delta")  # the loop value
 
 Perm = tuple[int, ...]  # one-line notation, 1-based values
+BrauerDiagram = tuple[int, ...]  # partner tuple, 0-based values, length 2n
 
 
-class BrauerDiagram(Record):
-    """A perfect matching of n top and n bottom vertices (partner array).
-
-    The type takes its matching as given: `diagram_from_pairs` checks it."""
-
-    __slots__ = ("matching",)
-    matching: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.matching) // 2
-
-    @property
-    def through_count(self) -> int:
-        """Number of strands joining the top row to the bottom row."""
-        return sum(1 for i in range(self.n) if self.matching[i] >= self.n)
-
-    def top_arcs(self) -> tuple[tuple[int, int], ...]:
-        """Top-to-top arcs as 1-based (lo, hi) pairs sorted by lo."""
-        n = self.n
-        return tuple(
-            (i + 1, self.matching[i] + 1)
-            for i in range(n)
-            if i < self.matching[i] < n
-        )
-
-    def bottom_arcs(self) -> tuple[tuple[int, int], ...]:
-        """Bottom-to-bottom arcs as 1-based (lo, hi) pairs sorted by lo."""
-        n = self.n
-        return tuple(
-            (i - n + 1, self.matching[i] - n + 1)
-            for i in range(n, 2 * n)
-            if i < self.matching[i]
-        )
+def through_count(d: BrauerDiagram) -> int:
+    """Number of strands joining the top row to the bottom row."""
+    n = len(d) // 2
+    return sum(1 for w in d[:n] if w >= n)
 
 
 def diagram_from_pairs(n: int, pairs) -> BrauerDiagram:
-    """Builds a diagram from 0-based vertex pairs covering 0..2n-1; pairs
-    that do not make a fixed-point-free involution are a ValueError."""
-    m = [-1] * (2 * n)
+    """Builds a diagram from n 0-based vertex pairs; pairs that do not cover
+    each of 0..2n-1 exactly once are a ValueError."""
+    pairs = [(x, y) for x, y in pairs]
+    if sorted(v for pair in pairs for v in pair) != list(range(2 * n)):
+        raise ValueError(f"not a perfect matching of 0..{2 * n - 1}: {pairs}")
+    m = [0] * (2 * n)
     for x, y in pairs:
         m[x], m[y] = y, x
-    m = tuple(m)
-    for i, p in enumerate(m):
-        if not 0 <= p < 2 * n or p == i or m[p] != i:
-            raise ValueError(f"not a fixed-point-free involution: {m}")
-    return BrauerDiagram(m)
+    return tuple(m)
 
 
 def identity_diagram(n: int) -> BrauerDiagram:
@@ -158,10 +132,9 @@ def compose_diagrams(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram,
     strand of the product is followed from one of its ends through the
     middle row; middle vertices no strand reaches lie on closed loops.
     """
-    ma, mb = a.matching, b.matching
-    n = len(ma) // 2
-    if len(mb) != 2 * n:
-        raise ValueError(f"size mismatch: {n} vs {len(mb) // 2}")
+    n = len(a) // 2
+    if len(b) != 2 * n:
+        raise ValueError(f"size mismatch: {n} vs {len(b) // 2}")
     seen = [False] * n  # middle vertices met so far
     out = [-1] * (2 * n)
     for v in range(2 * n):
@@ -173,13 +146,13 @@ def compose_diagrams(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram,
         w = v
         while True:
             if in_b:
-                w = mb[w]
+                w = b[w]
                 if w >= n:
                     break
                 seen[w] = True
                 w += n
             else:
-                w = ma[w]
+                w = a[w]
                 if w < n:
                     break
                 w -= n
@@ -193,69 +166,53 @@ def compose_diagrams(a: BrauerDiagram, b: BrauerDiagram) -> tuple[BrauerDiagram,
             x = m
             while not seen[x]:
                 seen[x] = True
-                x = mb[x]
+                x = b[x]
                 seen[x] = True
-                x = ma[n + x] - n
-    return BrauerDiagram(tuple(out)), loops
+                x = a[n + x] - n
+    return tuple(out), loops
 
 
 def involute_diagram(d: BrauerDiagram) -> BrauerDiagram:
-    """The anti-automorphism *: reflect top-to-bottom."""
-    n = d.n
-
-    def flip(v: int) -> int:
-        return v + n if v < n else v - n
-
-    return diagram_from_pairs(n, [(flip(i), flip(d.matching[i])) for i in range(n * 2) if i < d.matching[i]])
+    """The anti-automorphism *: reflect top-to-bottom, so the partner of
+    v +- n is the partner of v, +- n."""
+    n = len(d) // 2
+    return tuple(w + n if w < n else w - n for w in d[n:] + d[:n])
 
 
 def embed_diagram(d: BrauerDiagram) -> BrauerDiagram:
-    """iota: add a vertical strand at position n+1."""
-    n = d.n
-
-    def remap(v: int) -> int:
-        return v if v < n else v + 1
-
-    pairs = [(remap(i), remap(d.matching[i])) for i in range(2 * n) if i < d.matching[i]]
-    pairs.append((n, 2 * n + 1))
-    return diagram_from_pairs(n + 1, pairs)
+    """iota: add a vertical strand at position n+1, after top n and after
+    bottom n, so bottom vertices move up by one."""
+    n = len(d) // 2
+    top = tuple(w + (w >= n) for w in d[:n])
+    bottom = tuple(w + (w >= n) for w in d[n:])
+    return top + (2 * n + 1,) + bottom + (n,)
 
 
 def closure_diagram(d: BrauerDiagram) -> tuple[BrauerDiagram, int]:
     """Joins top n to bottom n; returns (diagram on n-1 strands, loops).
 
-    A vertical strand at position n closes into one loop; cl(iota(x)) is
-    delta * x at the element level.
+    The partners x, y of the two joined vertices become partners of each
+    other, unless the joined vertices are partners (a vertical strand at
+    position n): that strand closes into one loop, so cl(iota(x)) is
+    delta * x at the element level.  Dropping top n moves the bottom
+    vertices down by one.
     """
-    n = d.n
+    n = len(d) // 2
     if n == 0:
         raise ValueError("cannot close the empty diagram")
     t_last, b_last = n - 1, 2 * n - 1
-
-    def remap(v: int) -> int:
-        return v if v < n else v - 1
-
-    if d.matching[t_last] == b_last:
-        pairs = [
-            (remap(i), remap(d.matching[i]))
-            for i in range(2 * n)
-            if i < d.matching[i] and i != t_last
-        ]
-        return diagram_from_pairs(n - 1, pairs), 1
-    x, y = d.matching[t_last], d.matching[b_last]
-    pairs = [
-        (remap(i), remap(d.matching[i]))
-        for i in range(2 * n)
-        if i < d.matching[i] and t_last not in (i, d.matching[i]) and b_last not in (i, d.matching[i])
-    ]
-    pairs.append((remap(x), remap(y)))
-    return diagram_from_pairs(n - 1, pairs), 0
+    m = list(d)
+    x, y = m[t_last], m[b_last]
+    loops = 1 if x == b_last else 0
+    if not loops:
+        m[x], m[y] = y, x
+    del m[b_last], m[t_last]
+    return tuple(w - (w >= n) for w in m), loops
 
 
 def full_closure_cycles(d: BrauerDiagram) -> int:
     """Number of loops after closing every top i with bottom i."""
-    m = d.matching
-    n = len(m) // 2
+    n = len(d) // 2
     seen = [False] * (2 * n)
     cycles = 0
     for v0 in range(2 * n):
@@ -265,7 +222,7 @@ def full_closure_cycles(d: BrauerDiagram) -> int:
         v = v0
         while not seen[v]:
             seen[v] = True
-            w = m[v]
+            w = d[v]
             seen[w] = True
             v = w + n if w < n else w - n
     return cycles
@@ -285,9 +242,9 @@ def _pairings(values: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
 @cache
 def all_diagrams(n: int) -> tuple[BrauerDiagram, ...]:
     """All (2n-1)!! diagrams, sorted by through-strand count (descending)
-    then by partner array; this is the Gram matrix basis order."""
+    then by partner tuple; this is the Gram matrix basis order."""
     ds = [diagram_from_pairs(n, pairs) for pairs in _pairings(tuple(range(2 * n)))]
-    ds.sort(key=lambda d: (-d.through_count, d.matching))
+    ds.sort(key=lambda d: (-through_count(d), d))
     if len(ds) != double_factorial_odd(n):
         raise RuntimeError(f"enumerated {len(ds)} diagrams at n = {n}, expected (2n-1)!!")
     return tuple(ds)
@@ -305,8 +262,8 @@ class AlgebraElement:
     def __init__(self, n: int, terms: dict[BrauerDiagram, object] | None = None):
         clean = {}
         for d, c in (terms or {}).items():
-            if d.n != n:
-                raise ValueError(f"diagram on {d.n} strands in an n={n} element")
+            if len(d) != 2 * n:
+                raise ValueError(f"diagram on {len(d) // 2} strands in an n={n} element")
             if c != 0:
                 clean[d] = c
         object.__setattr__(self, "n", n)
@@ -320,7 +277,7 @@ class AlgebraElement:
 
     @classmethod
     def from_diagram(cls, d: BrauerDiagram, coeff=1) -> "AlgebraElement":
-        return cls(d.n, {d: coeff})
+        return cls(len(d) // 2, {d: coeff})
 
     def support(self) -> frozenset[BrauerDiagram]:
         return frozenset(self.terms)
@@ -339,7 +296,7 @@ class AlgebraElement:
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*{d}" for d, c in sorted(self.terms.items(), key=lambda t: t[0].matching))
+        return " + ".join(f"{c}*{d}" for d, c in sorted(self.terms.items()))
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -420,21 +377,18 @@ def factorize(d: BrauerDiagram) -> tuple[Perm, Perm, Perm, int]:
     strands: d has top arcs (u(l+2k-1), u(l+2k)), bottom arcs from v, and
     through strand bottom v(i) joined to top u(pi(i)).
     """
-    n = d.n
-    top_arcs = d.top_arcs()
-    bottom_arcs = d.bottom_arcs()
-    s = len(top_arcs)
-    ell = n - 2 * s
-    through_tops = sorted(i + 1 for i in range(n) if d.matching[i] >= n)
-    through_bottoms = sorted(j + 1 - n for j in range(n, 2 * n) if d.matching[j] < n)
-    u = tuple(through_tops) + tuple(v for arc in top_arcs for v in arc)
-    v = tuple(through_bottoms) + tuple(w for arc in bottom_arcs for w in arc)
-    pi = []
-    for i in range(ell):
-        beta = v[i]  # 1-based bottom vertex
-        tau = d.matching[n + beta - 1] + 1  # its 1-based top partner
-        pi.append(through_tops.index(tau) + 1)
-    return u, tuple(pi), v, s
+    n = len(d) // 2
+    through_tops = [i + 1 for i in range(n) if d[i] >= n]
+    through_bottoms = [j + 1 - n for j in range(n, 2 * n) if d[j] < n]
+    # arcs as 1-based (lo, hi) pairs sorted by lo, flattened
+    top_arcs = [w for i in range(n) if i < d[i] < n for w in (i + 1, d[i] + 1)]
+    bottom_arcs = [w for j in range(n, 2 * n) if j < d[j] for w in (j + 1 - n, d[j] + 1 - n)]
+    s = len(top_arcs) // 2
+    u = tuple(through_tops + top_arcs)
+    v = tuple(through_bottoms + bottom_arcs)
+    # through strand bottom beta = v(i) joins top d[n + beta - 1] + 1 = u(pi(i))
+    pi = tuple(through_tops.index(d[n + beta - 1] + 1) + 1 for beta in v[: len(through_tops)])
+    return u, pi, v, s
 
 
 def recompose(u: Perm, pi: Perm, v: Perm, s: int) -> tuple[BrauerDiagram, int]:

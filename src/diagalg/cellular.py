@@ -38,6 +38,7 @@ from .brauer import (
     perm_diagram,
     perm_extend,
     perm_inverse,
+    through_count,
 )
 from .exactalg import LaurentPoly, Record
 from .partitions import Ordering, Partition, size
@@ -330,7 +331,7 @@ def ideal_identification(n: int) -> bool:
     with at least one arc."""
     if n < 2:
         return True
-    arc_diagrams = {d for d in all_diagrams(n) if d.through_count < n}
+    arc_diagrams = {d for d in all_diagrams(n) if through_count(d) < n}
     # every lower-layer basis element is supported on arc diagrams
     for c in gl_basis(n):
         if in_order_ideal_zero(c.label):
@@ -338,7 +339,7 @@ def ideal_identification(n: int) -> bool:
                 return False
         else:
             # top layer (|la| = n): a sum of permutation diagrams
-            if not all(d.through_count == n for d in c.element.support()):
+            if not all(through_count(d) == n for d in c.element.support()):
                 return False
     # the ideal generated by e_(n-1) reaches every arc diagram
     e = AlgebraElement.from_diagram(generator("e", n - 1, n))

@@ -162,6 +162,8 @@ def mprime_bruteforce(kind: int, N: int, eps: int, spec: RootSpec, char2: bool, 
     kind 3: eps*q^(N+b(i,i)) = -1; with witness, else UNBOUNDED."""
     if kind not in (1, 2, 3):
         raise ParameterError(f"kind must be 1..3, got {kind}")
+    if search_limit < 2:
+        raise ParameterError(f"search_limit must be >= 2, got {search_limit}")
     for n in range(2, search_limit + 1):
         table = _table(kind, n)
         if kind == 1:

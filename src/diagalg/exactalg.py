@@ -386,9 +386,8 @@ class ParameterError(ValueError):
 class Record:
     """Base of every immutable value with named fields in the package: the
     records of the decision chain (RootSpec, the parameter specs of
-    `weights`, the verdicts of `criteria`), Brauer diagrams, branching
-    labels, cellular basis elements, box factors, echelon forms and check
-    results.
+    `weights`, the verdicts of `criteria`), branching labels, cellular
+    basis elements, box factors, echelon forms and check results.
 
     A subclass names its fields, in order, in `__slots__`; it is built
     positionally, compares equal only to a record of its own type with equal

@@ -307,7 +307,8 @@ def _screen_primes():
 
 def rank(matrix: list[list], p: int = 0) -> int:
     """Exact rank of an integer matrix: over F_p for a prime p, over Q for
-    p = 0.  A matrix of PrimeFieldElements is ranked over their field.
+    p = 0.  A matrix of PrimeFieldElements is ranked over their field, which
+    a nonzero p must name; any other p is a ParameterError.
 
     Over Q the matrix is screened mod P, then mod the primes below it, and
     r is the largest rank seen.  A full screen returns r, and so does the
@@ -319,7 +320,11 @@ def rank(matrix: list[list], p: int = 0) -> int:
     Q is exactly r.  The second screen always runs, since it settles a
     delta that is degenerate only mod P; after it, a bound that would need
     more than MAX_SCREENS primes raises ParameterError."""
+    if p and not is_prime(p):
+        raise ParameterError(f"p must be 0 or a prime, got {p}")
     if matrix and matrix[0] and isinstance(matrix[0][0], PrimeFieldElement):
+        if p not in (0, matrix[0][0].p):
+            raise ParameterError(f"a matrix over F_{matrix[0][0].p} cannot be ranked over F_{p}")
         p = matrix[0][0].p
         matrix = [[x.value for x in row] for row in matrix]
     if p:

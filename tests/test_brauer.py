@@ -69,10 +69,21 @@ def diagram_pairs_st(draw, max_n=4):
 
 
 def test_diagram_validation():
-    with pytest.raises(ValueError):
-        diagram_from_pairs(1, [(0, 0)])  # fixed point
-    with pytest.raises(ValueError):
-        diagram_from_pairs(2, [(0, 1)])  # incomplete matching
+    for n, pairs in [
+        (1, [(0, 0)]),  # fixed point
+        (2, [(0, 1)]),  # incomplete matching
+        (1, [(0, 5)]),  # vertex past 2n - 1
+        (1, [(-1, 0)]),  # negative vertex
+        (1, [(0, 1), (0, 1)]),  # repeated pair
+        (2, [(0, 1), (2, 3), (0, 1)]),  # a complete matching plus a repeat
+        (2, [(0, 1), (1, 2)]),  # a shared vertex
+        (1, []),  # no pairs
+        (0, [(0, 1)]),  # a pair on no vertices
+    ]:
+        with pytest.raises(ValueError):
+            diagram_from_pairs(n, pairs)
+    assert diagram_from_pairs(2, zip([0, 1], [3, 2])) == (3, 2, 1, 0)
+    assert diagram_from_pairs(0, []) == ()
 
 
 def test_diagram_counts():
@@ -125,8 +136,8 @@ def _reference_compose(a, b) -> tuple[tuple[int, ...], int]:
     row n..2n-1 (a's bottom, b's top) and b's bottom row 2n..3n-1.  Each
     component holds two outer vertices, the ends of one strand of the
     product, or none, a closed loop in the middle row."""
-    n = a.n
-    edges = list(enumerate(a.matching)) + [(v + n, w + n) for v, w in enumerate(b.matching)]
+    n = len(a) // 2
+    edges = list(enumerate(a)) + [(v + n, w + n) for v, w in enumerate(b)]
     roots, _ = _components(3 * n, edges)
     outer = list(range(n)) + list(range(2 * n, 3 * n))  # product vertex v is outer[v]
     ends: dict[int, list[int]] = {}
@@ -146,13 +157,67 @@ def test_compose_and_closure_match_union_find_references():
     pairs += [(rng.choice(ds5), rng.choice(ds5)) for _ in range(2000)]
     for a, b in pairs:
         d, loops = compose_diagrams(a, b)
-        assert (d.matching, loops) == _reference_compose(a, b)
+        assert (d, loops) == _reference_compose(a, b)
     for d in {d for pair in pairs for d in pair}:
-        n = d.n
-        closed = list(enumerate(d.matching)) + [(i, n + i) for i in range(n)]
+        n = len(d) // 2
+        closed = list(enumerate(d)) + [(i, n + i) for i in range(n)]
         assert full_closure_cycles(d) == _components(2 * n, closed)[1]
     with pytest.raises(ValueError, match="^size mismatch: 2 vs 3$"):
         compose_diagrams(identity_diagram(2), identity_diagram(3))
+
+
+def _reference_involute(d):
+    """* from the list of reflected pairs, validated."""
+    n = len(d) // 2
+
+    def flip(v):
+        return v + n if v < n else v - n
+
+    return diagram_from_pairs(n, [(flip(i), flip(d[i])) for i in range(2 * n) if i < d[i]])
+
+
+def _reference_embed(d):
+    """iota from the list of shifted pairs plus the new strand, validated."""
+    n = len(d) // 2
+
+    def remap(v):
+        return v if v < n else v + 1
+
+    pairs = [(remap(i), remap(d[i])) for i in range(2 * n) if i < d[i]]
+    pairs.append((n, 2 * n + 1))
+    return diagram_from_pairs(n + 1, pairs)
+
+
+def _reference_closure(d):
+    """cl from the list of shifted pairs that avoid the joined vertices, plus
+    the pair of their partners unless those close a loop, validated."""
+    n = len(d) // 2
+    t_last, b_last = n - 1, 2 * n - 1
+
+    def remap(v):
+        return v if v < n else v - 1
+
+    kept = [(remap(i), remap(d[i])) for i in range(2 * n) if i < d[i] and not {i, d[i]} & {t_last, b_last}]
+    if d[t_last] == b_last:
+        return diagram_from_pairs(n - 1, kept), 1
+    return diagram_from_pairs(n - 1, kept + [(remap(d[t_last]), remap(d[b_last]))]), 0
+
+
+def test_relabellings_match_pair_list_references():
+    """involute, embed and closure skip the matching check, so each result
+    must equal its validated reference and be a diagram of its level."""
+    levels = [set(all_diagrams(n)) for n in range(6)]
+    for n in range(5):
+        for d in all_diagrams(n):
+            star = involute_diagram(d)
+            assert star == _reference_involute(d) and star in levels[n]
+            up = embed_diagram(d)
+            assert up == _reference_embed(d) and up in levels[n + 1]
+            if n:
+                closed, loops = closure_diagram(d)
+                assert (closed, loops) == _reference_closure(d) and closed in levels[n - 1]
+    with pytest.raises(ValueError, match="^cannot close the empty diagram$"):
+        closure_diagram(identity_diagram(0))
 
 
 def test_composition_is_associative_with_loop_totals():

@@ -12,6 +12,7 @@ from diagalg.brauer import (
     generator,
     identity_diagram,
     perm_diagram,
+    through_count,
 )
 from diagalg.cellular import (
     expand_in_gl_basis,
@@ -85,7 +86,7 @@ def test_row_reading_tableau_gives_identity_permutation():
 
 
 def _murphy_matrix(n: int):
-    perms = [d for d in all_diagrams(n) if d.through_count == n]
+    perms = [d for d in all_diagrams(n) if through_count(d) == n]
     idx = {d: i for i, d in enumerate(perms)}
     rows = []
     for la in partitions_of(n):

@@ -220,6 +220,8 @@ def test_bruteforce_rejects_bad_arguments():
         m_bruteforce(0, 1, 1)
     with pytest.raises(ParameterError):
         mprime_bruteforce(0, 0, 1, RootSpec(3, 3), False)
+    with pytest.raises(ParameterError):
+        mprime_bruteforce(1, 0, 1, RootSpec(3, 3), False, 1)
 
 
 def test_primed_examples():

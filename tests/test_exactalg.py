@@ -207,7 +207,6 @@ _RECORDS = (
     _BMW,
     QBrauerParams(0, NotRootOfUnity(), SignedPower(1, 3)),
     decide(_BMW),
-    identity_diagram(2),
     ReflectedLabel((1,), 3),
     gl_basis(2)[1],
     next(box_factors("bmw", (1,))),
@@ -246,7 +245,6 @@ def test_record_repr_names_every_field():
     assert repr(decide(BrauerParams(0, IntegerDelta(2)))) == (
         "Verdict(m=3, constituents=(Constituent(name='m0(2)', value=3),), witness=((2, 1), (2, 1)), normalized=())"
     )
-    assert repr(identity_diagram(1)) == "BrauerDiagram(matching=(1, 0))"
     assert repr(ReflectedLabel((2, 1), 5)) == "ReflectedLabel(shape=(2, 1), level=5)"
     assert repr(CheckResult("gram", "a check", True, "")) == "CheckResult(suite='gram', name='a check', passed=True, detail='')"
 

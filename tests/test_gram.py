@@ -39,13 +39,13 @@ def test_gram_exponents_small():
 
 
 def _reference_exponent(a, b) -> int:
-    """k(a, b) = cycles(a.matching + flip(b.matching)) - n, flip(v) = v +- n:
+    """k(a, b) = cycles(a + flip(b)) - n, flip(v) = v +- n:
     closing a * b joins a's top row to b's bottom row, so b read upside down
     shares a's vertices and each cycle of the two matchings is one loop."""
-    n = a.n
+    n = len(a) // 2
     flip = [v + n if v < n else v - n for v in range(2 * n)]
     mb = [0] * (2 * n)
-    for v, w in enumerate(b.matching):
+    for v, w in enumerate(b):
         mb[flip[v]] = flip[w]
     seen = [False] * (2 * n)
     cycles = 0
@@ -55,7 +55,7 @@ def _reference_exponent(a, b) -> int:
         cycles += 1
         v = v0
         while not seen[v]:
-            w = a.matching[v]
+            w = a[v]
             seen[v] = seen[w] = True
             v = mb[w]
     return cycles - n
@@ -357,6 +357,16 @@ def test_rank_dispatches_on_prime_field_entries():
         tuple(PrimeFieldElement(5, v) for v in row) for row in ((2, 4), (1, 2))
     )
     assert rank(m) == 1
+    assert rank(m, 5) == 1
+    with pytest.raises(ParameterError, match="^a matrix over F_5 cannot be ranked over F_7$"):
+        rank(m, 7)
+
+
+def test_rank_refuses_a_p_that_is_not_zero_or_a_prime():
+    for p in (4, 1, -3, -2, 9):
+        with pytest.raises(ParameterError, match=f"^p must be 0 or a prime, got {p}$"):
+            rank([[1, 2], [2, 4]], p)
+    assert rank([[1, 2], [2, 4]], 2) == rank([[1, 2], [2, 4]]) == 1
 
 
 def test_first_degenerate_level_char_zero():
