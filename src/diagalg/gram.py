@@ -1,19 +1,27 @@
 """Gram matrices of the Markov trace on Br_n(delta), and their exact ranks.
 
 The bilinear form is (b, b') -> tr(b * b'); on diagrams the value is a pure
-power delta^k with k = loops(b, b') + cycles(b b') - n <= 0, and k = 0
+power delta^(c - n), where c = c(b, b') = loops(b, b') + cycles(b b') is
+the number of closed loops when b b' is closed up: c <= n, and c = n
 exactly when b' = b*.  The exponents are symmetric under a group of four:
-k(a, b) = k(b, a), because the Markov trace is a trace, and k(a, b) =
-k(b*, a*) = k(a*, b*), because * is an anti-automorphism, (ab)* = b* a*,
+c(a, b) = c(b, a), because the Markov trace is a trace, and c(a, b) =
+c(b*, a*) = c(a*, b*), because * is an anti-automorphism, (ab)* = b* a*,
 that fixes the trace.  So `gram_exponents` composes one pair of diagrams
-per orbit of {transpose, *} and writes the orbit's entries from it.
+per orbit of {transpose, *} and writes the orbit's entries from it into
+one bytearray per row, where 0 marks an entry not yet filled (c >= 1 for
+n >= 1); each row is frozen to bytes at the end.  At n = 5 the 945 rows
+take about 0.9 MB, where a tuple of tuples of ints takes about 7 MB.
 
-Scaling the matrix by delta^n clears denominators, so for integral delta
-the scaled Gram matrix is an integer matrix.  Matrices are plain lists of
-rows.  `rank` takes entries that are ints or PrimeFieldElements of one
-field F_p.  `gram_matrix` gives entries of delta's type (int, Fraction or
-PrimeFieldElement), except that an unscaled matrix at an int delta has
-Fraction entries, never floats.
+Scaling the matrix by delta^n clears denominators: the scaled entry is
+delta^c, so for integral delta the scaled Gram matrix is an integer
+matrix.  Matrices are plain lists of rows.  `gram_matrix` reads the rows
+through a table of the powers of delta that occur, and gives entries of
+delta's type (int, Fraction or PrimeFieldElement), except that an unscaled
+matrix at an int delta has Fraction entries, never floats.  `rank` takes
+entries that are ints or PrimeFieldElements of one field F_p.  As it packs
+a row, `rank_mod_p` reads each PrimeFieldElement's value in place, so a
+matrix over F_p is never copied as ints, and it refuses a ragged row, or
+an entry of another kind or field than the matrix's, with ParameterError.
 
 `rank` is the one entry point, and every rank is one modular elimination:
 `rank_mod_p`, row echelon form over F_p, which returns the echelon (the
@@ -114,32 +122,37 @@ def involute_indices(n: int) -> tuple[int, ...]:
 
 
 @cache
-def gram_exponents(n: int) -> tuple[tuple[int, ...], ...]:
-    """The integer matrix k with tr(b_i * b_j) = delta^k[i][j], from one
-    composition per {transpose, *} orbit of pairs (see the module docstring)."""
+def gram_exponents(n: int) -> tuple[bytes, ...]:
+    """One bytes row per diagram: row i holds c(b_i, b_j), the number of
+    closed loops of b_i b_j closed up, so tr(b_i * b_j) = delta^(c - n).  One
+    composition per {transpose, *} orbit of pairs fills a bytearray per row,
+    where 0 marks an entry not yet filled (see the module docstring)."""
     ds = all_diagrams(n)
     star = involute_indices(n)
     size = len(ds)
-    k = [[None] * size for _ in range(size)]
+    c = [bytearray(size) for _ in range(size)]
     for i in range(size):
-        a, row, si = ds[i], k[i], star[i]
+        a, row, si = ds[i], c[i], star[i]
         for j in range(i, size):
-            if row[j] is None:
+            if not row[j]:
                 d, loops = compose_diagrams(a, ds[j])
                 sj = star[j]
-                row[j] = k[j][i] = k[si][sj] = k[sj][si] = loops + full_closure_cycles(d) - n
-    return tuple(tuple(row) for row in k)
+                row[j] = c[j][i] = c[si][sj] = c[sj][si] = loops + full_closure_cycles(d)
+    return tuple(map(bytes, c))
 
 
 def gram_matrix(n: int, delta, scaled: bool = False) -> list[list]:
     """The Gram matrix in the all_diagrams(n) basis; `scaled` multiplies by
     delta^n, making entries polynomial (integral for integral delta).  Each
-    distinct power of delta is computed once and shared by its entries."""
-    shift = n if scaled else 0
+    power of delta that occurs is computed once, into a table indexed by c,
+    and shared by its entries."""
+    shift = 0 if scaled else -n
     delta = delta if scaled or not isinstance(delta, int) else Fraction(delta)  # int ** -k is a float
-    k = gram_exponents(n)
-    powers = {e: delta ** (e + shift) for e in set().union(*k)}
-    return [[powers[e] for e in row] for row in k]
+    rows = gram_exponents(n)
+    powers = [None] * (n + 1)
+    for c in set().union(*rows):
+        powers[c] = delta ** (c + shift)
+    return [[powers[c] for c in row] for row in rows]
 
 
 _LANE_FORMATS = {4: "I", 8: "Q"} if sys.byteorder == "little" else {}
@@ -180,16 +193,42 @@ class Echelon(Record):
     rows: list[int]  # lanes in [0, p), 1 at its own pivot, 0 at the pivots before it
 
 
-def rank_mod_p(matrix: list[list[int]], p: int) -> Echelon:
-    """Row echelon form of an integer matrix over F_p by row-incremental
-    elimination on rows packed into one int each (see the module docstring)."""
+def _residues(row, i: int, cols: int, p: int, field: bool) -> list[int]:
+    """Row i of a matrix as residues mod p: the values of a row of
+    PrimeFieldElements, read in place, or the ints of a row reduced.  A row
+    of another length than row 0, or an entry of another kind or another
+    field than the matrix's, is a ParameterError."""
+    if len(row) != cols:
+        raise ParameterError(f"the matrix is ragged: row {i} has {len(row)} entries and row 0 has {cols}")
+    try:
+        residues = [v.value for v in row if v.p == p] if field else [v % p for v in row]
+    except (AttributeError, TypeError):
+        residues = None
+    if residues is None or len(residues) != cols:
+        kind = PrimeFieldElement if field else int
+        odd = next(v for v in row if not isinstance(v, kind) or field and v.p != p)
+        if isinstance(odd, PrimeFieldElement) and field:
+            raise ParameterError(f"the entry {odd!r} in row {i} cannot be ranked over F_{p}")
+        raise ParameterError(f"a matrix of {kind.__name__}s has the entry {odd!r} in row {i}")
+    return residues
+
+
+def rank_mod_p(matrix: list[list], p: int) -> Echelon:
+    """Row echelon form over F_p of a matrix of ints, or of PrimeFieldElements
+    of F_p, by row-incremental elimination on rows packed into one int each
+    (see the module docstring).  Every row is checked as it is packed, also
+    the rows after the rank is full."""
     cols = len(matrix[0]) if matrix else 0
+    field = cols > 0 and isinstance(matrix[0][0], PrimeFieldElement)
     size = _lane_bytes(2 * p.bit_length() + cols.bit_length() + 1)
     width = 8 * size
     mask = (1 << width) - 1
     pivots = []  # (shift of the pivot lane, packed pivot row)
-    for row in matrix:
-        x = _pack([v % p for v in row], size)
+    for i, row in enumerate(matrix):
+        residues = _residues(row, i, cols, p, field)
+        if len(pivots) == cols:
+            continue
+        x = _pack(residues, size)
         for shift, t in pivots:
             g = -(x >> shift & mask) % p
             if g:
@@ -199,8 +238,6 @@ def rank_mod_p(matrix: list[list[int]], p: int) -> Echelon:
         if c is not None:
             inv = pow(lanes[c], -1, p)
             pivots.append((width * c, _pack([v * inv % p for v in lanes], size)))
-            if len(pivots) == cols:
-                break
     return Echelon(p, width, [shift // width for shift, _ in pivots], [t for _, t in pivots])
 
 
@@ -308,7 +345,8 @@ def _screen_primes():
 def rank(matrix: list[list], p: int = 0) -> int:
     """Exact rank of an integer matrix: over F_p for a prime p, over Q for
     p = 0.  A matrix of PrimeFieldElements is ranked over their field, which
-    a nonzero p must name; any other p is a ParameterError.
+    a nonzero p must name; any other p is a ParameterError, and so is a
+    ragged matrix or one that mixes ints and PrimeFieldElements or fields.
 
     Over Q the matrix is screened mod P, then mod the primes below it, and
     r is the largest rank seen.  A full screen returns r, and so does the
@@ -326,7 +364,6 @@ def rank(matrix: list[list], p: int = 0) -> int:
         if p not in (0, matrix[0][0].p):
             raise ParameterError(f"a matrix over F_{matrix[0][0].p} cannot be ranked over F_{p}")
         p = matrix[0][0].p
-        matrix = [[x.value for x in row] for row in matrix]
     if p:
         return len(rank_mod_p(matrix, p).columns)
     full = min(len(matrix), len(matrix[0])) if matrix else 0
@@ -353,13 +390,13 @@ def rank(matrix: list[list], p: int = 0) -> int:
 
 
 def generic_structure_check(n: int) -> bool:
-    """Checks tr(b b') = delta^k with k <= 0, and k = 0 iff b' = b*.
+    """Checks tr(b b') = delta^(c - n) with c <= n, and c = n iff b' = b*.
 
     This is the structural reason the Gram determinant is nonzero for
     generic delta: the only delta^0 entries form a permutation matrix.
     """
     return all(
-        max(row) <= 0 and row.count(0) == 1 and row[s] == 0
+        max(row) <= n and row.count(n) == 1 and row[s] == n
         for s, row in zip(involute_indices(n), gram_exponents(n))
     )
 

@@ -1,13 +1,16 @@
 """Tests for trace-form Gram matrices and exact rank computations."""
 
+import sys
+import tracemalloc
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagalg import gram
+from diagalg.branching import double_factorial_odd
 from diagalg.brauer import all_diagrams, involute_diagram
 from diagalg.criteria import decide
 from diagalg.exactalg import PrimeFieldElement
@@ -26,20 +29,28 @@ from diagalg.weights import BrauerParams, IntegerDelta, ParameterError, vanishin
 
 
 def test_gram_exponents_small():
-    assert gram_exponents(0) == ((0,),)
-    assert gram_exponents(1) == ((0,),)
+    assert gram_exponents(0) == (bytes([0]),)
+    assert gram_exponents(1) == (bytes([1]),)
     m = gram_exponents(2)
     assert len(m) == 3
-    # symmetric, diagonal zero (tr(b b*) = delta^0), off-diagonal <= 0
+    # symmetric, diagonal n (tr(b b*) = delta^0), off-diagonal <= n
     for i in range(3):
-        assert m[i][i] == 0
+        assert m[i][i] == 2
         for j in range(3):
             assert m[i][j] == m[j][i]
-            assert m[i][j] <= 0
+            assert m[i][j] <= 2
+
+
+def test_gram_exponents_of_level_five_take_about_a_megabyte():
+    # 945 rows of 945 bytes, where a tuple of tuples of ints takes about 7 MB
+    rows = gram_exponents(5)
+    assert len(rows) == 945 and all(type(row) is bytes and len(row) == 945 for row in rows)
+    assert sum(map(sys.getsizeof, rows)) < 1.2e6
 
 
 def _reference_exponent(a, b) -> int:
-    """k(a, b) = cycles(a + flip(b)) - n, flip(v) = v +- n:
+    """k(a, b) = cycles(a + flip(b)) - n, flip(v) = v +- n, with
+    tr(a * b) = delta^k:
     closing a * b joins a's top row to b's bottom row, so b read upside down
     shares a's vertices and each cycle of the two matchings is one loop."""
     n = len(a) // 2
@@ -64,8 +75,10 @@ def _reference_exponent(a, b) -> int:
 def test_gram_exponents_match_cycle_count_reference():
     for n in range(5):
         ds = all_diagrams(n)
-        expected = tuple(tuple(_reference_exponent(a, b) for b in ds) for a in ds)
-        assert gram_exponents(n) == expected
+        expected = tuple(bytes(_reference_exponent(a, b) + n for b in ds) for a in ds)
+        rows = gram_exponents(n)
+        assert rows == expected
+        assert all(type(row) is bytes and len(row) == double_factorial_odd(n) for row in rows)
 
 
 def test_gram_exponents_compose_one_pair_per_transpose_star_orbit(monkeypatch):
@@ -101,8 +114,46 @@ def test_gram_structure_k_zero_iff_involute():
         m = gram_exponents(n)
         for i, b in enumerate(ds):
             for j, bp in enumerate(ds):
-                assert (m[i][j] == 0) == (bp == involute_diagram(b))
+                assert (m[i][j] == n) == (bp == involute_diagram(b))
         assert generic_structure_check(n)
+
+
+def _partitions(n: int, top: int | None = None):
+    """The partitions of n with parts at most `top`, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, top or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def _standard_tableaux(shape) -> int:
+    """f^shape by the hook length formula."""
+    columns = [sum(1 for part in shape if part > j) for j in range(shape[0])] if shape else []
+    hooks = prod(part - j + columns[j] - i - 1 for i, part in enumerate(shape) for j in range(part))
+    return factorial(sum(shape)) // hooks
+
+
+def _spectrum_rank(n: int, delta: int, p: int) -> int:
+    """The sum of f^(2 lambda) over the lambda |- n with no cell (i, j),
+    1-based, where delta = i + 1 - 2j, mod p when p is nonzero: the rank of
+    the trace form on Br_n(delta) for p > 2n (Hanlon and Wales 1989; the
+    hook length formula, Macdonald VII.2)."""
+    def alive(shape):
+        contents = (i + 1 - 2 * j - delta for i, part in enumerate(shape, 1) for j in range(1, part + 1))
+        return all(c % p if p else c for c in contents)
+
+    return sum(_standard_tableaux(tuple(2 * part for part in shape)) for shape in _partitions(n) if alive(shape))
+
+
+def test_gram_ranks_match_the_spectrum_of_the_trace_form():
+    for n in range(1, 5):
+        for delta in range(-8, 9):
+            if delta:
+                for p in (0, 11, 13):
+                    g = gram_matrix(n, delta % p if p else delta, scaled=True)
+                    assert rank(g, p) == _spectrum_rank(n, delta, p), (n, delta, p)
 
 
 def test_rank_examples():
@@ -195,6 +246,16 @@ def _integer_matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_rank_mod_p_matches_the_list_echelon(matrix, p):
     assert len(rank_mod_p(matrix, p).columns) == _reference_rank_mod_p(matrix, p)
+
+
+@given(_integer_matrices(), st.sampled_from(_RANK_PRIMES))
+@example([[0, 0], [0, 0]], 7)
+@settings(max_examples=200, deadline=None)
+def test_rank_mod_p_reads_prime_field_entries_in_place(matrix, p):
+    # the pivot columns of a matrix over F_p are those of its values
+    field = [[PrimeFieldElement(p, v) for v in row] for row in matrix]
+    values = [[x.value for x in row] for row in field]
+    assert rank_mod_p(field, p).columns == rank_mod_p(values, p).columns
 
 
 def test_rank_mod_p_matches_the_list_echelon_on_gram_matrices():
@@ -360,6 +421,39 @@ def test_rank_dispatches_on_prime_field_entries():
     assert rank(m, 5) == 1
     with pytest.raises(ParameterError, match="^a matrix over F_5 cannot be ranked over F_7$"):
         rank(m, 7)
+
+
+def test_rank_refuses_malformed_matrices():
+    five, seven = PrimeFieldElement(5, 1), PrimeFieldElement(7, 1)
+    # a ragged row, after the rank is already full or past its lanes
+    with pytest.raises(ParameterError, match="^the matrix is ragged: row 1 has 2 entries and row 0 has 1$"):
+        rank([[1], [2, 3]])
+    with pytest.raises(ParameterError, match="^the matrix is ragged: row 1 has 3 entries and row 0 has 2$"):
+        rank([[0, 0], [0, 1, 5]])
+    # two fields, in one row or in two
+    with pytest.raises(ParameterError, match=r"^the entry PrimeFieldElement\(7, 1\) in row 0 cannot be ranked over F_5$"):
+        rank([[five, seven], [five, five]])
+    with pytest.raises(ParameterError, match=r"^the entry PrimeFieldElement\(7, 1\) in row 1 cannot be ranked over F_5$"):
+        rank([[five, five], [seven, seven]])
+    # ints and PrimeFieldElements, either one first
+    with pytest.raises(ParameterError, match="^a matrix of PrimeFieldElements has the entry 2 in row 1$"):
+        rank([[five, five], [five, 2]])
+    with pytest.raises(ParameterError, match=r"^a matrix of ints has the entry PrimeFieldElement\(5, 1\) in row 0$"):
+        rank([[1, five], [2, 3]], 5)
+    with pytest.raises(ParameterError, match=r"^a matrix of ints has the entry PrimeFieldElement\(5, 1\) in row 1$"):
+        rank([[1, 2], [five, 3]])
+
+
+def test_rank_reads_a_prime_field_matrix_without_copying_it():
+    # the parent's unwrap held a second 945 x 945 list, about 7.6 MB
+    matrix = gram_matrix(5, PrimeFieldElement(7, 2), scaled=True)
+    tracemalloc.start()
+    try:
+        assert rank(matrix) == 126
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_rank_refuses_a_p_that_is_not_zero_or_a_prime():
