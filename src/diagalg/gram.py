@@ -197,14 +197,16 @@ def _residues(row, i: int, cols: int, p: int, field: bool) -> list[int]:
     """Row i of a matrix as residues mod p: the values of a row of
     PrimeFieldElements, read in place, or the ints of a row reduced.  A row
     of another length than row 0, or an entry of another kind or another
-    field than the matrix's, is a ParameterError."""
+    field than the matrix's, is a ParameterError; so is a Fraction or a float
+    in a row of ints, which `%` reduces to its own type, caught by the type
+    of the row's sum rather than by a test per entry."""
     if len(row) != cols:
         raise ParameterError(f"the matrix is ragged: row {i} has {len(row)} entries and row 0 has {cols}")
     try:
         residues = [v.value for v in row if v.p == p] if field else [v % p for v in row]
     except (AttributeError, TypeError):
         residues = None
-    if residues is None or len(residues) != cols:
+    if residues is None or len(residues) != cols or not field and type(sum(residues)) is not int:
         kind = PrimeFieldElement if field else int
         odd = next(v for v in row if not isinstance(v, kind) or field and v.p != p)
         if isinstance(odd, PrimeFieldElement) and field:

@@ -124,32 +124,40 @@ def dominance_cmp(la: Partition, mu: Partition) -> Ordering:
     return Ordering.INCOMPARABLE
 
 
-def partitions_of(n: int) -> tuple[Partition, ...]:
-    """Returns all partitions of n in lexicographically decreasing order.
+def partitions_of(n: int) -> Iterator[Partition]:
+    """Yields the partitions of n one at a time, in lexicographically
+    decreasing order; a negative n is refused with ValueError at the call.
 
-    partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)).
+    list(partitions_of(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)].
 
     Each partition follows from the last in place (Knuth, TAOCP 4A,
     7.2.1.4, Algorithm P): the rightmost part greater than 1 drops by one,
     and the ones after it plus the freed unit are refilled greedily with
-    parts of that new size, the last part taking the remainder.
+    parts of that new size, the last part taking the remainder.  Only the
+    current partition is held, so a scan of every partition of n takes
+    memory linear in n, not in the number of partitions.
     """
     if n < 0:
         raise ValueError(f"cannot partition {n}")
+    return _algorithm_p(n)
+
+
+def _algorithm_p(n: int) -> Iterator[Partition]:
+    """The generator behind partitions_of, for n >= 0."""
     if n == 0:
-        return ((),)
+        yield ()
+        return
     a = [n]
-    out = [(n,)]
+    yield (n,)
     k = 0 if n > 1 else -1  # index of the rightmost part > 1
     while k >= 0:
         x = a[k] - 1
         q, r = divmod(a[k] + len(a) - 1 - k, x)  # a[k:] is a[k] followed by ones
         a[k:] = [x] * q + [r] if r else [x] * q
-        out.append(tuple(a))
+        yield tuple(a)
         if r > 1:
             k = len(a) - 1
         elif x > 1:
             k += q - 1
         else:
             k -= 1  # every part before k is at least 2
-    return tuple(out)

@@ -319,8 +319,9 @@ def suite_gram(max_n: int = 4) -> list[CheckResult]:
 # its own depth.  Past the ceiling the work grows without a cap: the coset
 # identity ~4x per level (14: about 14 s, 15: about a minute), tr(xy) on 100
 # random pairs per level, quadratic in max_n (250: 17 s, 300: 24 s), and the
-# search to level 2*max_n + 10 (20: 4 s and 50 MB, 21: 5 s and 64 MB, most of
-# it the partitions of the level being scanned), timed on a 2-vCPU VM.
+# search to level 2*max_n + 10 (20: 2.3-3.1 s, 21: 4 s, 24: 11 s, about 2.5x
+# every three levels, while the peak stays at about 17 MB, as the scan holds
+# one partition at a time), timed on a 2-vCPU VM.
 SUITES = {
     "counting": (suite_counting, 14),
     "trace": (suite_trace, 250),

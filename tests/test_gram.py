@@ -442,6 +442,13 @@ def test_rank_refuses_malformed_matrices():
         rank([[1, five], [2, 3]], 5)
     with pytest.raises(ParameterError, match=r"^a matrix of ints has the entry PrimeFieldElement\(5, 1\) in row 1$"):
         rank([[1, 2], [five, 3]])
+    # Fractions and floats, which survive the reduction mod p, also after the rank is full
+    with pytest.raises(ParameterError, match=r"^a matrix of ints has the entry Fraction\(1, 1\) in row 0$"):
+        rank(gram_matrix(2, 5))
+    with pytest.raises(ParameterError, match=r"^a matrix of ints has the entry 1\.5 in row 0$"):
+        rank([[1.5, 1], [1, 2]])
+    with pytest.raises(ParameterError, match=r"^a matrix of ints has the entry Fraction\(1, 2\) in row 2$"):
+        rank([[1, 0], [0, 1], [Fraction(1, 2), 0]], 7)
 
 
 def test_rank_reads_a_prime_field_matrix_without_copying_it():

@@ -1,5 +1,7 @@
 """Tests for partitions: hooks, box statistics, dominance, enumeration."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,11 +113,11 @@ def test_dominance_examples():
 
 
 def test_partitions_of_order_and_counts():
-    assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
-    assert partitions_of(0) == ((),)
+    assert tuple(partitions_of(4)) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+    assert tuple(partitions_of(0)) == ((),)
     # partition numbers p(0..9) = 1, 1, 2, 3, 5, 7, 11, 15, 22, 30
-    assert [len(partitions_of(n)) for n in range(10)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
-    assert [len(partitions_of(n)) for n in (20, 30, 40)] == [627, 5604, 37338]
+    assert [len(tuple(partitions_of(n))) for n in range(10)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+    assert [len(tuple(partitions_of(n))) for n in (20, 30, 40)] == [627, 5604, 37338]
 
     def recursive(remaining, largest):
         # largest first part, then the partitions of the rest below it
@@ -127,7 +129,15 @@ def test_partitions_of_order_and_counts():
                 yield (first,) + rest
 
     for n in range(19):
-        assert partitions_of(n) == tuple(recursive(n, n)), n
+        assert tuple(partitions_of(n)) == tuple(recursive(n, n)), n
+
+
+def test_partitions_of_is_lazy_and_refuses_negative_n_at_the_call():
+    # the first partitions of a huge n come at once: nothing past them is built
+    assert list(islice(partitions_of(10**6), 3)) == [(10**6,), (10**6 - 1, 1), (10**6 - 2, 2)]
+    with pytest.raises(ValueError, match="cannot partition -1"):
+        partitions_of(-1)
+    assert list(partitions_of(0)) == [()]
 
 
 @given(partitions_st())
@@ -187,6 +197,6 @@ def test_dvalue_monotone_along_rows_and_columns(la):
 
 @given(st.integers(0, 11))
 def test_partitions_of_is_strictly_lex_decreasing(n):
-    ps = partitions_of(n)
+    ps = tuple(partitions_of(n))
     assert all(ps[k] > ps[k + 1] for k in range(len(ps) - 1))
     assert all(size(la) == n for la in ps)
