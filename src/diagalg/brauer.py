@@ -41,7 +41,7 @@ from math import comb, factorial
 from typing import Iterator
 
 from .branching import double_factorial_odd
-from .exactalg import LaurentPoly
+from .exactalg import Frozen, LaurentPoly
 
 DELTA = LaurentPoly.monomial(1, variable="delta")  # the loop value
 
@@ -250,7 +250,7 @@ def all_diagrams(n: int) -> tuple[BrauerDiagram, ...]:
     return tuple(ds)
 
 
-class AlgebraElement:
+class AlgebraElement(Frozen):
     """A finite linear combination of Brauer diagrams on n strands.
 
     Coefficients are integers or integer-coefficient Laurent polynomials
@@ -268,12 +268,6 @@ class AlgebraElement:
                 clean[d] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *args):
-        raise AttributeError("AlgebraElement is immutable")
-
-    def __reduce__(self):
-        return AlgebraElement, (self.n, self.terms)
 
     @classmethod
     def from_diagram(cls, d: BrauerDiagram, coeff=1) -> "AlgebraElement":

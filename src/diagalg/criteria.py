@@ -37,10 +37,9 @@ by an actual vanishing weight rather than by the cap n_1 alone.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from functools import cache
 
-from .exactalg import Record, RootSpec, signed_power_is_one
+from .exactalg import Frozen, Record, RootSpec, signed_power_is_one
 from .partitions import Box, Partition, box_statistics, partitions_of
 from .weights import (
     BMWParams,
@@ -54,9 +53,10 @@ from .weights import (
 )
 
 
-class UnboundedType:
+class UnboundedType(Frozen):
     """The 'semisimple for all n' value; min-identity, larger than any int."""
 
+    __slots__ = ()
     _instance = None
 
     def __new__(cls):
@@ -73,7 +73,7 @@ UNBOUNDED = UnboundedType()
 Bound = int | UnboundedType
 Witness = tuple[Partition, Box]
 Attained = tuple[Bound, Witness | None]
-Candidate = tuple[int, Callable[[], Witness]]  # a level and a builder of its witness
+Candidate = tuple[int, int, Box]  # a level, the rank of its shape there, and a box
 Part = tuple[str, list[Candidate]]  # a named closed-form constituent
 
 
@@ -181,8 +181,15 @@ def mprime_bruteforce(kind: int, N: int, eps: int, spec: RootSpec, char2: bool, 
 # Each form returns what the search returns: the least level, and the first
 # witness there in the search's order (shapes as partitions_of lists them,
 # boxes row-major), or (UNBOUNDED, None).  A form is a list of candidates,
-# each a level and a builder of its witness, so that a decision builds a
-# witness only where it can win: the level costs O(1), the witness O(level).
+# each a tuple (level, shape, box) with the shape one of the three below, so
+# that a decision builds a witness only where it can win: the level costs
+# O(1), the witness O(level).  The shapes are ranked in the order in which
+# partitions_of meets them at one level, (m), then (2, ..., 2[, 1]), then
+# (1^m), so candidates compare in the search's order: least level, then the
+# lexicographically largest shape, then the first box in row-major order.
+# (At m = 2 the two-column shape is the row, and no candidate names it.)
+
+ROW, TWO_COLUMNS, COLUMN = 0, 1, 2
 
 
 def _candidates(kind: int, arg: int) -> list[Candidate]:
@@ -191,20 +198,20 @@ def _candidates(kind: int, arg: int) -> list[Candidate]:
         return _candidates(1, arg) + _candidates(2, arg)
     if kind == 1:  # box (1,2) of one row, or (2,1) of (2, ..., 2[, 1])
         if arg <= 1:
-            return [(3 - arg, lambda: ((3 - arg,), (1, 2)))]
-        return [(arg + 1, lambda: ((2,) * ((arg + 1) // 2) + (1,) * ((arg + 1) % 2), (2, 1)))]
+            return [(3 - arg, ROW, (1, 2))]
+        return [(arg + 1, TWO_COLUMNS, (2, 1))]
     if kind == 2:  # d(i,i) runs over the even integers >= 0
         if arg > 0 or arg % 2:
             return []
         if arg == 0:
-            return [(2, lambda: ((1, 1), (1, 1)))]
-        return [(1 - arg // 2, lambda: ((1 - arg // 2,), (1, 1)))]
+            return [(2, COLUMN, (1, 1))]
+        return [(1 - arg // 2, ROW, (1, 1))]
     if kind == 3:  # b(i,i) runs over the even integers <= -2
         if arg <= 0 or arg % 2:
             return []
         if arg == 2:
-            return [(2, lambda: ((2,), (1, 1)))]
-        return [(arg // 2, lambda: ((1,) * (arg // 2), (1, 1)))]
+            return [(2, ROW, (1, 1))]
+        return [(arg // 2, COLUMN, (1, 1))]
     raise ParameterError(f"kind must be 0..3, got {kind}")
 
 
@@ -238,14 +245,16 @@ def _prime_candidates(kind: int, N: int, eps: int, spec: RootSpec, char2: bool) 
 
 
 def _first(candidates: list[Candidate]) -> Attained:
-    """The candidate the search meets first: the least level, then the
-    lexicographically largest shape, then the first box in row-major order.
-    Only the witnesses at the least level are built."""
-    m = bound_min(*(level for level, _ in candidates))
-    if m is UNBOUNDED:
+    """The candidate the search meets first, the least one, with its
+    witness; the only witness built."""
+    if not candidates:
         return UNBOUNDED, None
-    tied = (build() for level, build in candidates if level == m)
-    return m, min(tied, key=lambda w: (tuple(-part for part in w[0]), w[1]))
+    m, shape, box = min(candidates)
+    if shape == ROW:
+        return m, ((m,), box)
+    if shape == TWO_COLUMNS:
+        return m, ((2,) * (m // 2) + (1,) * (m % 2), box)
+    return m, ((1,) * m, box)
 
 
 def m_closed(kind: int, arg: int) -> Attained:
@@ -358,7 +367,7 @@ def decide(spec: ParamSpec) -> Verdict:
         parts, normalized = [("n0", [])], ()
     else:
         parts, normalized = _PARTS[family](spec, N, eps)
-    levels += [(name, bound_min(*(level for level, _ in cands)), cands) for name, cands in parts]
+    levels += [(name, min(cands)[0] if cands else UNBOUNDED, cands) for name, cands in parts]
     m = bound_min(*(level for _, level, _ in levels))
     winner = next((cands for _, level, cands in levels if level == m and cands), None)
     if winner is not None and m > MAX_WITNESS_LEVEL:

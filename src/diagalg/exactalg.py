@@ -20,11 +20,12 @@ eps * q^x = +-1 reduce to congruences mod f via `signed_power_is_one`
 (eps * q^x = -1 is -eps * q^x = 1), which also decides them for q not a
 root of unity (no RootSpec), where only x = 0 can hold.
 
-The module also holds two base classes: `ParameterError`, raised for
-parameters outside the theorems' hypotheses (RootSpec refuses e < 2 and f
-outside {e, 2e} with it), and `Record`, the one base of every immutable
-value with named fields in the package, from RootSpec, the parameter specs
-and the verdicts to Brauer diagrams and the results of `verify`.
+The module also holds three base classes: `Frozen`, from which every
+immutable value in the package takes its immutability, copy and pickle;
+`Record`, the `Frozen` base of every value with named fields, from
+RootSpec, the parameter specs and the verdicts to the results of `verify`;
+and `ParameterError`, raised for parameters outside the theorems'
+hypotheses (RootSpec refuses e < 2 and f outside {e, 2e} with it).
 """
 
 from __future__ import annotations
@@ -34,7 +35,30 @@ from fractions import Fraction
 from functools import cache
 
 
-class LaurentPoly:
+class Frozen:
+    """Base of every immutable value in the package: the arithmetic values
+    of this module, the elements of the Brauer algebra, UNBOUNDED and every
+    `Record`.
+
+    Assigning or deleting any attribute raises AttributeError, so a
+    subclass's constructor writes its slots with `object.__setattr__`.  Copy
+    and pickle rebuild a value by calling its class on its slots, which a
+    subclass lists in the order its constructor takes them.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class LaurentPoly(Frozen):
     """A Laurent polynomial sum c_k * v^k with integer coefficients.
 
     Any other coefficient type is a TypeError.  Instances are immutable; the
@@ -42,7 +66,7 @@ class LaurentPoly:
     agree (constants are variable-agnostic).
     """
 
-    __slots__ = ("variable", "coeffs")
+    __slots__ = ("coeffs", "variable")
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]], variable: str = "q"):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -58,12 +82,6 @@ class LaurentPoly:
                     del clean[k]
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "variable", variable)
-
-    def __setattr__(self, *args):
-        raise AttributeError("LaurentPoly is immutable")
-
-    def __reduce__(self):
-        return LaurentPoly, (self.coeffs, self.variable)
 
     @classmethod
     def constant(cls, c: int, variable: str = "q") -> "LaurentPoly":
@@ -230,7 +248,7 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-class RationalFunction:
+class RationalFunction(Frozen):
     """A quotient of Laurent polynomials, kept unreduced.
 
     Arithmetic cross-multiplies without computing gcds, so instances have no
@@ -247,12 +265,6 @@ class RationalFunction:
         num._merge_variable(den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RationalFunction is immutable")
-
-    def __reduce__(self):
-        return RationalFunction, (self.num, self.den)
 
     @classmethod
     def constant(cls, c: int | Fraction, variable: str = "q") -> "RationalFunction":
@@ -291,15 +303,6 @@ class RationalFunction:
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "RationalFunction":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("cannot invert zero")
-            return RationalFunction(self.den, self.num) ** (-n)
-        return RationalFunction(self.num**n, self.den**n)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -340,7 +343,7 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
-class PrimeFieldElement:
+class PrimeFieldElement(Frozen):
     """An element of F_p for a prime p, with powers and equality.
 
     It is a value, not an arithmetic type: a weight's value mod p is one
@@ -353,12 +356,6 @@ class PrimeFieldElement:
             raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "value", value % p)
-
-    def __setattr__(self, *args):
-        raise AttributeError("PrimeFieldElement is immutable")
-
-    def __reduce__(self):
-        return PrimeFieldElement, (self.p, self.value)
 
     def __pow__(self, n: int):
         if n < 0 and self.value == 0:
@@ -383,7 +380,7 @@ class ParameterError(ValueError):
     """Raised for parameter combinations outside the theorems' hypotheses."""
 
 
-class Record:
+class Record(Frozen):
     """Base of every immutable value with named fields in the package: the
     records of the decision chain (RootSpec, the parameter specs of
     `weights`, the verdicts of `criteria`), branching labels, cellular
@@ -392,11 +389,10 @@ class Record:
     A subclass names its fields, in order, in `__slots__`; it is built
     positionally, compares equal only to a record of its own type with equal
     fields, hashes as its field tuple and reprs as `Name(field=value, ...)`.
-    The tuple of field values is kept in one more slot, so equality, hashing
-    and pickling build no tuple per call.  Assignment and deletion raise
-    AttributeError; copy and pickle rebuild it through `__reduce__`.  A
-    subclass costs no import and no code generated per class at start-up,
-    which each query of the command line would pay.
+    The tuple of field values is kept in one more slot, so equality and
+    hashing build no tuple per call; immutability, copy and pickle come
+    from `Frozen`.  A subclass costs no import and no code generated per
+    class at start-up, which each query of the command line would pay.
     """
 
     __slots__ = ("_field_values",)
@@ -422,15 +418,6 @@ class Record:
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({args})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._field_values
 
 
 class RootSpec(Record):

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -454,6 +455,17 @@ def test_readme_lists_every_verification_suite():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Verification suites", 1)[1].split("\n## ", 1)[0]
     assert all(f"* `{name}` — " in section for name in SUITES)
+
+
+def test_readme_commands_answer(capsys):
+    # every command of the README's "Command line" block parses and answers
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line.split("#", 1)[0])[1:] for line in block.splitlines() if line.startswith("diagalg ")]
+    assert len(commands) == 14
+    for argv in commands:
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out.strip(), argv
 
 
 def test_verify_suite_names_come_from_the_suites_table(capsys):

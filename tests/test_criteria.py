@@ -70,6 +70,16 @@ def test_closed_form_examples():
     assert m_closed(3, 5)[0] is UNBOUNDED
 
 
+def test_candidate_shapes_meet_the_search_in_rank_order():
+    # candidates compare in the search's order only if the ranks of their
+    # shapes follow the order in which partitions_of meets those shapes
+    assert (criteria.ROW, criteria.TWO_COLUMNS, criteria.COLUMN) == (0, 1, 2)
+    for m in range(2, 41):
+        row, two_columns, column = (m,), (2,) * (m // 2) + (1,) * (m % 2), (1,) * m
+        met = [la for la in partitions_of(m) if la in (row, two_columns, column)]
+        assert met == ([row, column] if m == 2 else [row, two_columns, column])
+
+
 def test_closed_forms_match_bruteforce():
     # levels and witnesses, |arg| <= 20 with search limit 40
     for x in range(-20, 21):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from diagalg.branching import ReflectedLabel
 from diagalg.brauer import DELTA, AlgebraElement, identity_diagram
 from diagalg.cellular import gl_basis
-from diagalg.criteria import Verdict, decide
+from diagalg.criteria import UNBOUNDED, Verdict, decide
 from diagalg.exactalg import (
     LaurentPoly,
     ParameterError,
@@ -173,8 +173,6 @@ def test_rational_function_field_axioms(a, b, c, d):
     assert x + y == y + x
     assert x * y == y * x
     assert x + x * -1 == RationalFunction.constant(0)
-    if not y.is_zero:
-        assert x * y**-1 * y == x
 
 
 def test_prime_field_arithmetic():
@@ -250,28 +248,29 @@ def test_record_repr_names_every_field():
 
 
 def test_records_are_immutable_and_copy_and_pickle_to_equals():
-    spec = RootSpec(5, 10)
-    with pytest.raises(AttributeError):
-        spec.e = 7
-    with pytest.raises(AttributeError):
-        spec.other = 1
-    with pytest.raises(AttributeError):
-        del spec.e
-    assert spec == RootSpec(5, 10)
-    for record in _RECORDS:
-        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
-            assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
-    # the values records hold copy and pickle as well: a weight's value mod p,
-    # a cellular basis element's AlgebraElement with Laurent coefficients,
-    # and a symbolic weight
-    values = (
+    # every value type: the records, and the values records hold (a Laurent
+    # polynomial, a symbolic weight, a weight's value mod p, a cellular basis
+    # element's AlgebraElement with Laurent coefficients) and UNBOUNDED
+    values = _RECORDS + (
+        LaurentPoly({1: 2, -1: 1}, "delta"),
+        RationalFunction(LaurentPoly({1: 2}), LaurentPoly({0: 1, 2: -3})),
         PrimeFieldElement(7, 3),
         AlgebraElement(1, {identity_diagram(1): DELTA}),
-        RationalFunction(LaurentPoly({1: 2}), LaurentPoly({0: 1, 2: -3})),
+        UNBOUNDED,
     )
     for value in values:
+        before = repr(value)
+        for field in type(value).__slots__[:1]:
+            with pytest.raises(AttributeError):
+                setattr(value, field, 7)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.other = 1
+        assert value == value and repr(value) == before, value
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+    assert copy.copy(UNBOUNDED) is copy.deepcopy(UNBOUNDED) is pickle.loads(pickle.dumps(UNBOUNDED)) is UNBOUNDED
 
 
 def test_records_take_exactly_their_fields():

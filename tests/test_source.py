@@ -63,3 +63,16 @@ def test_verify_builds_every_check_result_in_one_function():
                 if isinstance(node, ast.Call) and "CheckResult" in _names_used(node.func)]
 
     assert builds(check) and len(builds(tree)) == len(builds(check))
+
+
+def test_only_frozen_defines_immutability():
+    # a value type is immutable, copied and pickled one way, through
+    # exactalg.Frozen; a class with its own copy of these methods drifts
+    found = []
+    for path in sorted(Path(diagalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and f"{path.stem}.{node.name}" != "exactalg.Frozen":
+                found += [f"{path.stem}.{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and item.name in ("__setattr__", "__delattr__", "__reduce__")]
+    assert found == []
