@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cache
 
 from .exactalg import Record
-from .partitions import Ordering, Partition, dominance_cmp, partition, partitions_of, size
+from .partitions import Ordering, Partition, dominance_cmp, partitions_of, size
 
 
 class ReflectedLabel(Record):
@@ -34,30 +34,23 @@ class ReflectedLabel(Record):
         super().__init__(shape, level)
 
 
-def young_up(la: Partition) -> tuple[Partition, ...]:
-    """Returns the partitions obtained by adding one box, top row first."""
+def young_neighbors(la: Partition) -> tuple[Partition, ...]:
+    """Returns the shapes reachable from la by adding one box, then those
+    reachable by removing one box, each top row first.
+
+    Removing the box of a one-box row drops that row, which is the last."""
     out = []
     for i in range(len(la) + 1):
         row = la[i] if i < len(la) else 0
         above = la[i - 1] if i > 0 else None
         if above is None or row < above:
-            out.append(partition(la[:i] + (row + 1,) + la[i + 1 :]))
-    return tuple(out)
-
-
-def young_down(la: Partition) -> tuple[Partition, ...]:
-    """Returns the partitions obtained by removing one box, top row first."""
-    out = []
+            out.append(la[:i] + (row + 1,) + la[i + 1 :])
     for i in range(len(la)):
         below = la[i + 1] if i + 1 < len(la) else 0
         if la[i] > below:
-            out.append(partition(la[:i] + (la[i] - 1,) + la[i + 1 :]))
+            shorter = (la[i] - 1,) if la[i] > 1 else ()
+            out.append(la[:i] + shorter + la[i + 1 :])
     return tuple(out)
-
-
-def young_neighbors(la: Partition) -> tuple[tuple[Partition, ...], tuple[Partition, ...]]:
-    """Returns (up, down): the shapes reachable by adding resp. removing a box."""
-    return young_up(la), young_down(la)
 
 
 def reflected_level(n: int) -> tuple[ReflectedLabel, ...]:
@@ -104,8 +97,7 @@ def _level_counts(n: int) -> dict[Partition, int]:
     prev = _level_counts(n - 1)
     counts: dict[Partition, int] = {}
     for la, c in prev.items():
-        up, down = young_neighbors(la)
-        for mu in up + down:
+        for mu in young_neighbors(la):
             counts[mu] = counts.get(mu, 0) + c
     return counts
 

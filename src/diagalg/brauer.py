@@ -43,7 +43,7 @@ from typing import Iterator
 from .branching import double_factorial_odd
 from .exactalg import Frozen, LaurentPoly
 
-DELTA = LaurentPoly.monomial(1, variable="delta")  # the loop value
+DELTA = LaurentPoly.monomial(1)  # the loop value
 
 Perm = tuple[int, ...]  # one-line notation, 1-based values
 BrauerDiagram = tuple[int, ...]  # partner tuple, 0-based values, length 2n

@@ -247,7 +247,7 @@ def expand_in_gl_basis(x: AlgebraElement) -> dict[int, LaurentPoly]:
     integer-coefficient Laurent polynomials in delta (exact)."""
     n = x.n
     ds = {d: j for j, d in enumerate(all_diagrams(n))}
-    vec: list[LaurentPoly] = [LaurentPoly({}, "delta")] * len(ds)
+    vec: list[LaurentPoly] = [LaurentPoly({})] * len(ds)
     for d, c in x.terms.items():
         vec[ds[d]] = vec[ds[d]] + c
     _, tinv = _transition_inverse(n)
@@ -259,7 +259,7 @@ def expand_in_gl_basis(x: AlgebraElement) -> dict[int, LaurentPoly]:
         for i in range(len(ds)):
             f = tinv[j][i]
             if f:
-                out[i] = out.get(i, LaurentPoly({}, "delta")) + vj * f
+                out[i] = out.get(i, LaurentPoly({})) + vj * f
     return {i: c for i, c in out.items() if not c.is_zero}
 
 

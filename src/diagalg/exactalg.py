@@ -1,14 +1,17 @@
 """Exact scalar arithmetic: Laurent polynomials, rational functions, F_p.
 
 Everything downstream (weights, Gram matrices, decision procedures) is exact,
-so the scalar layer never touches floating point.  The one coefficient ring
-is Z[v, v^-1]: Laurent polynomials in one variable are sparse maps
-exponent -> int, since every trace weight, Markov trace and cellular
-expansion has integer coefficients.  Rational functions keep an unreduced
-numerator / denominator pair (arithmetic and equality never compute gcds;
-equality is by cross-multiplication, and evaluation cancels a shared zero at
-the point).  Rational numbers (`fractions.Fraction`) appear only as values
-of `evaluate` and as constants a rational function is multiplied by.
+so the scalar layer never touches floating point.  There is one coefficient
+ring, Z[v, v^-1], with no name for its variable: v stands for delta in the
+Brauer weights, traces and cellular expansions and for q in the q-integers
+and q-weights, and no computation combines the two.  Laurent polynomials
+are sparse maps exponent -> int, since every one of them has integer
+coefficients.  Rational functions keep an unreduced numerator / denominator
+pair (arithmetic and equality never compute gcds; equality is by
+cross-multiplication, and evaluation cancels a shared zero at the point,
+0 included).  Rational numbers (`fractions.Fraction`) appear only as values
+of `evaluate`.  Polynomials and rational functions print as reprs that
+`eval` reads back.
 
 Root-of-unity data is carried by RootSpec(e, f): f is the multiplicative
 order of q and e = e(q) is the least d >= 1 with [d]_q = 0, i.e. the order of
@@ -59,16 +62,16 @@ class Frozen:
 
 
 class LaurentPoly(Frozen):
-    """A Laurent polynomial sum c_k * v^k with integer coefficients.
+    """A Laurent polynomial sum c_k * v^k with integer coefficients, an
+    element of Z[v, v^-1].
 
-    Any other coefficient type is a TypeError.  Instances are immutable; the
-    variable name is a tag and two polynomials only combine when their tags
-    agree (constants are variable-agnostic).
+    Any other coefficient type is a TypeError.  Instances are immutable and
+    repr as `LaurentPoly({k: c_k, ...})`, which `eval` reads back.
     """
 
-    __slots__ = ("coeffs", "variable")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]], variable: str = "q"):
+    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]]):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         clean: dict[int, int] = {}
         for k, c in items:
@@ -81,23 +84,18 @@ class LaurentPoly(Frozen):
                 else:
                     del clean[k]
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "variable", variable)
 
     @classmethod
-    def constant(cls, c: int, variable: str = "q") -> "LaurentPoly":
-        return cls({0: c}, variable)
+    def constant(cls, c: int) -> "LaurentPoly":
+        return cls({0: c})
 
     @classmethod
-    def monomial(cls, exp: int, coeff: int = 1, variable: str = "q") -> "LaurentPoly":
-        return cls({exp: coeff}, variable)
+    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
+        return cls({exp: coeff})
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_constant(self) -> bool:
-        return all(k == 0 for k in self.coeffs)
 
     @property
     def is_monomial(self) -> bool:
@@ -113,46 +111,37 @@ class LaurentPoly(Frozen):
             raise ValueError("zero polynomial has no exponents")
         return max(self.coeffs)
 
-    def _merge_variable(self, other: "LaurentPoly") -> str:
-        if self.variable == other.variable or other.is_constant:
-            return self.variable
-        if self.is_constant:
-            return other.variable
-        raise ValueError(f"variable mismatch: {self.variable!r} vs {other.variable!r}")
-
     def _coerce(self, other) -> "LaurentPoly | None":
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, int):
-            return LaurentPoly.constant(other, self.variable)
+            return LaurentPoly.constant(other)
         return None
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        var = self._merge_variable(other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
-        return LaurentPoly(out, var)
+        return LaurentPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -c for k, c in self.coeffs.items()}, self.variable)
+        return LaurentPoly({k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        var = self._merge_variable(other)
         out: dict[int, int] = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
                 out[k] = out.get(k, 0) + c1 * c2
-        return LaurentPoly(out, var)
+        return LaurentPoly(out)
 
     __rmul__ = __mul__
 
@@ -163,8 +152,8 @@ class LaurentPoly(Frozen):
             if not self.is_monomial or set(self.coeffs.values()) - {1, -1}:
                 raise ValueError("negative powers need a unit +-v^k")
             ((k, c),) = self.coeffs.items()
-            return LaurentPoly.monomial(k * n, c**-n, self.variable)
-        out = LaurentPoly.constant(1, self.variable)
+            return LaurentPoly.monomial(k * n, c**-n)
+        out = LaurentPoly.constant(1)
         base = self
         while n:
             if n & 1:
@@ -177,13 +166,7 @@ class LaurentPoly(Frozen):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.coeffs != other.coeffs:
-            return False
-        return self.is_constant or other.is_constant or self.variable == other.variable
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Returns v^k * self."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()}, self.variable)
+        return self.coeffs == other.coeffs
 
     def evaluate(self, point: int | Fraction) -> Fraction:
         """Substitutes a rational point for the variable.  Its value is the
@@ -197,20 +180,22 @@ class LaurentPoly(Frozen):
 
     def deflate(self, point: int | Fraction) -> tuple[int, "LaurentPoly"]:
         """Returns (m, g) with self = (b*v - a)^m * g and g(a/b) != 0, for a
-        nonzero point a/b in lowest terms.
+        rational point a/b in lowest terms.
 
-        Only the multiplicity at a nonzero point is meaningful for Laurent
-        polynomials; g carries the original power-of-v unit.  Each division
-        by the primitive b*v - a is exact over Z (Gauss's lemma).
+        At 0 the factor is v, a unit, so m is the least exponent of self
+        (negative when self has negative powers) and g = self * v^-m has
+        least exponent 0.  At a nonzero point g carries the original
+        power-of-v unit, and each division by the primitive b*v - a is exact
+        over Z (Gauss's lemma).
         """
         if not isinstance(point, (int, Fraction)):
             raise TypeError(f"expected a rational point, got {type(point).__name__}")
-        if not point:
-            raise ValueError("deflation point must be nonzero")
         if self.is_zero:
             raise ValueError("cannot deflate the zero polynomial")
-        a, b = point.numerator, point.denominator
         lo = self.min_exp()
+        if not point:
+            return lo, LaurentPoly({k - lo: c for k, c in self.coeffs.items()})
+        a, b = point.numerator, point.denominator
         coeffs = [self.coeffs.get(k, 0) for k in range(lo, self.max_exp() + 1)]
         mult = 0
         # b^deg * p(a/b) = 0 iff a/b is a root
@@ -222,58 +207,30 @@ class LaurentPoly(Frozen):
                 g.append(carry)
             coeffs = g[::-1]
             mult += 1
-        return mult, LaurentPoly({lo + i: c for i, c in enumerate(coeffs)}, self.variable)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[k]
-            if k == 0:
-                term = str(c)
-            else:
-                v = self.variable if k == 1 else f"{self.variable}^{k}"
-                if c == 1:
-                    term = v
-                elif c == -1:
-                    term = f"-{v}"
-                else:
-                    term = f"{c}*{v}"
-            parts.append(term)
-        out = " + ".join(parts).replace("+ -", "- ")
-        return out
+        return mult, LaurentPoly({lo + i: c for i, c in enumerate(coeffs)})
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self})"
+        return f"LaurentPoly({self.coeffs!r})"
 
 
 class RationalFunction(Frozen):
     """A quotient of Laurent polynomials, kept unreduced.
 
     Arithmetic cross-multiplies without computing gcds, so instances have no
-    canonical form and are not hashable.
+    canonical form and are not hashable.  The repr names the numerator and
+    denominator as they are kept, `RationalFunction(LaurentPoly(...),
+    LaurentPoly(...))`, which `eval` reads back.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
         if den is None:
-            den = LaurentPoly.constant(1, num.variable)
+            den = LaurentPoly.constant(1)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        num._merge_variable(den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    @classmethod
-    def constant(cls, c: int | Fraction, variable: str = "q") -> "RationalFunction":
-        """The rational number c as an integer numerator over an integer denominator."""
-        return cls(LaurentPoly.constant(c.numerator, variable), LaurentPoly.constant(c.denominator, variable))
-
-    @property
-    def variable(self) -> str:
-        return self.num.variable if not self.num.is_constant else self.den.variable
 
     @property
     def is_zero(self) -> bool:
@@ -284,8 +241,8 @@ class RationalFunction(Frozen):
             return other
         if isinstance(other, LaurentPoly):
             return RationalFunction(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.constant(other, self.variable)
+        if isinstance(other, int):
+            return RationalFunction(LaurentPoly.constant(other))
         return None
 
     def __add__(self, other) -> "RationalFunction":
@@ -313,19 +270,13 @@ class RationalFunction(Frozen):
     def evaluate(self, point: int | Fraction) -> Fraction:
         """Evaluates at a rational point, cancelling any shared zero.
 
-        Raises ZeroDivisionError if the point is a genuine pole.  At 0 the
-        shared zero is a power of the variable itself (vanishing-order
-        comparison on the minimal exponents).
+        Numerator and denominator are deflated at the point (at 0 the
+        multiplicity is the least exponent), so the point is a pole, a zero
+        or neither by comparing the two multiplicities.  Raises
+        ZeroDivisionError if the point is a genuine pole.
         """
         if self.is_zero:
             return Fraction(0)
-        if not point:
-            m_num, m_den = self.num.min_exp(), self.den.min_exp()
-            if m_num < m_den:
-                raise ZeroDivisionError("pole at 0")
-            if m_num > m_den:
-                return Fraction(0)
-            return self.num.shift(-m_num).evaluate(0) / self.den.shift(-m_den).evaluate(0)
         m_num, num = self.num.deflate(point)
         m_den, den = self.den.deflate(point)
         if m_num < m_den:
@@ -334,46 +285,8 @@ class RationalFunction(Frozen):
             return Fraction(0)
         return num.evaluate(point) / den.evaluate(point)
 
-    def __str__(self) -> str:
-        if self.den == LaurentPoly.constant(1, self.variable):
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
     def __repr__(self) -> str:
-        return f"RationalFunction({self})"
-
-
-class PrimeFieldElement(Frozen):
-    """An element of F_p for a prime p, with powers and equality.
-
-    It is a value, not an arithmetic type: a weight's value mod p is one
-    quotient of ints reduced once, and Gram entries are powers of delta."""
-
-    __slots__ = ("p", "value")
-
-    def __init__(self, p: int, value: int):
-        if p < 2 or not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "value", value % p)
-
-    def __pow__(self, n: int):
-        if n < 0 and self.value == 0:
-            raise ZeroDivisionError("cannot invert 0")
-        return PrimeFieldElement(self.p, pow(self.value, n, self.p))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p
-        if isinstance(other, PrimeFieldElement):
-            return self.p == other.p and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __repr__(self):
-        return f"PrimeFieldElement({self.p}, {self.value})"
+        return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
 class ParameterError(ValueError):
@@ -383,8 +296,9 @@ class ParameterError(ValueError):
 class Record(Frozen):
     """Base of every immutable value with named fields in the package: the
     records of the decision chain (RootSpec, the parameter specs of
-    `weights`, the verdicts of `criteria`), branching labels, cellular
-    basis elements, box factors, echelon forms and check results.
+    `weights`, the verdicts of `criteria`), elements of F_p, branching
+    labels, cellular basis elements, box factors, echelon forms and check
+    results.
 
     A subclass names its fields, in order, in `__slots__`; it is built
     positionally, compares equal only to a record of its own type with equal
@@ -404,9 +318,6 @@ class Record(Frozen):
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return self._field_values
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -418,6 +329,29 @@ class Record(Frozen):
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({args})"
+
+
+class PrimeFieldElement(Record):
+    """An element of F_p for a prime p, with powers and equality.
+
+    It is a value, not an arithmetic type: a weight's value mod p is one
+    quotient of ints reduced once, and Gram entries are powers of delta.  As
+    a `Record` it equals only a PrimeFieldElement with the same p and value,
+    never an int."""
+
+    __slots__ = ("p", "value")
+    p: int
+    value: int
+
+    def __init__(self, p: int, value: int):
+        if p < 2 or not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        super().__init__(p, value % p)
+
+    def __pow__(self, n: int):
+        if n < 0 and self.value == 0:
+            raise ZeroDivisionError("cannot invert 0")
+        return PrimeFieldElement(self.p, pow(self.value, n, self.p))
 
 
 class RootSpec(Record):

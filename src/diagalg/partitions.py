@@ -23,7 +23,7 @@ one place they are computed: it yields d, b and the hook length of every box
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 Partition = tuple[int, ...]
 Box = tuple[int, int]
@@ -36,21 +36,6 @@ class Ordering(enum.Enum):
     EQUAL = "equal"
     GREATER = "greater"
     INCOMPARABLE = "incomparable"
-
-
-def partition(parts: Iterable[int]) -> Partition:
-    """Returns the canonical form of a partition: trailing zeros trimmed.
-
-    Raises ValueError if the parts are negative or not weakly decreasing.
-    """
-    p = tuple(parts)
-    if any(x < 0 for x in p):
-        raise ValueError(f"negative part in {p}")
-    if any(p[k] < p[k + 1] for k in range(len(p) - 1)):
-        raise ValueError(f"parts not weakly decreasing in {p}")
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
 
 
 def size(la: Partition) -> int:

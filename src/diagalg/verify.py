@@ -161,7 +161,7 @@ def _normalization_holds(weight: Callable, delta: LaurentPoly, max_n: int) -> bo
     """For each level n <= max_n, the sum over the shapes x of the level of
     path_count(x) * weight(x.shape) is delta^n."""
     for n in range(max_n + 1):
-        total = RationalFunction(LaurentPoly.constant(0, delta.variable))
+        total = RationalFunction(LaurentPoly.constant(0))
         for x in reflected_level(n):
             total = total + weight(x.shape) * path_count(x)
         if total != RationalFunction(delta**n):

@@ -282,7 +282,7 @@ def rule(spec: ParamSpec) -> tuple[str, int | None, int]:
 
 def _term_poly(kind: str, shift: int, N: int, eps: int) -> LaurentPoly:
     if kind == DELTA:
-        return LaurentPoly({1: 1, 0: shift}, "delta")
+        return LaurentPoly({1: 1, 0: shift})
     if kind == QINT:
         return qint(N + shift)
     if kind == EPS:
@@ -299,8 +299,7 @@ def _den_poly(den: str, h: int) -> LaurentPoly | int:
 
 
 def _symbolic_weight(family: str, la: Partition, N: int = 0, eps: int = 1) -> RationalFunction:
-    variable = "delta" if family == "brauer" else "q"
-    num = den = LaurentPoly.constant(1, variable)
+    num = den = LaurentPoly.constant(1)
     for f in box_factors(family, la):
         num = num * reduce(mul, (_term_poly(kind, shift, N, eps) for kind, shift in f.terms))
         den = den * _den_poly(f.den, f.hook)

@@ -24,14 +24,10 @@ def labels_st(draw, max_level=8):
 
 
 def test_young_neighbors_examples():
-    up, down = young_neighbors((1,))
-    assert up == ((2,), (1, 1))
-    assert down == ((),)
-    up, down = young_neighbors((2, 1))
-    assert up == ((3, 1), (2, 2), (2, 1, 1))
-    assert set(down) == {(1, 1), (2,)}
-    up, down = young_neighbors(())
-    assert up == ((1,),) and down == ()
+    # the add-a-box shapes, then the remove-a-box shapes, top row first
+    assert young_neighbors((1,)) == ((2,), (1, 1), ())
+    assert young_neighbors((2, 1)) == ((3, 1), (2, 2), (2, 1, 1), (1, 1), (2,))
+    assert young_neighbors(()) == ((1,),)
 
 
 def test_reflected_level_example():

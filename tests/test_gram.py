@@ -431,16 +431,16 @@ def test_rank_refuses_malformed_matrices():
     with pytest.raises(ParameterError, match="^the matrix is ragged: row 1 has 3 entries and row 0 has 2$"):
         rank([[0, 0], [0, 1, 5]])
     # two fields, in one row or in two
-    with pytest.raises(ParameterError, match=r"^the entry PrimeFieldElement\(7, 1\) in row 0 cannot be ranked over F_5$"):
+    with pytest.raises(ParameterError, match=r"^the entry PrimeFieldElement\(p=7, value=1\) in row 0 cannot be ranked over F_5$"):
         rank([[five, seven], [five, five]])
-    with pytest.raises(ParameterError, match=r"^the entry PrimeFieldElement\(7, 1\) in row 1 cannot be ranked over F_5$"):
+    with pytest.raises(ParameterError, match=r"^the entry PrimeFieldElement\(p=7, value=1\) in row 1 cannot be ranked over F_5$"):
         rank([[five, five], [seven, seven]])
     # ints and PrimeFieldElements, either one first
     with pytest.raises(ParameterError, match="^a matrix of PrimeFieldElements has the entry 2 in row 1$"):
         rank([[five, five], [five, 2]])
-    with pytest.raises(ParameterError, match=r"^a matrix of ints has the entry PrimeFieldElement\(5, 1\) in row 0$"):
+    with pytest.raises(ParameterError, match=r"^a matrix of ints has the entry PrimeFieldElement\(p=5, value=1\) in row 0$"):
         rank([[1, five], [2, 3]], 5)
-    with pytest.raises(ParameterError, match=r"^a matrix of ints has the entry PrimeFieldElement\(5, 1\) in row 1$"):
+    with pytest.raises(ParameterError, match=r"^a matrix of ints has the entry PrimeFieldElement\(p=5, value=1\) in row 1$"):
         rank([[1, 2], [five, 3]])
     # Fractions and floats, which survive the reduction mod p, also after the rank is full
     with pytest.raises(ParameterError, match=r"^a matrix of ints has the entry Fraction\(1, 1\) in row 0$"):

@@ -11,7 +11,6 @@ from diagalg.partitions import (
     box_statistics,
     conjugate,
     dominance_cmp,
-    partition,
     partitions_of,
     size,
 )
@@ -21,15 +20,6 @@ from diagalg.partitions import (
 def partitions_st(draw, max_part=7, max_rows=6):
     rows = draw(st.lists(st.integers(1, max_part), max_size=max_rows))
     return tuple(sorted(rows, reverse=True))
-
-
-def test_partition_canonicalizes():
-    assert partition([3, 1, 0, 0]) == (3, 1)
-    assert partition([]) == ()
-    with pytest.raises(ValueError):
-        partition([1, 2])
-    with pytest.raises(ValueError):
-        partition([2, -1])
 
 
 def test_conjugate_examples():

@@ -76,3 +76,25 @@ def test_only_frozen_defines_immutability():
                           if isinstance(item, ast.FunctionDef)
                           and item.name in ("__setattr__", "__delattr__", "__reduce__")]
     assert found == []
+
+
+def _methods_defined(method: str) -> list[str]:
+    """Every class of the library that defines `method` in its own body."""
+    found = []
+    for path in sorted(Path(diagalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.stem}.{node.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef) and item.name == method]
+    return found
+
+
+def test_values_print_only_as_reprs():
+    # a value prints as the repr that rebuilds it; a second printer drifts
+    # from it and names a variable the arithmetic does not have
+    assert _methods_defined("__str__") == []
+
+
+def test_only_record_defines_hashing():
+    # a hashable value hashes as its field tuple, through exactalg.Record
+    assert _methods_defined("__hash__") == ["exactalg.Record"]

@@ -41,12 +41,12 @@ from diagalg.weights import (
     weight_factor_descriptions,
 )
 
-ONE_D = LaurentPoly.constant(1, "delta")
-Q = LaurentPoly.monomial(1, variable="q")
+ONE_D = LaurentPoly.constant(1)
+Q = LaurentPoly.monomial(1)
 
 
 def rf(num, den=1):
-    return RationalFunction(num, LaurentPoly.constant(den, "delta"))
+    return RationalFunction(num, LaurentPoly.constant(den))
 
 
 def test_brauer_weight_small_shapes():
@@ -59,14 +59,14 @@ def test_brauer_weight_small_shapes():
 def test_brauer_weight_normalization():
     # the weights decompose the trace of the identity: sum pc * w = delta^n
     for n in range(6):
-        total = rf(LaurentPoly.constant(0, "delta"))
+        total = rf(LaurentPoly.constant(0))
         for x in reflected_level(n):
-            total = total + brauer_weight(x.shape) * Fraction(path_count(x))
+            total = total + brauer_weight(x.shape) * path_count(x)
         assert total == rf(DELTA**n)
 
 
 def test_qbrauer_weight_examples():
-    one_q = RationalFunction(LaurentPoly.constant(1, "q"))
+    one_q = RationalFunction(LaurentPoly.constant(1))
     assert qbrauer_weight_at_power((1, 1), 3) == RationalFunction(qint(3)) * one_q
     assert qbrauer_weight_at_power((1,), 4) == RationalFunction(qint(4))
     # [0] in the numerator makes the weight vanish identically
@@ -281,7 +281,7 @@ def test_brauer_evaluation_agrees_with_the_symbolic_weight():
                     den = weight.den.evaluate(d)
                     modp = PrimeFieldElement(p, num.numerator * pow(num.denominator * den.numerator, -1, p)
                                              * den.denominator)
-                    assert w.value == modp and w.is_zero == (modp == 0)
+                    assert w.value == modp and w.is_zero == (modp.value == 0)
                     seen.add(("p", w.is_zero))
     assert seen == {True, False, ("p", True), ("p", False)}
 
