@@ -14,13 +14,16 @@ take about 0.9 MB, where a tuple of tuples of ints takes about 7 MB.
 
 Scaling the matrix by delta^n clears denominators: the scaled entry is
 delta^c, so for integral delta the scaled Gram matrix is an integer
-matrix.  Matrices are plain lists of rows.  `gram_matrix` reads the rows
-through a table of the powers of delta that occur, and gives entries of
-delta's type (int, Fraction or PrimeFieldElement), except that an unscaled
-matrix at an int delta has Fraction entries, never floats.  `rank` takes
-entries that are ints or PrimeFieldElements of one field F_p.  As it packs
-a row, `rank_mod_p` reads each PrimeFieldElement's value in place, so a
-matrix over F_p is never copied as ints, and it refuses a ragged row, or
+matrix.  A matrix is a list of rows.  `gram_matrix` gives one GramRow per
+diagram, which holds the diagram's exponent bytes and the one table of the
+powers of delta that occur, shared by every row; the row reads entry j as
+the power at its byte j, one entry at a time, so no 945 x 945 list of
+entries is ever built.  Entries are of delta's type (int, Fraction or
+PrimeFieldElement), except that an unscaled matrix at an int delta has
+Fraction entries, never floats.  `rank` takes rows of ints or of
+PrimeFieldElements of one field F_p: GramRows or any sequences.  As it
+packs a row, `rank_mod_p` reads each PrimeFieldElement's value in place, so
+a matrix over F_p is never copied as ints, and it refuses a ragged row, or
 an entry of another kind or field than the matrix's, with ParameterError.
 
 `rank` is the one entry point, and every rank is one modular elimination:
@@ -72,9 +75,12 @@ p + cols*p^2 <= 2^w: no lane carries into the next, and the rank is exact
 for every p.  The row is then unpacked once; its first lane that is nonzero
 mod p makes it a new pivot, and a row with none is dropped.
 Back-substitution runs on the same lanes with the same bound.  The check
-over Z packs each column of G once into signed lanes, one per row, wide
-enough for every lane of the difference, so that each column of
-G[:, C] (D X) costs one multiply-add per nonzero entry of D X.
+over Z lifts D X to symmetric residues in place and packs each pivot
+column of G once into signed lanes, one per row, wide enough for every
+lane of the difference, so that each column of G[:, C] (D X) costs one
+multiply-add per nonzero entry of D X; each free column of G is packed
+only while it is checked, so the check holds r packed columns, not one per
+column of G.
 
 `level_rank` is the rank of one level at an integer delta, and
 `first_degenerate_level` walks n = 2, 3, ... and reports the first level at
@@ -89,7 +95,9 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from math import isqrt
+from operator import getitem
 
 from .branching import double_factorial_odd
 from .brauer import all_diagrams, compose_diagrams, full_closure_cycles, involute_diagram
@@ -141,18 +149,41 @@ def gram_exponents(n: int) -> tuple[bytes, ...]:
     return tuple(map(bytes, c))
 
 
-def gram_matrix(n: int, delta, scaled: bool = False) -> list[list]:
+class GramRow(Record):
+    """One row of a Gram matrix: entry j is powers[exponents[j]], read
+    through the power table that every row of the matrix shares.  It has a
+    length, integer indexing and iteration, which maps the exponent bytes
+    through the table one entry at a time and builds no list."""
+
+    __slots__ = ("exponents", "powers")
+    exponents: bytes  # the row of gram_exponents(n)
+    powers: tuple  # powers[c] = delta^(c + shift) for each c that occurs
+
+    def __len__(self):
+        return len(self.exponents)
+
+    def __getitem__(self, j: int):
+        return self.powers[self.exponents[j]]
+
+    def __iter__(self):
+        # operator.getitem reads a tuple about twice as fast as the tuple's
+        # bound __getitem__, a slot wrapper
+        return map(getitem, repeat(self.powers), self.exponents)
+
+
+def gram_matrix(n: int, delta, scaled: bool = False) -> list[GramRow]:
     """The Gram matrix in the all_diagrams(n) basis; `scaled` multiplies by
     delta^n, making entries polynomial (integral for integral delta).  Each
     power of delta that occurs is computed once, into a table indexed by c,
-    and shared by its entries."""
+    and each row reads its exponent bytes through it."""
     shift = 0 if scaled else -n
     delta = delta if scaled or not isinstance(delta, int) else Fraction(delta)  # int ** -k is a float
     rows = gram_exponents(n)
     powers = [None] * (n + 1)
     for c in set().union(*rows):
         powers[c] = delta ** (c + shift)
-    return [[powers[c] for c in row] for row in rows]
+    powers = tuple(powers)
+    return [GramRow(row, powers) for row in rows]
 
 
 _LANE_FORMATS = {4: "I", 8: "Q"} if sys.byteorder == "little" else {}
@@ -271,28 +302,34 @@ def _lane_size(count: int, top_x: int, d: int, top_g: int) -> int:
     return _lane_bytes(((count * top_x + d) * top_g).bit_length() + 1)
 
 
-def _packed_columns(matrix, size: int) -> list[int]:
-    """Each column of an integer matrix as one int of signed lanes of
-    `size` bytes, one per row, the first row in the lowest lane."""
-    bias = 1 << (8 * size - 1)
-    ones = _pack([1] * len(matrix), size)
-    return [_pack([v + bias for v in column], size) - bias * ones for column in zip(*matrix)]
+def _packed_column(column, size: int) -> int:
+    """A column of an integer matrix as one int of signed lanes of `size`
+    bytes, one per row, the first row in the lowest lane.  The column is
+    packed in two's complement; flipping the top bit of every lane adds
+    half the lane range to it, which one subtraction then takes off."""
+    fmt = _LANE_FORMATS.get(size)
+    if fmt:
+        data = array(fmt.lower(), column).tobytes()
+    else:
+        data = b"".join(v.to_bytes(size, "little", signed=True) for v in column)
+    bias = int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * len(column), "little")
+    return (int.from_bytes(data, "little") ^ bias) - bias
 
 
-def _combination_holds(packed: list[int], columns: list[int], free: list[int], x: list[list[int]], d: int) -> bool:
-    """Whether d G[:, c'] = sum_k x[j][k] G[:, columns[k]] in the packed
-    columns of G for each free column c' = free[j]: one multiply-add per
-    nonzero coefficient and one comparison of packed ints.  A packed column
-    is the exact sum of its entries times 2^(lane * row), so in lanes as
-    wide as _lane_size asks the two ints are equal exactly when the columns
-    are."""
-    basis = [packed[c] for c in columns]
-    for c, coefficients in zip(free, x):
+def _combination_holds(basis: list[int], free_columns, x: list[list[int]], d: int) -> bool:
+    """Whether d g = sum_k x[j][k] basis[k] for the j-th packed free column
+    g, with basis[k] the packed pivot column of pivot k: one multiply-add
+    per nonzero coefficient and one comparison of packed ints.  A packed
+    column is the exact sum of its entries times 2^(lane * row), so in lanes
+    as wide as _lane_size asks the two ints are equal exactly when the
+    columns are.  The free columns are read one at a time, and the first
+    that fails ends the check."""
+    for g, coefficients in zip(free_columns, x):
         combination = 0
         for t, a in zip(basis, coefficients):
             if a:
                 combination += a * t
-        if combination != d * packed[c]:
+        if combination != d * g:
             return False
     return True
 
@@ -320,21 +357,27 @@ def _common_denominator(x: list[list[int]], p: int) -> int | None:
     return d
 
 
-def _certified(matrix: list[list[int]], echelon: Echelon, top_g: int) -> bool:
+def _certified(matrix: list, echelon: Echelon, top_g: int) -> bool:
     """Whether the pivot columns of a screen of `matrix`, whose entries are
     at most top_g in absolute value, span every column over Q, shown by one
     exact integer identity (see the module docstring): D G[:, C'] =
-    G[:, C] (D X), with the columns of G packed once in lanes that fit
-    every lane of the difference."""
+    G[:, C] (D X), with D X lifted to symmetric residues in place, the pivot
+    columns of G packed once, and each free column packed only while it is
+    checked, in lanes that fit every lane of the difference."""
     p, columns = echelon.p, echelon.columns
-    free, relations = _relations(echelon, len(matrix[0]))
+    _, relations = _relations(echelon, len(matrix[0]))
     d = _common_denominator(relations, p)
     if d is None:
         return False
-    lifted = [[(d * v + p // 2) % p - p // 2 for v in coefficients] for coefficients in relations]
-    top_x = max((max(map(abs, coefficients), default=0) for coefficients in lifted), default=0)
+    half, top_x = p // 2, 0
+    for coefficients in relations:
+        coefficients[:] = [(d * v + half) % p - half for v in coefficients]
+        top_x = max(top_x, max(map(abs, coefficients), default=0))
     size = _lane_size(len(columns), top_x, d, top_g)
-    return _combination_holds(_packed_columns(matrix, size), columns, free, lifted, d)
+    basis = [_packed_column([row[c] for row in matrix], size) for c in columns]
+    pivot = set(columns)
+    free_columns = (_packed_column(column, size) for c, column in enumerate(zip(*matrix)) if c not in pivot)
+    return _combination_holds(basis, free_columns, relations, d)
 
 
 def _screen_primes():

@@ -327,17 +327,32 @@ def _flag(name, values=None):
 
 
 @st.composite
-def _decide_or_weights_argv(draw):
+def _decide_weights_or_gram_argv(draw):
     """An argument vector of `decide` or `weights` over every flag of the
     family: mostly one flag of each exclusive group, now and then none or
     two (for q-Brauer and BMW, the delta flags mostly none, since they need
-    --q-pm-one); each other flag present or not, and `--n` mostly present."""
-    command = draw(st.sampled_from(("decide", "weights")))
+    --q-pm-one); each other flag present or not, and `--n` mostly present.
+    Or one of `gram`: --delta mostly present, --char present or not, and
+    mostly one of --n and --n-max, now and then none or both, at levels up
+    to 4 and past MAX_LEVEL (a level-5 rank can take seconds; fixed tests
+    cover it)."""
+    command = draw(st.sampled_from(("decide", "weights", "gram")))
+    chars = st.sampled_from((0, 2, 3, 5, 7)) | _EDGE_INTS
+    if command == "gram":
+        argv = ["gram"]
+        if draw(st.integers(0, 9)):
+            argv += draw(_flag("--delta", _EDGE_INTS))
+        if draw(st.booleans()):
+            argv += draw(_flag("--char", chars))
+        levels = st.sampled_from((-1, 0, 1, 2, 3, 4, 6))
+        modes = ((), ("--n",), ("--n",), ("--n-max",), ("--n-max",), ("--n", "--n-max"))
+        for name in draw(st.sampled_from(modes)):
+            argv += draw(_flag(name, levels))
+        return argv
     family = draw(st.sampled_from(("brauer", "qbrauer", "bmw")))
     one = (0, 1, 1, 1, 1, 1, 1, 2)
     deltas = [_flag("--delta", _EDGE_INTS), _flag("--delta-generic"), _flag("--delta-nonint")]
     groups = [(deltas, one if family == "brauer" else (0, 0, 0, 0, 1, 2))]
-    chars = st.sampled_from((0, 2, 3, 5, 7)) | _EDGE_INTS
     single = [_flag("--char", chars)]
     if family != "brauer":
         groups += [
@@ -361,7 +376,7 @@ def _decide_or_weights_argv(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_decide_or_weights_argv())
+@given(_decide_weights_or_gram_argv())
 def test_decide_and_weights_answer_or_refuse_every_flag_vector(argv):
     out, err = io.StringIO(), io.StringIO()
     usage_error = False

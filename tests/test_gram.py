@@ -106,6 +106,20 @@ def test_gram_matrix_values_small():
     # an int delta gives the same exact entries, never floats
     assert gram_matrix(2, 5) == g
     assert all(type(x) in (int, Fraction) for row in gram_matrix(2, 5) for x in row)
+    # each row reads delta^(c + shift) through its exponent bytes: by
+    # length, iteration, index and as a column of zip(*matrix)
+    for n in range(4):
+        rows = gram_exponents(n)
+        for delta, scaled in ((3, True), (3, False), (Fraction(-2, 3), False), (PrimeFieldElement(7, 3), True)):
+            base = Fraction(delta) if isinstance(delta, int) and not scaled else delta
+            expected = [[base ** (c + (0 if scaled else -n)) for c in row] for row in rows]
+            matrix = gram_matrix(n, delta, scaled)
+            assert len(matrix) == len(rows)
+            for row, want in zip(matrix, expected):
+                assert len(row) == len(want) and list(row) == want
+                assert [row[j] for j in range(len(row))] == want
+                assert all(type(x) is type(base) for x in row)
+            assert list(zip(*matrix)) == list(zip(*expected))
 
 
 def test_gram_structure_k_zero_iff_involute():
@@ -351,22 +365,23 @@ def test_rank_over_q_screens_more_primes_without_a_certificate(monkeypatch):
 
 def test_certificate_packs_the_columns_once(monkeypatch):
     packs = []
-    pack = gram._packed_columns
+    pack = gram._packed_column
 
-    def counted(matrix, size):
+    def counted(column, size):
         packs.append(size)
-        return pack(matrix, size)
+        return pack(column, size)
 
-    monkeypatch.setattr(gram, "_packed_columns", counted)
+    monkeypatch.setattr(gram, "_packed_column", counted)
     screens = _screens(monkeypatch)
-    # the relation has denominator D = 2, found before the one check
+    # the relation has denominator D = 2, found before the one check: the
+    # pivot column and the free column are packed once each, in one size
     assert rank([[2, 1], [4, 2], [6, 3]]) == 1
-    assert packs == [4] and screens == [P]
+    assert packs == [4, 4] and screens == [P]
     # the Gram matrix at delta = -1, n = 4 has D = 2 as well
     packs.clear()
     screens.clear()
     assert rank(gram_matrix(4, -1, scaled=True)) == 91
-    assert len(packs) == 1 and screens == [P]
+    assert len(packs) == 105 and len(set(packs)) == 1 and screens == [P]
 
 
 # the deficient char-0 levels (n, delta) with n <= 4 and |delta| <= 8, and
@@ -452,15 +467,22 @@ def test_rank_refuses_malformed_matrices():
 
 
 def test_rank_reads_a_prime_field_matrix_without_copying_it():
-    # the parent's unwrap held a second 945 x 945 list, about 7.6 MB
-    matrix = gram_matrix(5, PrimeFieldElement(7, 2), scaled=True)
-    tracemalloc.start()
-    try:
-        assert rank(matrix) == 126
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2e6
+    # a 945 x 945 list of entries alone takes about 7 MB: the rows read the
+    # cached exponent bytes through one power table, and the certificate
+    # over Q packs one free column at a time
+    gram_exponents(5)
+    cases = (
+        (lambda: rank(gram_matrix(5, PrimeFieldElement(7, 2), scaled=True)), 2e6),
+        (lambda: level_rank(BrauerParams(0, IntegerDelta(2)), 5), 6e6),
+    )
+    for ranked, limit in cases:
+        tracemalloc.start()
+        try:
+            assert ranked() == 126
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, peak
 
 
 def test_rank_refuses_a_p_that_is_not_zero_or_a_prime():
