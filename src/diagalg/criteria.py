@@ -15,7 +15,11 @@ no decision calls them.  Kinds 0 and 1 scan every box of each partition
 (`_box_tables`), kinds 2 and 3 only its diagonal boxes (`_diagonal_tables`),
 so a kind-2 or kind-3 search that finds nothing never scans the
 off-diagonal boxes, and a kind-0 or kind-1 search scans them only up to
-the level of its hit.
+the level of its hit.  The diagonal scan visits every partition but reads
+a diagonal only while it could add a first witness: d(i, i) is even in
+[0, 2(la_1 - 1)] and b(i, i) even in [-2 len(la), -2], so a shape whose
+ranges hold only values already seen is passed over (16,970 diagonals read
+of the 215,308 partitions up to level 40).
 
 Box-statistic kinds (for a shape la of size n with box (i, j)):
   kind 0 - any box with d(i,j) = -arg,
@@ -115,10 +119,22 @@ def _diagonal_tables(n: int) -> tuple[dict, dict]:
     diagonal boxes (i, i), i up to the Durfee size, in order; la'_i is the
     number of parts >= i, counted down from the last part, so no conjugate
     is built.  These are the entries of the full row-major scan restricted
-    to diagonal boxes, in the same order."""
+    to diagonal boxes, in the same order.
+
+    A shape's diagonal is read only when it could add a key.  Since
+    la_1 >= la_i >= i and len(la) >= la'_i >= i, every diagonal box has
+    d(i, i) = 2(la_i - i) even in [0, 2(la_1 - 1)] and b(i, i) =
+    2(i - 1 - la'_i) even in [-2 len(la), -2].  The scan keeps d_full, the
+    largest D with every even value of [0, D] a key of diag_d, and b_full,
+    the least B with every even value of [B, -2] a key of diag_b, and skips
+    a shape whose two ranges lie within them: a key is set only on its first
+    sighting, so the tables and their order are those of the full scan."""
     diag_d: dict[int, Witness] = {}
     diag_b: dict[int, Witness] = {}
-    for la in partitions_of(n):
+    d_full, b_full = -2, 0  # no key yet: both ranges of known keys are empty
+    for la in partitions_of(n):  # the empty shape (n = 0) has no la_1 and no diagonal
+        if la and 2 * (la[0] - 1) <= d_full and -2 * len(la) >= b_full:
+            continue
         ci = len(la)  # la'_i, the parts >= i; at least i while la_i >= i
         for i, li in enumerate(la, start=1):
             if li < i:
@@ -131,6 +147,10 @@ def _diagonal_tables(n: int) -> tuple[dict, dict]:
             v = 2 * (i - 1 - ci)
             if v not in diag_b:
                 diag_b[v] = (la, (i, i))
+        while d_full + 2 in diag_d:
+            d_full += 2
+        while b_full - 2 in diag_b:
+            b_full -= 2
     return diag_d, diag_b
 
 

@@ -257,8 +257,9 @@ def suite_oracle_equivalence(max_n: int = 10) -> list[CheckResult]:
 def _q_one_degeneration(qb_cap: int, bmw_cap: int) -> bool:
     for n in range(qb_cap + 1):
         for la in partitions_of(n):
+            weight = brauer_weight(la)
             for N in range(-5, 6):
-                classical = brauer_weight(la).evaluate(N)
+                classical = weight.evaluate(N)
                 if qbrauer_weight_at_power(la, N).evaluate(1) != classical:
                     return False
                 if n <= bmw_cap and bmw_weight_at_power(la, N, 1).evaluate(1) != classical:
@@ -319,9 +320,10 @@ def suite_gram(max_n: int = 4) -> list[CheckResult]:
 # its own depth.  Past the ceiling the work grows without a cap: the coset
 # identity ~4x per level (14: about 14 s, 15: about a minute), tr(xy) on 100
 # random pairs per level, quadratic in max_n (250: 17 s, 300: 24 s), and the
-# search to level 2*max_n + 10 (20: 2.3-3.1 s, 21: 4 s, 24: 11 s, about 2.5x
-# every three levels, while the peak stays at about 17 MB, as the scan holds
-# one partition at a time), timed on a 2-vCPU VM.
+# search to level 2*max_n + 10 (20: 0.9 s, 21: 1.3 s, 24: 3 s, about 2.3x
+# every three levels, mostly the walk over every partition, while the peak
+# stays at about 17 MB, as the scan holds one partition at a time), timed on
+# a 2-vCPU VM.
 SUITES = {
     "counting": (suite_counting, 14),
     "trace": (suite_trace, 250),

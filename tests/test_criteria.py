@@ -150,11 +150,31 @@ def test_diagonal_tables_match_the_diagonal_boxes():
         for la in partitions_of(n):
             for i in range(1, len(la) + 1):
                 if la[i - 1] >= i:
-                    diag_d.setdefault(_dvalue(la, (i, i)), (la, (i, i)))
-                    diag_b.setdefault(_bvalue(la, (i, i)), (la, (i, i)))
+                    d, b = _dvalue(la, (i, i)), _bvalue(la, (i, i))
+                    # the premise of the scan's skip
+                    assert 0 <= d <= 2 * (la[0] - 1) and -2 * len(la) <= b <= -2, (la, i)
+                    diag_d.setdefault(d, (la, (i, i)))
+                    diag_b.setdefault(b, (la, (i, i)))
         got_d, got_b = criteria._diagonal_tables(n)
         assert list(got_d.items()) == list(diag_d.items()), n
         assert list(got_b.items()) == list(diag_b.items()), n
+
+
+def test_diagonal_scan_reads_few_diagonals(monkeypatch):
+    # the scan visits every shape but reads a diagonal only while it could
+    # add a key: 2108 of the 37,338 shapes of 40
+    reads = 0
+
+    class Counted(tuple):
+        def __iter__(self):
+            nonlocal reads
+            reads += 1
+            return super().__iter__()
+
+    full = criteria._diagonal_tables(40)
+    monkeypatch.setattr(criteria, "partitions_of", lambda n: map(Counted, partitions_of(n)))
+    assert criteria._diagonal_tables.__wrapped__(40) == full
+    assert 0 < reads < 3734
 
 
 def test_diagonal_searches_build_no_full_box_table():
