@@ -9,17 +9,20 @@ them from there.  The closed forms here give each such level in O(1) and
 its witness, the (shape, box) attaining it, in time linear in the level;
 a decision builds the witness of the minimum only, up to
 MAX_WITNESS_LEVEL.  The brute-force searches `m_bruteforce` and `mprime_bruteforce`
-find the same pairs by scanning every partition up to a limit; they are the
-reference that the tests and `verify` compare the closed forms against, and
-no decision calls them.  Kinds 0 and 1 scan every box of each partition
+find the same pairs by an exhaustive scan of the partitions up to a
+limit; they are the reference that the tests and `verify` compare the
+closed forms against, and no decision calls them.  Kinds 0 and 1 scan every box of each partition
 (`_box_tables`), kinds 2 and 3 only its diagonal boxes (`_diagonal_tables`),
 so a kind-2 or kind-3 search that finds nothing never scans the
 off-diagonal boxes, and a kind-0 or kind-1 search scans them only up to
-the level of its hit.  The diagonal scan visits every partition but reads
-a diagonal only while it could add a first witness: d(i, i) is even in
-[0, 2(la_1 - 1)] and b(i, i) even in [-2 len(la), -2], so a shape whose
-ranges hold only values already seen is passed over (16,970 diagonals read
-of the 215,308 partitions up to level 40).
+the level of its hit.  The diagonal scan walks the partition tree in the
+order of partitions_of and passes over a whole subtree once no shape in it
+could add a first witness: every completion of a prefix (la_1, ..., la_k)
+with rem still to place has d(1, 1) = 2(la_1 - 1), d(i, i) even in
+[0, 2(la_2 - 2)] for i >= 2, and b(i, i) even in [-2(k + rem), -2], so
+once d(1, 1) and every even value of both ranges have a witness, the
+subtree is done (up to level 40, 16,248 prefixes visited and 1,199
+diagonals read, of 215,308 partitions).
 
 Box-statistic kinds (for a shape la of size n with box (i, j)):
   kind 0 - any box with d(i,j) = -arg,
@@ -42,6 +45,7 @@ by an actual vanishing weight rather than by the cap n_1 alone.
 from __future__ import annotations
 
 from functools import cache
+from typing import Iterator
 
 from .exactalg import Frozen, Record, RootSpec, signed_power_is_one
 from .partitions import Box, Partition, box_statistics, partitions_of
@@ -115,26 +119,16 @@ def _diagonal_tables(n: int) -> tuple[dict, dict]:
     """Per-level first-witness tables of kinds 2 and 3: maps from the value
     of d(i, i) (diag_d) and of b(i, i) (diag_b) to (shape, box).
 
-    Shapes are visited in the order of partitions_of, and in each only its
-    diagonal boxes (i, i), i up to the Durfee size, in order; la'_i is the
-    number of parts >= i, counted down from the last part, so no conjugate
-    is built.  These are the entries of the full row-major scan restricted
-    to diagonal boxes, in the same order.
-
-    A shape's diagonal is read only when it could add a key.  Since
-    la_1 >= la_i >= i and len(la) >= la'_i >= i, every diagonal box has
-    d(i, i) = 2(la_i - i) even in [0, 2(la_1 - 1)] and b(i, i) =
-    2(i - 1 - la'_i) even in [-2 len(la), -2].  The scan keeps d_full, the
-    largest D with every even value of [0, D] a key of diag_d, and b_full,
-    the least B with every even value of [B, -2] a key of diag_b, and skips
-    a shape whose two ranges lie within them: a key is set only on its first
-    sighting, so the tables and their order are those of the full scan."""
+    Shapes come from `_unsettled_shapes`, in the order of partitions_of,
+    and in each only its diagonal boxes (i, i), i up to the Durfee size, in
+    order; la'_i is the number of parts >= i, counted down from the last
+    part, so no conjugate is built.  These are the entries of the full
+    row-major scan restricted to diagonal boxes, in the same order: a shape
+    left out could add no key, and a key is set only on its first
+    sighting."""
     diag_d: dict[int, Witness] = {}
     diag_b: dict[int, Witness] = {}
-    d_full, b_full = -2, 0  # no key yet: both ranges of known keys are empty
-    for la in partitions_of(n):  # the empty shape (n = 0) has no la_1 and no diagonal
-        if la and 2 * (la[0] - 1) <= d_full and -2 * len(la) >= b_full:
-            continue
+    for la in _unsettled_shapes(n, diag_d, diag_b):
         ci = len(la)  # la'_i, the parts >= i; at least i while la_i >= i
         for i, li in enumerate(la, start=1):
             if li < i:
@@ -147,11 +141,45 @@ def _diagonal_tables(n: int) -> tuple[dict, dict]:
             v = 2 * (i - 1 - ci)
             if v not in diag_b:
                 diag_b[v] = (la, (i, i))
+    return diag_d, diag_b
+
+
+def _unsettled_shapes(n: int, diag_d: dict, diag_b: dict) -> Iterator[Partition]:
+    """Yields the partitions of n, in the order of partitions_of, whose
+    diagonal could add a key to diag_d or diag_b; the caller adds each
+    shape's keys before it takes the next.
+
+    A depth-first walk over prefixes (la_1, ..., la_k), children in
+    decreasing order of the next part, on a stack of its own: a deep level
+    meets no recursion limit, and fewer than n prefixes wait on the stack,
+    the younger siblings of each prefix on the current path.
+
+    Every completion la of a prefix, with rem still to place, has
+    d(1, 1) = 2(la_1 - 1); d(i, i) = 2(la_i - i) even in [0, 2(la_2 - 2)]
+    for i >= 2, where la_2 <= min(la_1, rem) if k = 1; and b(i, i) =
+    2(i - 1 - la'_i) even in [-2(k + rem), -2], as i <= la'_i <= len(la)
+    <= k + rem (the narrower range [-2(la'_2 - 1), -2] of the boxes i >= 2
+    lies inside it and needs no test of its own).  The walk keeps d_full,
+    the largest D with every even value of [0, D] a key of diag_d, and
+    b_full, the least B with every even value of [B, -2] a key of diag_b,
+    and passes over a whole subtree once d(1, 1) is a key and both ranges
+    lie within them.  Keys are never removed, so no shape in that subtree
+    could add one when the walk would have reached it."""
+    d_full, b_full = -2, 0  # no key yet: both ranges of known keys are empty
+    stack = [((p,), n - p) for p in range(1, n + 1)]  # n = 0 yields nothing: () has no diagonal
+    while stack:
+        la, rem = stack.pop()
+        la_2 = la[1] if len(la) > 1 else min(la[0], rem)
+        if 2 * (la[0] - 1) in diag_d and 2 * (la_2 - 2) <= d_full and -2 * (len(la) + rem) >= b_full:
+            continue
+        if rem:  # pushed in increasing order, so the largest next part pops first
+            stack += [(la + (p,), rem - p) for p in range(1, min(la[-1], rem) + 1)]
+            continue
+        yield la
         while d_full + 2 in diag_d:
             d_full += 2
         while b_full - 2 in diag_b:
             b_full -= 2
-    return diag_d, diag_b
 
 
 def _table(kind: int, n: int) -> dict[int, Witness]:

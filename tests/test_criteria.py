@@ -81,10 +81,14 @@ def test_candidate_shapes_meet_the_search_in_rank_order():
 
 
 def test_closed_forms_match_bruteforce():
-    # levels and witnesses, |arg| <= 20 with search limit 40
+    # levels and witnesses, |arg| <= 20 with search limit 40; the diagonal
+    # kinds 2 and 3 to |arg| <= 60 with search limit 70
     for x in range(-20, 21):
         for kind in range(4):
             assert m_closed(kind, x) == m_bruteforce(kind, x, 40), (kind, x)
+    for x in range(-60, 61):
+        for kind in (2, 3):
+            assert m_closed(kind, x) == m_bruteforce(kind, x, 70), (kind, x)
 
 
 # The box statistics written out here from their definitions, apart from
@@ -151,8 +155,13 @@ def test_diagonal_tables_match_the_diagonal_boxes():
             for i in range(1, len(la) + 1):
                 if la[i - 1] >= i:
                     d, b = _dvalue(la, (i, i)), _bvalue(la, (i, i))
-                    # the premise of the scan's skip
+                    # the premises of the walk's skip
                     assert 0 <= d <= 2 * (la[0] - 1) and -2 * len(la) <= b <= -2, (la, i)
+                    if i == 1:
+                        assert d == 2 * (la[0] - 1) and b == -2 * len(la), la
+                    else:
+                        la_2, cols_2 = la[1], sum(x >= 2 for x in la)
+                        assert d <= 2 * (la_2 - 2) and b >= -2 * (cols_2 - 1), (la, i)
                     diag_d.setdefault(d, (la, (i, i)))
                     diag_b.setdefault(b, (la, (i, i)))
         got_d, got_b = criteria._diagonal_tables(n)
@@ -161,20 +170,21 @@ def test_diagonal_tables_match_the_diagonal_boxes():
 
 
 def test_diagonal_scan_reads_few_diagonals(monkeypatch):
-    # the scan visits every shape but reads a diagonal only while it could
-    # add a key: 2108 of the 37,338 shapes of 40
+    # the walk passes over every subtree of the partition tree whose shapes
+    # could add no key: it reads 59 of the 37,338 shapes of 40
     reads = 0
+    walk = criteria._unsettled_shapes
 
-    class Counted(tuple):
-        def __iter__(self):
-            nonlocal reads
+    def counted(*args):
+        nonlocal reads
+        for la in walk(*args):
             reads += 1
-            return super().__iter__()
+            yield la
 
     full = criteria._diagonal_tables(40)
-    monkeypatch.setattr(criteria, "partitions_of", lambda n: map(Counted, partitions_of(n)))
+    monkeypatch.setattr(criteria, "_unsettled_shapes", counted)
     assert criteria._diagonal_tables.__wrapped__(40) == full
-    assert 0 < reads < 3734
+    assert 0 < reads < 200
 
 
 def test_diagonal_searches_build_no_full_box_table():
@@ -201,8 +211,8 @@ print(tracemalloc.get_traced_memory()[0])
 
 def test_a_full_search_keeps_only_its_witness_tables():
     # b(i, i) is even, so kind 3 never meets an odd argument and the search
-    # enumerates every level to 40 (215,308 partitions); only the per-level
-    # tables may stay.  A fresh process, as other tests fill the caches here.
+    # builds the table of every level to 40; only the per-level tables may
+    # stay.  A fresh process, as other tests fill the caches here.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", _RETAINED_AFTER_A_FULL_SEARCH],
@@ -213,9 +223,10 @@ def test_a_full_search_keeps_only_its_witness_tables():
 
 
 def test_a_diagonal_scan_holds_one_partition_at_a_time():
-    # the scan streams partitions_of(n), so its peak is its witness tables:
-    # about 23 kB at level 32, where holding all 8349 partitions of 32
-    # peaks at 190-370 kB.  The cache is bypassed, so every level is scanned.
+    # fewer than n prefixes wait on the walk's stack, so its peak is its
+    # witness tables: about 10 kB at level 32, where holding all 8349
+    # partitions of 32 peaks at 190-370 kB.  The cache is bypassed, so every
+    # level is scanned.
     peaks = []
     tracemalloc.start()
     try:
