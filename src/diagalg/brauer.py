@@ -15,8 +15,13 @@ loop removed.  Permutation diagrams join bottom i to top pi(i), so
 perm_diagram(p) * perm_diagram(q) = perm_diagram(p o q).
 
 A matching is checked where it is assembled from pairs a caller supplies,
-in `diagram_from_pairs`, through which every diagram that is not derived
-from another is built.  The derived ones are not checked again: their
+in `diagram_from_pairs`, through which every diagram that is neither
+enumerated nor derived from another is built.  `all_diagrams` enumerates
+partner tuples directly, giving each vertex one partner as it is reached,
+and checks the enumeration by its count, (2n-1)!!; the counting suite of
+`verify` compares that count with the number of distinct diagrams, and the
+tests compare the enumeration with matchings built through
+`diagram_from_pairs`.  The derived ones are not checked again: their
 outputs are matchings by construction.  `compose_diagrams` joins each
 vertex to the other end of its strand (the Gram exponents of level 5
 compose 225 369 pairs), and `involute_diagram`, `embed_diagram` and
@@ -239,11 +244,36 @@ def _pairings(values: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
             yield ((first, second),) + sub
 
 
+def _matchings(n: int) -> list[BrauerDiagram]:
+    """Every perfect matching of 0..2n-1 as a partner tuple, built on one
+    partner list: the lowest free vertex is matched to each later free
+    vertex in turn, and the rest is matched the same way."""
+    size = 2 * n
+    m = [-1] * size
+    out: list[BrauerDiagram] = []
+
+    def extend(low: int) -> None:
+        while low < size and m[low] >= 0:
+            low += 1
+        if low == size:
+            out.append(tuple(m))
+            return
+        for w in range(low + 1, size):
+            if m[w] < 0:
+                m[low], m[w] = w, low
+                extend(low + 1)
+                m[w] = -1
+        m[low] = -1
+
+    extend(0)
+    return out
+
+
 @cache
 def all_diagrams(n: int) -> tuple[BrauerDiagram, ...]:
     """All (2n-1)!! diagrams, sorted by through-strand count (descending)
     then by partner tuple; this is the Gram matrix basis order."""
-    ds = [diagram_from_pairs(n, pairs) for pairs in _pairings(tuple(range(2 * n)))]
+    ds = _matchings(n)
     ds.sort(key=lambda d: (-through_count(d), d))
     if len(ds) != double_factorial_odd(n):
         raise RuntimeError(f"enumerated {len(ds)} diagrams at n = {n}, expected (2n-1)!!")

@@ -22,7 +22,10 @@ with rem still to place has d(1, 1) = 2(la_1 - 1), d(i, i) even in
 [0, 2(la_2 - 2)] for i >= 2, and b(i, i) even in [-2(k + rem), -2], so
 once d(1, 1) and every even value of both ranges have a witness, the
 subtree is done (up to level 40, 16,248 prefixes visited and 1,199
-diagonals read, of 215,308 partitions).
+diagonals read, of 215,308 partitions).  The congruence search
+`mprime_bruteforce` reads the same tables through `_residue_table`, the
+first witness of each residue class of a level's keys, so it scans no
+table key by key.
 
 Box-statistic kinds (for a shape la of size n with box (i, j)):
   kind 0 - any box with d(i,j) = -arg,
@@ -207,21 +210,39 @@ def m_bruteforce(kind: int, arg: int, search_limit: int = 40):
 def mprime_bruteforce(kind: int, N: int, eps: int, spec: RootSpec, char2: bool, search_limit: int = 40):
     """Congruence-driven search: least n >= 2 with a box satisfying
     kind 1: e | N + d (off-diagonal); kind 2: eps*q^(N+d(i,i)) = 1;
-    kind 3: eps*q^(N+b(i,i)) = -1; with witness, else UNBOUNDED."""
+    kind 3: eps*q^(N+b(i,i)) = -1; with witness, else UNBOUNDED.
+
+    Each condition holds on whole residue classes of the statistic, mod e
+    for kind 1 and mod f = ord(q) for kinds 2 and 3, which
+    `signed_power_is_one` picks out once per call from x = 0, ..., f - 1.
+    A level's first witness is then the earliest, in the table's order, of
+    the first witnesses of those classes in `_residue_table`."""
     if kind not in (1, 2, 3):
         raise ParameterError(f"kind must be 1..3, got {kind}")
     if search_limit < 2:
         raise ParameterError(f"search_limit must be >= 2, got {search_limit}")
+    if kind == 1:
+        modulus, residues = spec.e, [-N % spec.e]
+    else:
+        sign = eps if kind == 2 else -eps  # eps*q^x = -1 iff -eps*q^x = 1
+        modulus = spec.f
+        residues = [(x - N) % modulus for x in range(modulus) if signed_power_is_one(sign, x, spec, char2)]
     for n in range(2, search_limit + 1):
-        table = _table(kind, n)
-        if kind == 1:
-            hit = next((w for v, w in table.items() if (N + v) % spec.e == 0), None)
-        else:
-            sign = eps if kind == 2 else -eps  # eps*q^x = -1 iff -eps*q^x = 1
-            hit = next((w for v, w in table.items() if signed_power_is_one(sign, N + v, spec, char2)), None)
-        if hit is not None:
-            return n, hit
+        table = _residue_table(kind, n, modulus)
+        hits = [table[r] for r in residues if r in table]
+        if hits:
+            return n, min(hits)[1]
     return UNBOUNDED, None
+
+
+@cache
+def _residue_table(kind: int, n: int, modulus: int) -> dict[int, tuple[int, Witness]]:
+    """The first witness of each residue class mod modulus among the keys
+    of the level-n table of a kind, with its place in that table's order."""
+    classes: dict[int, tuple[int, Witness]] = {}
+    for place, (v, witness) in enumerate(_table(kind, n).items()):
+        classes.setdefault(v % modulus, (place, witness))
+    return classes
 
 
 # --- closed forms ----------------------------------------------------------

@@ -86,6 +86,15 @@ class LaurentPoly(Frozen):
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
+    def _wrap(cls, clean: dict[int, int]) -> "LaurentPoly":
+        """A polynomial on a dict that is already clean, int coefficients
+        and no zeros, taken as it is: the ring operations build such dicts
+        and skip the checks of `__init__`."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", clean)
+        return p
+
+    @classmethod
     def constant(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
@@ -124,13 +133,17 @@ class LaurentPoly(Frozen):
             return NotImplemented
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return LaurentPoly(out)
+            c += out.get(k, 0)
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return LaurentPoly._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -c for k, c in self.coeffs.items()})
+        return LaurentPoly._wrap({k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -141,7 +154,7 @@ class LaurentPoly(Frozen):
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
                 out[k] = out.get(k, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._wrap({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -170,13 +183,27 @@ class LaurentPoly(Frozen):
 
     def evaluate(self, point: int | Fraction) -> Fraction:
         """Substitutes a rational point for the variable.  Its value is the
-        one place the scalar layer makes a Fraction."""
+        one place the scalar layer makes a Fraction, one per call, after a
+        Horner pass over the ints."""
         if not isinstance(point, (int, Fraction)):
             raise TypeError(f"expected a rational point, got {type(point).__name__}")
-        point = Fraction(point)
-        if point == 0 and any(k < 0 for k in self.coeffs):
+        if self.is_zero:
+            return Fraction(0)
+        a, b = point.numerator, point.denominator
+        lo, hi = self.min_exp(), self.max_exp()
+        if not a and lo < 0:
             raise ZeroDivisionError("cannot evaluate negative powers at 0")
-        return Fraction(sum(c * point**k for k, c in self.coeffs.items()))
+        # p(a/b) = h * a^lo / b^hi with h = sum c_k a^(k - lo) b^(hi - k)
+        num, den = _horner([self.coeffs.get(k, 0) for k in range(lo, hi + 1)], a, b), 1
+        if lo >= 0:
+            num *= a**lo
+        else:
+            den *= a**-lo
+        if hi >= 0:
+            den *= b**hi
+        else:
+            num *= b**-hi
+        return Fraction(num, den)
 
     def deflate(self, point: int | Fraction) -> tuple[int, "LaurentPoly"]:
         """Returns (m, g) with self = (b*v - a)^m * g and g(a/b) != 0, for a
@@ -194,12 +221,12 @@ class LaurentPoly(Frozen):
             raise ValueError("cannot deflate the zero polynomial")
         lo = self.min_exp()
         if not point:
-            return lo, LaurentPoly({k - lo: c for k, c in self.coeffs.items()})
+            return lo, LaurentPoly._wrap({k - lo: c for k, c in self.coeffs.items()})
         a, b = point.numerator, point.denominator
         coeffs = [self.coeffs.get(k, 0) for k in range(lo, self.max_exp() + 1)]
         mult = 0
         # b^deg * p(a/b) = 0 iff a/b is a root
-        while not sum(c * a**i * b ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs)):
+        while not _horner(coeffs, a, b):
             # from the top: c_i = b*g_(i-1) - a*g_i, so g_(i-1) = (c_i + a*g_i) / b
             g, carry = [], 0
             for c in reversed(coeffs[1:]):
@@ -211,6 +238,16 @@ class LaurentPoly(Frozen):
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.coeffs!r})"
+
+
+def _horner(coeffs: list[int], a: int, b: int) -> int:
+    """b^deg * p(a/b) = sum c_i a^i b^(deg - i) for the dense coefficients
+    c_0, ..., c_deg of a polynomial p, in one Horner pass over the ints."""
+    h, b_power = 0, 1
+    for c in reversed(coeffs):
+        h = h * a + c * b_power
+        b_power *= b
+    return h
 
 
 class RationalFunction(Frozen):

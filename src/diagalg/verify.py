@@ -320,7 +320,7 @@ def suite_gram(max_n: int = 4) -> list[CheckResult]:
 # its own depth.  Past the ceiling the work grows without a cap: the coset
 # identity ~4x per level (14: about 14 s, 15: about a minute), tr(xy) on 100
 # random pairs per level, quadratic in max_n (250: 17 s, 300: 24 s), and the
-# search to level 2*max_n + 10 (in process 20: 0.2 s, 24: 0.4 s, 30: 1.4 s,
+# search to level 2*max_n + 10 (in process 20: 0.1 s, 24: 0.23 s, 30: 0.9 s,
 # about 2x every three levels, mostly the kind-0/1 box scans up to their
 # first hits at level max_n + 3, while the peak stays at about 17 MB, as
 # each scan holds one partition at a time), timed on a 2-vCPU VM.

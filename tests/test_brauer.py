@@ -91,6 +91,30 @@ def test_diagram_counts():
         assert len(all_diagrams(n)) == double_factorial_odd(n)
 
 
+def _reference_pairings(values):
+    """Perfect matchings of a sorted tuple as arc lists, by slicing."""
+    if not values:
+        yield ()
+        return
+    first, rest = values[0], values[1:]
+    for k, second in enumerate(rest):
+        for sub in _reference_pairings(rest[:k] + rest[k + 1 :]):
+            yield ((first, second),) + sub
+
+
+def test_all_diagrams_match_matchings_built_from_pairs():
+    # the direct enumeration against matchings checked by diagram_from_pairs,
+    # in the Gram basis order: through strands descending, then the tuple
+    for n in range(7):
+        want = [diagram_from_pairs(n, pairs) for pairs in _reference_pairings(tuple(range(2 * n)))]
+        want.sort(key=lambda d: (-sum(w >= n for w in d[:n]), d))
+        got = all_diagrams(n)
+        assert type(got) is tuple and list(got) == want
+        for d in got:  # each a fixed-point-free involution of 0..2n-1
+            assert type(d) is tuple and len(d) == 2 * n
+            assert all(0 <= d[v] < 2 * n and d[v] != v and d[d[v]] == v for v in range(2 * n))
+
+
 def test_generators_and_composition_examples():
     e1 = generator("e", 1, 2)
     s1 = generator("s", 1, 2)

@@ -596,6 +596,16 @@ def test_verify_reports_a_non_integer_cellular_coefficient(capsys, monkeypatch):
     assert out.count("[cellular]") == 5 and out.endswith("/5 checks passed\n")
 
 
+def test_verify_oracle_suite_passes_at_its_ceiling(capsys):
+    # the deepest search the suite accepts, to level 2 * 20 + 10, in process
+    assert SUITES["oracle-equivalence"][1] == 20
+    code, out, _ = run(["verify", "--suite", "oracle-equivalence", "--max-n", "20"], capsys)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 4 and lines[-1] == "3/3 checks passed"
+    assert all(line.startswith("PASS  [oracle-equivalence] ") for line in lines[:3])
+    assert lines[0].endswith("|arg| <= 20")
+
+
 def test_verify_rejects_depths_past_the_suite_ceiling(capsys):
     ceilings = {name: ceiling for name, (_, ceiling) in SUITES.items() if ceiling is not None}
     # the acceptance depths stay allowed

@@ -24,7 +24,7 @@ from diagalg.criteria import (
     mprime_bruteforce,
     mprime_closed,
 )
-from diagalg.exactalg import RootSpec
+from diagalg.exactalg import RootSpec, signed_power_is_one
 from diagalg.partitions import partitions_of, size
 from diagalg.weights import (
     BMWParams,
@@ -312,6 +312,34 @@ def test_primed_closed_forms_match_bruteforce():
     assert mprime_closed(2, -1, -1, RootSpec(2, 2), False) == (2, ((2,), (1, 1)))
 
 
+def _linear_mprime_search(kind, N, eps, spec, char2, search_limit=40):
+    """The search as a scan of every key of each level's table, in the
+    table's order, deciding each congruence on its own."""
+    for n in range(2, search_limit + 1):
+        for v, witness in criteria._table(kind, n).items():
+            if kind == 1:
+                hit = (N + v) % spec.e == 0
+            else:
+                hit = signed_power_is_one(eps if kind == 2 else -eps, N + v, spec, char2)
+            if hit:
+                return n, witness
+    return UNBOUNDED, None
+
+
+def test_residue_search_matches_the_linear_scan():
+    # every kind, sign and char-2 flag, e <= 12, f in {e, 2e}, and N over
+    # [-3f, 3f], past the normalized range of the closed forms: 16,896 cases
+    cases = 0
+    for e in range(2, 13):
+        for f in (e, 2 * e):
+            rs = RootSpec(e, f)
+            for args in itertools.product((1, 2, 3), range(-3 * f, 3 * f + 1), (1, -1), (False, True)):
+                kind, N, eps, char2 = args
+                assert mprime_bruteforce(kind, N, eps, rs, char2) == _linear_mprime_search(*args[:3], rs, char2), args
+                cases += 1
+    assert cases == 16_896
+
+
 def test_closed_forms_reject_bad_arguments():
     with pytest.raises(ParameterError):
         m_closed(4, 1)
@@ -461,7 +489,7 @@ def test_decisions_never_call_the_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a decision reached the brute-force search")
 
-    for name in ("_box_tables", "_diagonal_tables", "m_bruteforce", "mprime_bruteforce"):
+    for name in ("_box_tables", "_diagonal_tables", "_residue_table", "m_bruteforce", "mprime_bruteforce"):
         monkeypatch.setattr(criteria, name, refuse)
     deltas = [GenericDelta(), NonIntegerDelta()] + [IntegerDelta(d) for d in (-1000, -29, -4, -1, 1, 2, 504)]
     qs = [NotRootOfUnity(), *(PlusMinusOne(d) for d in deltas[:4])]

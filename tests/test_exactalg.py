@@ -83,7 +83,76 @@ def test_laurent_coefficients_are_integers():
         LaurentPoly({1: 1.0})
     with pytest.raises(TypeError):
         Q * Fraction(1, 2)
+    # an integral Fraction or float is refused too, in either form of input
+    for bad in (Fraction(2), 2.0, 0.0):
+        with pytest.raises(TypeError):
+            LaurentPoly({0: bad})
+        with pytest.raises(TypeError):
+            LaurentPoly([(3, 1), (0, bad)])
     assert all(type(c) is int for c in ((Q + 3) * (Q + -ONE) ** 2).coeffs.values())
+
+
+@given(laurent_st(), laurent_st(), st.integers(-3, 3), st.integers(0, 4))
+@settings(max_examples=200)
+def test_ring_results_are_clean(a, b, k, power):
+    # the ring operations build their result dicts without the checks of
+    # the constructor: each must hold int coefficients, none of them zero,
+    # and equal the value the constructor rebuilds from it
+    results = [a + b, a + -a, -a, a * b, a * (b + -b), a + k, k * a, a**power]
+    results += [c**-power for c in (Q**k, -(Q**k))]
+    for r in results:
+        assert all(type(c) is int and c for c in r.coeffs.values()), r
+        rebuilt = LaurentPoly(dict(r.coeffs))
+        assert rebuilt == r and rebuilt.coeffs == r.coeffs
+    assert (a + -a).is_zero and (Q + ONE) + -Q == ONE
+
+
+def _points():
+    # rational points a/b with 0 and non-integers among them
+    return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@given(laurent_st(max_terms=6, max_exp=8), _points())
+@settings(max_examples=300)
+def test_evaluate_matches_the_fraction_sum(p, point):
+    if point == 0 and any(k < 0 for k in p.coeffs):
+        with pytest.raises(ZeroDivisionError):
+            p.evaluate(point)
+        return
+    want = sum((c * Fraction(point) ** k for k, c in p.coeffs.items()), Fraction(0))
+    got = p.evaluate(point)
+    assert type(got) is Fraction and got == want
+    if point.denominator == 1:
+        assert p.evaluate(int(point)) == want
+
+
+def _slow_deflate(p, point):
+    """(m, coefficients of g) by Fraction division by v - point, one
+    evaluation per pass: p = (v - r)^m h = (b v - a)^m h / b^m."""
+    lo = min(p.coeffs)
+    if point == 0:
+        return lo, {k - lo: c for k, c in p.coeffs.items()}
+    dense = [Fraction(p.coeffs.get(k, 0)) for k in range(lo, max(p.coeffs) + 1)]
+    m = 0
+    while sum(c * point**i for i, c in enumerate(dense)) == 0:
+        quotient, carry = [], Fraction(0)
+        for c in reversed(dense[1:]):
+            carry = c + point * carry
+            quotient.append(carry)
+        dense = quotient[::-1]
+        m += 1
+    return m, {lo + i: c / point.denominator**m for i, c in enumerate(dense) if c}
+
+
+@given(laurent_st(max_terms=5, max_exp=6), _points(), st.integers(0, 3), st.integers(-2, 2))
+@settings(max_examples=300)
+def test_deflate_matches_a_slow_reference(p, point, k, shift):
+    if p.is_zero:
+        return
+    p = p * (Q * point.denominator + -point.numerator) ** k * Q**shift
+    m, g = p.deflate(point)
+    assert (m, g.coeffs) == _slow_deflate(p, point)
+    assert all(type(c) is int for c in g.coeffs.values())
 
 
 def test_qint_examples():
