@@ -6,12 +6,14 @@ ring, Z[v, v^-1], with no name for its variable: v stands for delta in the
 Brauer weights, traces and cellular expansions and for q in the q-integers
 and q-weights, and no computation combines the two.  Laurent polynomials
 are sparse maps exponent -> int, since every one of them has integer
-coefficients.  Rational functions keep an unreduced numerator / denominator
-pair (arithmetic and equality never compute gcds; equality is by
-cross-multiplication, and evaluation cancels a shared zero at the point,
-0 included).  Rational numbers (`fractions.Fraction`) appear only as values
-of `evaluate`.  Polynomials and rational functions print as reprs that
-`eval` reads back.
+coefficients, and are only the ring.  Rational functions keep an unreduced
+numerator / denominator pair (arithmetic and equality never compute gcds;
+equality is by cross-multiplication) and are the one type that is
+evaluated: at a rational point, 0 included, one Horner pass over the ints
+per side finds the order of the point as a zero and the value of the
+cofactor, so a shared zero cancels.  Rational numbers (`fractions.Fraction`)
+appear only as values of `RationalFunction.evaluate`.  Polynomials and
+rational functions print as reprs that `eval` reads back.
 
 Root-of-unity data is carried by RootSpec(e, f): f is the multiplicative
 order of q and e = e(q) is the least d >= 1 with [d]_q = 0, i.e. the order of
@@ -110,16 +112,6 @@ class LaurentPoly(Frozen):
     def is_monomial(self) -> bool:
         return len(self.coeffs) == 1
 
-    def min_exp(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.coeffs)
-
-    def max_exp(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self.coeffs)
-
     def _coerce(self, other) -> "LaurentPoly | None":
         if isinstance(other, LaurentPoly):
             return other
@@ -181,73 +173,39 @@ class LaurentPoly(Frozen):
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def evaluate(self, point: int | Fraction) -> Fraction:
-        """Substitutes a rational point for the variable.  Its value is the
-        one place the scalar layer makes a Fraction, one per call, after a
-        Horner pass over the ints."""
-        if not isinstance(point, (int, Fraction)):
-            raise TypeError(f"expected a rational point, got {type(point).__name__}")
-        if self.is_zero:
-            return Fraction(0)
-        a, b = point.numerator, point.denominator
-        lo, hi = self.min_exp(), self.max_exp()
-        if not a and lo < 0:
-            raise ZeroDivisionError("cannot evaluate negative powers at 0")
-        # p(a/b) = h * a^lo / b^hi with h = sum c_k a^(k - lo) b^(hi - k)
-        num, den = _horner([self.coeffs.get(k, 0) for k in range(lo, hi + 1)], a, b), 1
-        if lo >= 0:
-            num *= a**lo
-        else:
-            den *= a**-lo
-        if hi >= 0:
-            den *= b**hi
-        else:
-            num *= b**-hi
-        return Fraction(num, den)
-
-    def deflate(self, point: int | Fraction) -> tuple[int, "LaurentPoly"]:
-        """Returns (m, g) with self = (b*v - a)^m * g and g(a/b) != 0, for a
-        rational point a/b in lowest terms.
-
-        At 0 the factor is v, a unit, so m is the least exponent of self
-        (negative when self has negative powers) and g = self * v^-m has
-        least exponent 0.  At a nonzero point g carries the original
-        power-of-v unit, and each division by the primitive b*v - a is exact
-        over Z (Gauss's lemma).
-        """
-        if not isinstance(point, (int, Fraction)):
-            raise TypeError(f"expected a rational point, got {type(point).__name__}")
-        if self.is_zero:
-            raise ValueError("cannot deflate the zero polynomial")
-        lo = self.min_exp()
-        if not point:
-            return lo, LaurentPoly._wrap({k - lo: c for k, c in self.coeffs.items()})
-        a, b = point.numerator, point.denominator
-        coeffs = [self.coeffs.get(k, 0) for k in range(lo, self.max_exp() + 1)]
-        mult = 0
-        # b^deg * p(a/b) = 0 iff a/b is a root
-        while not _horner(coeffs, a, b):
-            # from the top: c_i = b*g_(i-1) - a*g_i, so g_(i-1) = (c_i + a*g_i) / b
-            g, carry = [], 0
-            for c in reversed(coeffs[1:]):
-                carry = (c + a * carry) // b
-                g.append(carry)
-            coeffs = g[::-1]
-            mult += 1
-        return mult, LaurentPoly({lo + i: c for i, c in enumerate(coeffs)})
-
     def __repr__(self) -> str:
         return f"LaurentPoly({self.coeffs!r})"
 
 
-def _horner(coeffs: list[int], a: int, b: int) -> int:
-    """b^deg * p(a/b) = sum c_i a^i b^(deg - i) for the dense coefficients
-    c_0, ..., c_deg of a polynomial p, in one Horner pass over the ints."""
-    h, b_power = 0, 1
-    for c in reversed(coeffs):
-        h = h * a + c * b_power
-        b_power *= b
-    return h
+def _order_and_value(p: LaurentPoly, point: int | Fraction) -> tuple[int, Fraction]:
+    """Returns (m, c) with p = (b*v - a)^m * g and c = g(a/b) != 0, for a
+    nonzero p and a rational point a/b in lowest terms.
+
+    At 0 the factor is v, a unit, so m is the least exponent of p (negative
+    when p has negative powers) and c is its coefficient.  At a nonzero
+    point p = v^lo * q for a polynomial q of degree D, and one Horner pass
+    over the ints, from the top coefficient down, makes the partial sums
+    h_0, ..., h_D of b^D * q(a/b) = h_D: h_k is b^(k+1) times the
+    coefficient of v^(D-1-k) in the quotient of q by b*v - a.  A nonzero
+    h_D gives the value; a zero one makes that quotient exact over Z
+    (Gauss's lemma), and the pass runs again on it.
+    """
+    lo = min(p.coeffs)
+    if not point:
+        return lo, Fraction(p.coeffs[lo])
+    a, b = point.numerator, point.denominator
+    coeffs = [p.coeffs.get(k, 0) for k in range(max(p.coeffs), lo - 1, -1)]
+    m = 0
+    while True:
+        sums, h, b_power = [], 0, 1
+        for c in coeffs:
+            h = h * a + c * b_power
+            b_power *= b
+            sums.append(h)
+        if h:  # g(a/b) = (a/b)^lo * h / b^D, D the degree of the last quotient
+            return m, Fraction(h, b ** (len(coeffs) - 1)) * Fraction(a, b) ** lo
+        coeffs = [s // b ** (k + 1) for k, s in enumerate(sums[:-1])]
+        m += 1
 
 
 class RationalFunction(Frozen):
@@ -307,20 +265,22 @@ class RationalFunction(Frozen):
     def evaluate(self, point: int | Fraction) -> Fraction:
         """Evaluates at a rational point, cancelling any shared zero.
 
-        Numerator and denominator are deflated at the point (at 0 the
-        multiplicity is the least exponent), so the point is a pole, a zero
-        or neither by comparing the two multiplicities.  Raises
-        ZeroDivisionError if the point is a genuine pole.
+        The order of the point as a zero of the numerator and of the
+        denominator (at 0 the least exponent) says whether it is a pole, a
+        zero or neither, and the values of their cofactors there give the
+        quotient.  Raises ZeroDivisionError if the point is a genuine pole.
         """
         if self.is_zero:
             return Fraction(0)
-        m_num, num = self.num.deflate(point)
-        m_den, den = self.den.deflate(point)
+        if not isinstance(point, (int, Fraction)):
+            raise TypeError(f"expected a rational point, got {type(point).__name__}")
+        m_num, c_num = _order_and_value(self.num, point)
+        m_den, c_den = _order_and_value(self.den, point)
         if m_num < m_den:
             raise ZeroDivisionError(f"pole at {point}")
         if m_num > m_den:
             return Fraction(0)
-        return num.evaluate(point) / den.evaluate(point)
+        return c_num / c_den
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"

@@ -274,14 +274,13 @@ def rank_mod_p(matrix: list[list], p: int) -> Echelon:
     return Echelon(p, width, [shift // width for shift, _ in pivots], [t for _, t in pivots])
 
 
-def _relations(echelon: Echelon, cols: int) -> tuple[list[int], list[list[int]]]:
-    """The non-pivot columns C' and, for each, its coefficients on the pivot
-    columns C mod p: the columns of X with G[:, C] X = G[:, C'] mod p.
-    Back-substitution makes each pivot row zero at every other pivot, and
-    its lanes at C' then form a row of X."""
+def _relations(echelon: Echelon, cols: int) -> list[list[int]]:
+    """For each non-pivot column in C' = the columns not in C, in order, its
+    coefficients on the pivot columns C mod p: the columns of X with
+    G[:, C] X = G[:, C'] mod p.  Back-substitution makes each pivot row zero
+    at every other pivot, and its lanes at C' then form a row of X."""
     p, size, columns = echelon.p, echelon.width // 8, echelon.columns
     pivot = set(columns)
-    free = [c for c in range(cols) if c not in pivot]
     reduced = [0] * len(columns)
     rows = [[]] * len(columns)
     for k in reversed(range(len(columns))):
@@ -293,7 +292,7 @@ def _relations(echelon: Echelon, cols: int) -> tuple[list[int], list[list[int]]]
                 x += g * reduced[j]
         rows[k] = [v % p for v in _unpack(x, size, cols)]
         reduced[k] = _pack(rows[k], size)
-    return free, [[row[c] for row in rows] for c in free]
+    return [[row[c] for row in rows] for c in range(cols) if c not in pivot]
 
 
 def _lane_size(count: int, top_x: int, d: int, top_g: int) -> int:
@@ -365,7 +364,7 @@ def _certified(matrix: list, echelon: Echelon, top_g: int) -> bool:
     columns of G packed once, and each free column packed only while it is
     checked, in lanes that fit every lane of the difference."""
     p, columns = echelon.p, echelon.columns
-    _, relations = _relations(echelon, len(matrix[0]))
+    relations = _relations(echelon, len(matrix[0]))
     d = _common_denominator(relations, p)
     if d is None:
         return False

@@ -15,9 +15,10 @@ taken to be 0 past the end.  On the diagonal, d(i, i) = 2*la_i - 2*i >= 0 and
 b(i, i) = -2*la'_i + 2*i - 2 is always even and <= -2.  Weight numerators for
 the Brauer-type algebras are products of (delta + d) over boxes, and their
 denominators are products of hook lengths, so these statistics are the whole
-combinatorial core of the semisimplicity criteria.  `box_statistics` is the
-one place they are computed: it yields d, b and the hook length of every box
-(a is needed only where i <= j, and there it equals d).
+combinatorial core of the semisimplicity criteria.  `box_statistics` yields
+d, b and the hook length of every box (a is needed only where i <= j, and
+there it equals d) for the weights and the full box scans; the diagonal
+search of `criteria` reads d(i, i) and b(i, i) from the formulas above.
 """
 
 from __future__ import annotations

@@ -318,12 +318,14 @@ def suite_gram(max_n: int = 4) -> list[CheckResult]:
 
 # Each suite with the deepest max_n it accepts, None where every check caps
 # its own depth.  Past the ceiling the work grows without a cap: the coset
-# identity ~4x per level (14: about 14 s, 15: about a minute), tr(xy) on 100
-# random pairs per level, quadratic in max_n (250: 17 s, 300: 24 s), and the
-# search to level 2*max_n + 10 (in process 20: 0.1 s, 24: 0.23 s, 30: 0.9 s,
-# about 2x every three levels, mostly the kind-0/1 box scans up to their
-# first hits at level max_n + 3, while the peak stays at about 17 MB, as
-# each scan holds one partition at a time), timed on a 2-vCPU VM.
+# identity ~4x per level (14: 8.5-8.8 s as a fresh `verify` process, 15:
+# 33 s in process), tr(xy) on 100 random pairs per level, quadratic in
+# max_n (250: 7.8-8.4 s as a fresh process, 300: 11.6 s in process), and
+# the search to level 2*max_n + 10 (in process 20: 0.1 s, 24: 0.23 s, 30:
+# 0.9 s, about 2x every three levels, mostly the kind-0/1 box scans up to
+# their first hits at level max_n + 3, while the peak stays at about 17 MB,
+# as each scan holds one partition at a time), timed on a 2-vCPU Xeon VM
+# with Python 3.11.7.
 SUITES = {
     "counting": (suite_counting, 14),
     "trace": (suite_trace, 250),

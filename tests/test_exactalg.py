@@ -21,6 +21,7 @@ from diagalg.exactalg import (
     RationalFunction,
     Record,
     RootSpec,
+    _order_and_value,
     is_prime,
     qint,
     signed_power_is_one,
@@ -62,8 +63,8 @@ def test_laurent_ring_examples():
     p = LaurentPoly({2: 1, 0: 1, -2: 1})
     assert repr(p) == "LaurentPoly({2: 1, 0: 1, -2: 1})"
     assert repr(RationalFunction(Q)) == "RationalFunction(LaurentPoly({1: 1}), LaurentPoly({0: 1}))"
-    assert p.evaluate(1) == 3
-    assert p.evaluate(2) == Fraction(4) + 1 + Fraction(1, 4)
+    assert RationalFunction(p).evaluate(1) == 3
+    assert RationalFunction(p).evaluate(2) == Fraction(4) + 1 + Fraction(1, 4)
 
 
 def test_laurent_negative_power_needs_monomial():
@@ -115,33 +116,43 @@ def _points():
 @given(laurent_st(max_terms=6, max_exp=8), _points())
 @settings(max_examples=300)
 def test_evaluate_matches_the_fraction_sum(p, point):
+    x = RationalFunction(p)
     if point == 0 and any(k < 0 for k in p.coeffs):
-        with pytest.raises(ZeroDivisionError):
-            p.evaluate(point)
+        with pytest.raises(ZeroDivisionError, match="^pole at 0$"):
+            x.evaluate(point)
         return
     want = sum((c * Fraction(point) ** k for k, c in p.coeffs.items()), Fraction(0))
-    got = p.evaluate(point)
+    got = x.evaluate(point)
     assert type(got) is Fraction and got == want
     if point.denominator == 1:
-        assert p.evaluate(int(point)) == want
+        assert x.evaluate(int(point)) == want
+
+
+def test_evaluate_takes_only_rational_points():
+    x = RationalFunction(Q + 3, Q + -ONE)
+    for bad in (0.5, 1.0, "1", None):
+        with pytest.raises(TypeError, match="^expected a rational point, got "):
+            x.evaluate(bad)
 
 
 def _slow_deflate(p, point):
-    """(m, coefficients of g) by Fraction division by v - point, one
-    evaluation per pass: p = (v - r)^m h = (b v - a)^m h / b^m."""
+    """(m, g(point)) by Fraction division by v - point, one evaluation per
+    pass: p = (v - r)^m h = (b v - a)^m g with g = h / b^m."""
     lo = min(p.coeffs)
     if point == 0:
-        return lo, {k - lo: c for k, c in p.coeffs.items()}
-    dense = [Fraction(p.coeffs.get(k, 0)) for k in range(lo, max(p.coeffs) + 1)]
-    m = 0
-    while sum(c * point**i for i, c in enumerate(dense)) == 0:
-        quotient, carry = [], Fraction(0)
-        for c in reversed(dense[1:]):
-            carry = c + point * carry
-            quotient.append(carry)
-        dense = quotient[::-1]
-        m += 1
-    return m, {lo + i: c / point.denominator**m for i, c in enumerate(dense) if c}
+        m, g = lo, {k - lo: c for k, c in p.coeffs.items()}
+    else:
+        dense = [Fraction(p.coeffs.get(k, 0)) for k in range(lo, max(p.coeffs) + 1)]
+        m = 0
+        while sum(c * point**i for i, c in enumerate(dense)) == 0:
+            quotient, carry = [], Fraction(0)
+            for c in reversed(dense[1:]):
+                carry = c + point * carry
+                quotient.append(carry)
+            dense = quotient[::-1]
+            m += 1
+        g = {lo + i: c / point.denominator**m for i, c in enumerate(dense) if c}
+    return m, sum((c * point**k for k, c in g.items()), Fraction(0))
 
 
 @given(laurent_st(max_terms=5, max_exp=6), _points(), st.integers(0, 3), st.integers(-2, 2))
@@ -150,9 +161,8 @@ def test_deflate_matches_a_slow_reference(p, point, k, shift):
     if p.is_zero:
         return
     p = p * (Q * point.denominator + -point.numerator) ** k * Q**shift
-    m, g = p.deflate(point)
-    assert (m, g.coeffs) == _slow_deflate(p, point)
-    assert all(type(c) is int for c in g.coeffs.values())
+    m, c = _order_and_value(p, point)
+    assert type(c) is Fraction and (m, c) == _slow_deflate(p, point)
 
 
 def test_qint_examples():
@@ -160,7 +170,7 @@ def test_qint_examples():
     assert qint(1) == ONE
     assert qint(0).is_zero
     assert qint(-3) == -qint(3)
-    assert qint(4).evaluate(1) == 4
+    assert RationalFunction(qint(4)).evaluate(1) == 4
 
 
 @given(st.integers(-12, 12), st.integers(-12, 12))
@@ -191,12 +201,12 @@ def test_laurent_deflation(a, num, den, k):
     point = Fraction(num, den)
     linear = Q * point.denominator + -point.numerator  # v itself at the point 0
     a = a * linear**k  # a root of multiplicity >= k at a nonzero point
-    m, g = a.deflate(point)
-    assert g * linear**m == a and g.evaluate(point) != 0
+    m, c = _order_and_value(a, point)
+    assert (m, c) == _slow_deflate(a, point) and c != 0
     if point:
         assert m >= k
     else:  # v is a unit, so m is the least exponent and may be negative
-        assert m == a.min_exp() and g.min_exp() == 0
+        assert m == min(a.coeffs)
 
 
 @given(laurent_st(), laurent_st())
@@ -209,10 +219,15 @@ def test_reprs_round_trip_through_eval(a, b):
 
 
 def test_deflation_at_a_rational_point():
-    # (2v - 1)^2 (v + 3) divides exactly by 2v - 1 over Z, twice
+    # (2v - 1)^2 (v + 3) divides exactly by 2v - 1 over Z, twice and no more
     two_v_minus_one = Q * 2 + -ONE
-    assert (two_v_minus_one**2 * (Q + 3)).deflate(Fraction(1, 2)) == (2, Q + 3)
-    assert (two_v_minus_one * QINV).deflate(Fraction(1, 2)) == (1, QINV)
+    half = Fraction(1, 2)
+    p = two_v_minus_one**2 * (Q + 3)
+    assert RationalFunction(p, two_v_minus_one**2).evaluate(half) == Fraction(7, 2)
+    assert RationalFunction(p, two_v_minus_one).evaluate(half) == 0
+    with pytest.raises(ZeroDivisionError, match="^pole at 1/2$"):
+        RationalFunction(p, two_v_minus_one**3).evaluate(half)
+    assert RationalFunction(two_v_minus_one * QINV, two_v_minus_one).evaluate(half) == 2
     # a shared root at 1/2 cancels before evaluating: (2v - 1)(v + 3) / ((2v - 1) v) -> 7/2 / (1/2)
     x = RationalFunction(two_v_minus_one * (Q + 3), two_v_minus_one * Q)
     assert x.evaluate(Fraction(1, 2)) == 7

@@ -306,8 +306,9 @@ def test_column_relations_of_the_echelon_hold_mod_p(matrix, p):
     of the pivot columns, mod p, in every row."""
     echelon = rank_mod_p(matrix, p)
     if matrix and matrix[0]:
-        free, relations = _relations(echelon, len(matrix[0]))
-        assert sorted(free + echelon.columns) == list(range(len(matrix[0])))
+        free = [c for c in range(len(matrix[0])) if c not in echelon.columns]
+        relations = _relations(echelon, len(matrix[0]))
+        assert sorted(free + echelon.columns) == list(range(len(matrix[0]))) and len(relations) == len(free)
         for c, coefficients in zip(free, relations):
             for row in matrix:
                 assert (sum(a * row[k] for a, k in zip(coefficients, echelon.columns)) - row[c]) % p == 0

@@ -98,3 +98,11 @@ def test_values_print_only_as_reprs():
 def test_only_record_defines_hashing():
     # a hashable value hashes as its field tuple, through exactalg.Record
     assert _methods_defined("__hash__") == ["exactalg.Record"]
+
+
+def test_only_rational_functions_evaluate():
+    # one evaluation path: a Laurent polynomial is only the ring, and a
+    # point's order and value on either side of a quotient come from one
+    # pass of exactalg._order_and_value
+    assert _methods_defined("evaluate") == ["exactalg.RationalFunction"]
+    assert _methods_defined("deflate") == []

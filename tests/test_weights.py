@@ -277,8 +277,8 @@ def test_brauer_evaluation_agrees_with_the_symbolic_weight():
                     w = evaluate_weight(la, BrauerParams(p, IntegerDelta(d)))
                     if not w.evaluable:
                         continue
-                    num = weight.num.evaluate(d)
-                    den = weight.den.evaluate(d)
+                    num = RationalFunction(weight.num).evaluate(d)
+                    den = RationalFunction(weight.den).evaluate(d)
                     modp = PrimeFieldElement(p, num.numerator * pow(num.denominator * den.numerator, -1, p)
                                              * den.denominator)
                     assert w.value == modp and w.is_zero == (modp.value == 0)
