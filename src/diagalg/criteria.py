@@ -4,8 +4,10 @@ Each algebra in the family is semisimple exactly up to a level m computed
 as a minimum of simple quantities: the cap n_1 (where weights stop being
 evaluable) and the first levels at which specific box statistics make a
 weight factor vanish.  Which factor rule a spec selects and where its cap
-lies are decided in `weights` (`rule`, `n1_cap`), and this module reads
-them from there.  The closed forms here give each such level in O(1) and
+lies are decided in `weights`: `rule(spec)` resolves a spec into a `Rule`
+(family, N, eps, the vanishing modulus and its `cap`, the orders of a root
+of unity), and this module reads only that record, never the spec's
+variants.  The closed forms here give each such level in O(1) and
 its witness, the (shape, box) attaining it, in time linear in the level;
 a decision builds the witness of the minimum only, up to
 MAX_WITNESS_LEVEL.  The brute-force searches `m_bruteforce` and `mprime_bruteforce`
@@ -37,12 +39,13 @@ RootSpec(e, f) of a root of unity q (and by the characteristic-2 merging of
 +-1).
 
 `decide(spec)` is the one decision procedure, for all three families: it
-reads the family from `weights.rule`, takes that family's closed-form
+reads the Rule from `weights.rule`, takes that family's closed-form
 constituents from one builder per family (`_brauer_parts`,
-`_qbrauer_parts`, `_bmw_parts`), and returns a Verdict: the bound m, the
-labeled constituents entering the min, the normalized parameters for
-root-of-unity cases, and a witness (shape, box) when the bound is attained
-by an actual vanishing weight rather than by the cap n_1 alone.
+`_qbrauer_parts`, `_bmw_parts`, each given the Rule), and returns a
+Verdict: the bound m, the labeled constituents entering the min, the
+normalized parameters for root-of-unity cases, and a witness (shape, box)
+when the bound is attained by an actual vanishing weight rather than by
+the cap n_1 alone.
 """
 
 from __future__ import annotations
@@ -52,16 +55,7 @@ from typing import Iterator
 
 from .exactalg import Frozen, Record, RootSpec, signed_power_is_one
 from .partitions import Box, Partition, box_statistics, partitions_of
-from .weights import (
-    BMWParams,
-    NotRootOfUnity,
-    ParameterError,
-    ParamSpec,
-    QBrauerParams,
-    n1_cap,
-    rule,
-    validate_params,
-)
+from .weights import ParameterError, ParamSpec, Rule, rule, validate_params
 
 
 class UnboundedType(Frozen):
@@ -370,50 +364,48 @@ def _m0_parts(*args: int) -> list[Part]:
     return [(f"m0({a})", _candidates(0, a)) for a in args]
 
 
-def _brauer_parts(spec: ParamSpec, N: int, eps: int) -> tuple[list[Part], tuple]:
+def _brauer_parts(r: Rule) -> tuple[list[Part], tuple]:
     """The Brauer rule, also of q-Brauer and BMW at q = +-1: m0(delta) in
     characteristic 0; in characteristic p, m0 at the two lifts N0 and
     N0 - p of the residue N0 = delta mod p."""
-    p = spec.characteristic
+    p = r.modulus
     if p == 0:
-        return _m0_parts(N), ()
-    N0 = N % p  # in (0, p); N0 = 0 is rejected by validation
+        return _m0_parts(r.N), ()
+    N0 = r.N % p  # in (0, p); N0 = 0 is rejected by validation
     return _m0_parts(N0, N0 - p), (("N", N0),)
 
 
-def _qbrauer_parts(spec: QBrauerParams, N: int, eps: int) -> tuple[list[Part], tuple]:
+def _qbrauer_parts(r: Rule) -> tuple[list[Part], tuple]:
     """m0(N) off roots of unity; at a root of order e, m0 at the three
     shifts N0, N0 - e, N0 + e of the residue N0 of N in (-e, 0)."""
-    if isinstance(spec.q, NotRootOfUnity):
-        return _m0_parts(N), ()
-    e = spec.q.spec.e
-    N0 = N % e - e  # in (-e, 0); e | N is rejected by validation
+    e = r.modulus
+    if e == 0:
+        return _m0_parts(r.N), ()
+    N0 = r.N % e - e  # in (-e, 0); e | N is rejected by validation
     return _m0_parts(N0, N0 - e, N0 + e), (("N", N0),)
 
 
-def _bmw_parts(spec: BMWParams, N: int, eps: int) -> tuple[list[Part], tuple]:
+def _bmw_parts(r: Rule) -> tuple[list[Part], tuple]:
     """Off roots of unity m0(N) for eps = 1, m1(N) and m3(N) for eps = -1;
     at a root of unity the primed forms m1', m2', m3' at the normalized
-    (eps0, N0) with N0 in (-e, 0].  In characteristic 2, eps = 1."""
-    char2 = spec.characteristic == 2
-    if char2:
-        eps = 1
-    if isinstance(spec.q, NotRootOfUnity):
+    (eps0, N0) with N0 in (-e, 0].  In characteristic 2 the rule has
+    eps = 1."""
+    N, eps = r.N, r.eps
+    if r.root is None:
         if eps == 1:
             parts = _m0_parts(N)
         else:
             parts = [(f"m1({N})", _candidates(1, N)), (f"m3({N})", _candidates(3, N))]
-        if char2:
+        if r.char2:
             # +-1 coincide, so the kind-3 vanishing applies as well
             parts.append((f"m3({N})", _candidates(3, N)))
         return parts, ()
-    rs = spec.q.spec
-    e, f = rs.e, rs.f
+    e, f = r.root.e, r.root.f
     rem = N % e
     N0 = rem - e if rem else 0  # in (-e, 0]
     k = (N - N0) // e
-    eps0 = eps * (-1) ** k if (f == 2 * e and not char2) else eps
-    parts = [(f"m{kind}'({N0})", _prime_candidates(kind, N0, eps0, rs, char2)) for kind in (1, 2, 3)]
+    eps0 = eps * (-1) ** k if (f == 2 * e and not r.char2) else eps
+    parts = [(f"m{kind}'({N0})", _prime_candidates(kind, N0, eps0, r.root, r.char2)) for kind in (1, 2, 3)]
     return parts, (("eps", eps0), ("N", N0))
 
 
@@ -421,21 +413,20 @@ _PARTS = {"brauer": _brauer_parts, "qbrauer": _qbrauer_parts, "bmw": _bmw_parts}
 
 
 def decide(spec: ParamSpec) -> Verdict:
-    """The semisimplicity bound of any spec, under the rule
-    (family, N, eps) = weights.rule(spec) that it selects: q = +-1 selects
-    the Brauer rule.  The cap n1 = weights.n1_cap(spec) comes first, where
-    there is one, then the family's closed forms; a spec with no integer N
-    (a generic or non-integer delta, a generic r) gets n0 = UNBOUNDED
-    instead of closed forms.  The witness is that of the first closed form
-    attaining the minimum (the cap has none), and is the only one built."""
+    """The semisimplicity bound of any spec, under the rule r =
+    weights.rule(spec) that it selects: q = +-1 selects the Brauer rule.
+    The cap n1 = r.cap comes first, where there is one, then the family's
+    closed forms; a spec with no integer N (a generic or non-integer delta,
+    a generic r) gets n0 = UNBOUNDED instead of closed forms.  The witness
+    is that of the first closed form attaining the minimum (the cap has
+    none), and is the only one built."""
     validate_params(spec)
-    family, N, eps = rule(spec)
-    cap = n1_cap(spec)
-    levels = [] if cap is None else [("n1", cap, [])]
-    if N is None:  # n0 has no candidates, so it is UNBOUNDED
+    r = rule(spec)
+    levels = [] if r.cap is None else [("n1", r.cap, [])]
+    if r.N is None:  # n0 has no candidates, so it is UNBOUNDED
         parts, normalized = [("n0", [])], ()
     else:
-        parts, normalized = _PARTS[family](spec, N, eps)
+        parts, normalized = _PARTS[r.family](r)
     levels += [(name, min(cands)[0] if cands else UNBOUNDED, cands) for name, cands in parts]
     m = bound_min(*(level for _, level, _ in levels))
     winner = next((cands for _, level, cands in levels if level == m and cands), None)

@@ -270,10 +270,10 @@ class RationalFunction(Frozen):
         zero or neither, and the values of their cofactors there give the
         quotient.  Raises ZeroDivisionError if the point is a genuine pole.
         """
-        if self.is_zero:
-            return Fraction(0)
         if not isinstance(point, (int, Fraction)):
             raise TypeError(f"expected a rational point, got {type(point).__name__}")
+        if self.is_zero:
+            return Fraction(0)
         m_num, c_num = _order_and_value(self.num, point)
         m_den, c_den = _order_and_value(self.den, point)
         if m_num < m_den:

@@ -102,7 +102,7 @@ from operator import getitem
 from .branching import double_factorial_odd
 from .brauer import all_diagrams, compose_diagrams, full_closure_cycles, involute_diagram
 from .exactalg import PrimeFieldElement, Record, is_prime
-from .weights import BrauerParams, IntegerDelta, ParameterError, n1_cap, validate_params
+from .weights import BrauerParams, IntegerDelta, ParameterError, rule, validate_params
 
 _SCREEN_PRIME = 67_108_859  # the largest prime below 2^26: the char-0 screen
 MAX_LEVEL = 5  # (2*5-1)!! = 945 diagrams: the largest dense matrix built
@@ -461,7 +461,7 @@ def _checked_delta(params, n: int) -> int:
             f"level n = {n} has (2n-1)!! = {count} diagrams; Gram matrices are limited "
             f"to {double_factorial_odd(MAX_LEVEL)} diagrams (n <= {MAX_LEVEL})"
         )
-    cap = n1_cap(params)
+    cap = rule(params).cap
     if cap is not None and n > cap:
         raise ParameterError(f"level n = {n} exceeds n_1 = {cap} in characteristic {params.characteristic}")
     return params.delta.value

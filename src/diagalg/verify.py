@@ -73,8 +73,8 @@ from .weights import (
     bmw_weight_at_power,
     brauer_weight,
     evaluate_weight,
-    n1_cap,
     qbrauer_weight_at_power,
+    rule,
     vanishing_level,
 )
 
@@ -289,7 +289,7 @@ def _levels_agree(p: int, deltas, max_n: int) -> bool:
     last semisimple level, not a degenerate one."""
     for d in deltas:
         spec = BrauerParams(p, IntegerDelta(d))
-        cap = n1_cap(spec)
+        cap = rule(spec).cap
         top = max_n if cap is None else min(max_n, cap)
         verdict = decide(spec)
         m = verdict.m if verdict.witness is not None and verdict.m <= top else None

@@ -23,10 +23,14 @@ records.
 Parameters are described structurally (ParamSpec): the characteristic, the
 delta or (q, r) regime, and for roots of unity the pair of orders
 RootSpec(e, f) with e = ord(q^2), f = ord(q).  Which rule a spec selects is
-decided in one place, `rule`: q = +-1 falls back to the Brauer rule, and a
-generic r leaves N symbolic.  The weights, the cap `n1_cap` and the
-decisions in `criteria` all read the rule from there.  Evaluation at a root
-of unity is a pure congruence test on RootSpec.
+decided in one place, `rule`, which resolves the spec into a `Rule`: the
+family, N and eps, and the modulus by which factors and hooks vanish (p in
+the Brauer rule, e at a root of unity, 0 otherwise), whose `cap` is the
+level n_1 = modulus - 1.  q = +-1 falls back to the Brauer rule, and a
+generic r leaves N symbolic.  The evaluation, the validation of delta and
+the decisions in `criteria` all read the rule from there, and no other
+module looks inside a spec to find it.  Evaluation at a root of unity is a
+pure congruence test on RootSpec.
 """
 
 from __future__ import annotations
@@ -185,10 +189,14 @@ def _validate_r(r: RParam) -> None:
 def validate_params(spec: ParamSpec) -> None:
     """Rejects parameter combinations excluded by the theorems.
 
-    Excluded are: non-prime characteristic; Brauer delta = 0; roots of
-    unity that cannot exist in the given characteristic; q-Brauer r = +-1
-    (which forces delta = [0] = 0); BMW r = q^-1 or r = -q (both force
-    delta = 0).
+    Excluded are: a characteristic that is not 0 or a prime, or is at least
+    2^31; delta = 0 in the field (delta = 0 in characteristic 0, delta = 0
+    mod p in characteristic p), for the Brauer algebra and for q = +-1;
+    roots of unity that cannot exist in the given characteristic; a sign
+    of r other than +-1; q-Brauer r = +-1 off roots of unity and e | N at a
+    root of unity (both force delta = [N]_q = 0); BMW r = q^-1 or r = -q
+    (both force delta = 0); and a value that is not a parameter of its
+    slot.
     """
     p = spec.characteristic
     _validate_characteristic(p)
@@ -197,23 +205,18 @@ def validate_params(spec: ParamSpec) -> None:
         return
     _validate_q(spec.q, p)
     _validate_r(spec.r)
-    if isinstance(spec.q, PlusMinusOne) or isinstance(spec.r, GenericR):
+    r = rule(spec)
+    if r.family == "brauer" or r.N is None:
         return
-    eps, N = spec.r.eps, spec.r.N
-    char2 = p == 2
-    if isinstance(spec, QBrauerParams):
-        # delta = +-[N]_q vanishes iff [N]_q = 0
-        if isinstance(spec.q, NotRootOfUnity):
-            if N == 0:
-                raise ParameterError("r = +-1 forces delta = 0 in the q-Brauer algebra")
-        else:
-            if N % spec.q.spec.e == 0:
-                raise ParameterError(f"e | N forces delta = [N]_q = 0 (e = {spec.q.spec.e})")
+    if r.family == "qbrauer":  # delta = +-[N]_q vanishes iff [N]_q = 0
+        if r.modulus and r.N % r.modulus == 0:
+            raise ParameterError(f"e | N forces delta = [N]_q = 0 (e = {r.modulus})")
+        if r.N == 0:
+            raise ParameterError("r = +-1 forces delta = 0 in the q-Brauer algebra")
     else:  # BMW: delta = 0 iff r = q^-1 (eps*q^N = 1) or r = -q (eps*q^(N-2) = -1)
-        rs = spec.q.spec if isinstance(spec.q, RootOfUnity) else None
-        if signed_power_is_one(eps, N, rs, char2):
+        if signed_power_is_one(r.eps, r.N, r.root, r.char2):
             raise ParameterError("r = q^-1 is excluded (it forces delta = 0)")
-        if signed_power_is_one(-eps, N - 2, rs, char2):
+        if signed_power_is_one(-r.eps, r.N - 2, r.root, r.char2):
             raise ParameterError("r = -q is excluded (it forces delta = 0)")
 
 
@@ -263,18 +266,43 @@ def box_factors(family: str, la: Partition) -> Iterator[BoxFactor]:
             yield BoxFactor(box, ((ONE_MINUS, d), (ONE_PLUS, b)), h, DIAG_HOOK)
 
 
-def rule(spec: ParamSpec) -> tuple[str, int | None, int]:
-    """The factor rule a spec selects, as (family, N, eps).  q = +-1 falls
-    back to the Brauer rule at its delta.  N is the integer delta or the
-    exponent in r, and None where there is none (a generic or non-integer
-    delta, a generic r); eps is the sign in r (1 where there is none)."""
+class Rule(Record):
+    """The factor rule a spec selects, resolved.
+
+    `family` names the factors of `box_factors`; N is the integer delta or
+    the exponent in r, None where there is none (a generic or non-integer
+    delta, a generic r); eps is the sign in r, 1 where there is none and in
+    characteristic 2, where the sign is invisible.  A factor or hook
+    vanishes by a congruence mod `modulus`: p in the Brauer rule, e at a
+    root of unity, 0 (plain equality) otherwise.  `root` is the RootSpec of
+    q at a root of unity, else None, and `char2` marks characteristic 2."""
+
+    __slots__ = ("family", "N", "eps", "modulus", "root", "char2")
+    family: str
+    N: int | None
+    eps: int
+    modulus: int
+    root: RootSpec | None
+    char2: bool
+
+    @property
+    def cap(self) -> int | None:
+        """The level n_1 = modulus - 1 below which every weight stays
+        evaluable, None (no cap) when the modulus is 0."""
+        return self.modulus - 1 if self.modulus else None
+
+
+def rule(spec: ParamSpec) -> Rule:
+    """The rule a spec selects.  q = +-1 falls back to the Brauer rule at
+    its delta."""
+    p = spec.characteristic
     if isinstance(spec, BrauerParams) or isinstance(spec.q, PlusMinusOne):
         delta = spec.delta if isinstance(spec, BrauerParams) else spec.q.delta
-        return "brauer", delta.value if isinstance(delta, IntegerDelta) else None, 1
+        return Rule("brauer", delta.value if isinstance(delta, IntegerDelta) else None, 1, p, None, p == 2)
     family = "qbrauer" if isinstance(spec, QBrauerParams) else "bmw"
-    if isinstance(spec.r, GenericR):
-        return family, None, 1
-    return family, spec.r.N, spec.r.eps
+    root = spec.q.spec if isinstance(spec.q, RootOfUnity) else None
+    N, eps = (None, 1) if isinstance(spec.r, GenericR) else (spec.r.N, spec.r.eps)
+    return Rule(family, N, 1 if p == 2 else eps, root.e if root else 0, root, p == 2)
 
 
 # --- symbolic weights ------------------------------------------------------
@@ -358,10 +386,10 @@ def _den_text(den: str, h: int) -> str:
 def weight_factor_descriptions(la: Partition, spec: ParamSpec) -> tuple[str, ...]:
     """One human-readable factor per box of la, under the rule spec selects;
     a generic r leaves N symbolic (never flattened)."""
-    family, N, _ = rule(spec)
+    r = rule(spec)
     return tuple(
-        "".join(_term_text(kind, shift, N) for kind, shift in f.terms) + "/" + _den_text(f.den, f.hook)
-        for f in box_factors(family, la)
+        "".join(_term_text(kind, shift, r.N) for kind, shift in f.terms) + "/" + _den_text(f.den, f.hook)
+        for f in box_factors(r.family, la)
     )
 
 
@@ -386,16 +414,15 @@ class WeightValue(Record):
     witness_box: Box | None
 
 
-def _term_vanishes(kind: str, x: int, eps: int, modulus: int, rs: RootSpec | None, char2: bool) -> bool:
-    """Whether a term with x = N + shift is zero; `modulus` is p for delta
-    terms and e (0 off roots of unity) for q-integers, as for the hooks, and
-    rs is None off roots of unity."""
+def _term_vanishes(kind: str, x: int, r: Rule) -> bool:
+    """Whether a term with x = N + shift is zero under the rule r: delta
+    terms and q-integers vanish mod the rule's modulus, as the hooks do."""
     if kind == EPS:
         return False
     if kind in (ONE_MINUS, ONE_PLUS):
-        sign = eps if kind == ONE_MINUS else -eps  # eps*q^x = -1 iff -eps*q^x = 1
-        return signed_power_is_one(sign, x, rs, char2)
-    return x % modulus == 0 if modulus else x == 0
+        sign = r.eps if kind == ONE_MINUS else -r.eps  # eps*q^x = -1 iff -eps*q^x = 1
+        return signed_power_is_one(sign, x, r.root, r.char2)
+    return x % r.modulus == 0 if r.modulus else x == 0
 
 
 def evaluate_weight(la: Partition, spec: ParamSpec) -> WeightValue:
@@ -404,46 +431,26 @@ def evaluate_weight(la: Partition, spec: ParamSpec) -> WeightValue:
     Every factor vanishes by a congruence: mod p in the Brauer rule, and
     at a root of unity on the orders RootSpec(e, f)."""
     validate_params(spec)
-    family, N, eps = rule(spec)
-    p = spec.characteristic
-    if family == "brauer":
-        rs, modulus = None, p
-    else:
-        rs = spec.q.spec if isinstance(spec.q, RootOfUnity) else None
-        modulus = rs.e if rs else 0
-    factors = tuple(box_factors(family, la))
-    if modulus and any(f.hook % modulus == 0 for f in factors):
+    r = rule(spec)
+    factors = tuple(box_factors(r.family, la))
+    if r.modulus and any(f.hook % r.modulus == 0 for f in factors):
         return WeightValue(la, False, None, None, None)
-    if N is None:
+    if r.N is None:
         return WeightValue(la, True, False, None, None)
-    witness = next(
-        (f.box for f in factors if any(_term_vanishes(k, N + s, eps, modulus, rs, p == 2) for k, s in f.terms)),
-        None,
-    )
+    witness = next((f.box for f in factors if any(_term_vanishes(k, r.N + s, r) for k, s in f.terms)), None)
     value = None
-    if family == "brauer":  # the product of (delta + d)/h over the boxes
+    if r.family == "brauer":  # the product of (delta + d)/h over the boxes
         num = den = 1
         for f in factors:
             ((_, d),) = f.terms
-            num *= N + d
+            num *= r.N + d
             den *= f.hook
+        p = r.modulus
         value = PrimeFieldElement(p, num * pow(den, -1, p)) if p else Fraction(num, den)
     return WeightValue(la, True, witness is not None, value, witness)
 
 
 # --- levels ----------------------------------------------------------------
-
-
-def n1_cap(spec: ParamSpec) -> int | None:
-    """The level n_1 below which all weights stay evaluable: p - 1 in
-    characteristic p for the Brauer regime, e - 1 at a root of unity,
-    None (no cap) otherwise."""
-    p = spec.characteristic
-    if rule(spec)[0] == "brauer":
-        return p - 1 if p else None
-    if isinstance(spec.q, RootOfUnity):
-        return spec.q.spec.e - 1
-    return None
 
 
 def vanishing_level(spec: ParamSpec, n_max: int) -> tuple[int, Partition, Box] | None:
@@ -454,7 +461,7 @@ def vanishing_level(spec: ParamSpec, n_max: int) -> tuple[int, Partition, Box] |
     validate_params(spec)
     if n_max < 2:
         raise ParameterError(f"n_max must be at least 2, got {n_max}")
-    cap = n1_cap(spec)
+    cap = rule(spec).cap
     top = n_max if cap is None else min(n_max, cap)
     for n in range(2, top + 1):
         for la in partitions_of(n):

@@ -129,10 +129,12 @@ def test_evaluate_matches_the_fraction_sum(p, point):
 
 
 def test_evaluate_takes_only_rational_points():
-    x = RationalFunction(Q + 3, Q + -ONE)
-    for bad in (0.5, 1.0, "1", None):
-        with pytest.raises(TypeError, match="^expected a rational point, got "):
-            x.evaluate(bad)
+    # the zero function too: its value is 0 only at a rational point
+    for x in (RationalFunction(Q + 3, Q + -ONE), RationalFunction(LaurentPoly({}))):
+        for bad in (0.5, 1.0, "1", "x", None):
+            with pytest.raises(TypeError, match="^expected a rational point, got "):
+                x.evaluate(bad)
+    assert RationalFunction(LaurentPoly({})).evaluate(Fraction(1, 2)) == 0
 
 
 def _slow_deflate(p, point):

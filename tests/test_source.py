@@ -106,3 +106,17 @@ def test_only_rational_functions_evaluate():
     # pass of exactalg._order_and_value
     assert _methods_defined("evaluate") == ["exactalg.RationalFunction"]
     assert _methods_defined("deflate") == []
+
+
+def test_only_weights_reads_the_parameter_variants():
+    # a spec is resolved once, by weights.rule, into the Rule that criteria
+    # reads; a decision that looked inside the spec would decide again
+    # where its modulus and cap lie
+    src = Path(diagalg.__file__).parent
+    variants = {"BrauerParams", "QBrauerParams", "BMWParams", "IntegerDelta", "GenericDelta",
+                "NonIntegerDelta", "NotRootOfUnity", "RootOfUnity", "PlusMinusOne", "GenericR",
+                "SignedPower"}
+    criteria = ast.parse((src / "criteria.py").read_text())
+    assert _names_used(criteria) & variants == set()
+    weights = ast.parse((src / "weights.py").read_text())
+    assert "n1_cap" not in {node.name for node in weights.body if isinstance(node, ast.FunctionDef)}

@@ -30,12 +30,13 @@ from diagalg.weights import (
     PlusMinusOne,
     QBrauerParams,
     RootOfUnity,
+    Rule,
     SignedPower,
     bmw_weight_at_power,
     brauer_weight,
     evaluate_weight,
-    n1_cap,
     qbrauer_weight_at_power,
+    rule,
     validate_params,
     vanishing_level,
     weight_factor_descriptions,
@@ -350,12 +351,37 @@ def test_prime_field_root_of_unity_orders():
         assert pow(q0, f, p) == 1 and all(pow(q0, k, p) != 1 for k in range(1, f))
 
 
-def test_n1_cap():
-    assert n1_cap(BrauerParams(0, IntegerDelta(3))) is None
-    assert n1_cap(BrauerParams(5, IntegerDelta(3))) == 4
-    assert n1_cap(QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), GenericR())) == 6
-    assert n1_cap(QBrauerParams(0, NotRootOfUnity(), GenericR())) is None
-    assert n1_cap(BMWParams(3, PlusMinusOne(IntegerDelta(2)), GenericR())) == 2
+def test_rule_of_each_regime():
+    # the whole resolved rule, and its cap n_1 = modulus - 1, per regime
+    r7, r7f, r3 = RootSpec(7, 7), RootSpec(5, 10), RootSpec(3, 3)
+    table = [
+        (BrauerParams(0, IntegerDelta(3)), Rule("brauer", 3, 1, 0, None, False), None),
+        (BrauerParams(5, IntegerDelta(3)), Rule("brauer", 3, 1, 5, None, False), 4),
+        (BrauerParams(0, GenericDelta()), Rule("brauer", None, 1, 0, None, False), None),
+        (BrauerParams(7, GenericDelta()), Rule("brauer", None, 1, 7, None, False), 6),
+        (BrauerParams(3, NonIntegerDelta()), Rule("brauer", None, 1, 3, None, False), 2),
+        (BrauerParams(2, IntegerDelta(1)), Rule("brauer", 1, 1, 2, None, True), 1),
+        # q = +-1 falls back to the Brauer rule at its delta
+        (BMWParams(3, PlusMinusOne(IntegerDelta(2)), GenericR()), Rule("brauer", 2, 1, 3, None, False), 2),
+        (QBrauerParams(0, PlusMinusOne(IntegerDelta(-4)), SignedPower(-1, 2)),
+         Rule("brauer", -4, 1, 0, None, False), None),
+        # each q-family at a root with f = e and f = 2e, and off roots
+        (QBrauerParams(0, RootOfUnity(r7), GenericR()), Rule("qbrauer", None, 1, 7, r7, False), 6),
+        (QBrauerParams(0, RootOfUnity(r7), SignedPower(1, -3)), Rule("qbrauer", -3, 1, 7, r7, False), 6),
+        (QBrauerParams(3, RootOfUnity(r7f), SignedPower(-1, 4)), Rule("qbrauer", 4, -1, 5, r7f, False), 4),
+        (QBrauerParams(0, NotRootOfUnity(), GenericR()), Rule("qbrauer", None, 1, 0, None, False), None),
+        (QBrauerParams(0, NotRootOfUnity(), SignedPower(-1, 3)), Rule("qbrauer", 3, -1, 0, None, False), None),
+        (BMWParams(0, RootOfUnity(r3), SignedPower(-1, -2)), Rule("bmw", -2, -1, 3, r3, False), 2),
+        (BMWParams(0, RootOfUnity(r7f), SignedPower(-1, -2)), Rule("bmw", -2, -1, 5, r7f, False), 4),
+        (BMWParams(5, NotRootOfUnity(), SignedPower(1, -2)), Rule("bmw", -2, 1, 0, None, False), None),
+        (BMWParams(0, RootOfUnity(r7f), GenericR()), Rule("bmw", None, 1, 5, r7f, False), 4),
+        # in characteristic 2 the sign of r is invisible: eps reads 1
+        (BMWParams(2, RootOfUnity(r3), SignedPower(-1, 4)), Rule("bmw", 4, 1, 3, r3, True), 2),
+        (BMWParams(2, NotRootOfUnity(), SignedPower(-1, 4)), Rule("bmw", 4, 1, 0, None, True), None),
+    ]
+    for spec, want, cap in table:
+        validate_params(spec)
+        assert (rule(spec), rule(spec).cap) == (want, cap), spec
 
 
 def test_vanishing_level_examples():
