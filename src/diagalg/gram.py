@@ -59,28 +59,41 @@ Gram level that is deficient over Q has delta a root, |delta| <= 8 at
 n <= 5, so every such level is certified mod P; only arbitrary matrices can
 be deficient over Q, uncertified and past the budget of screens, such as a
 105 x 105 matrix of rank 104 with 128-bit entries.  Every screen prime is
-below 2^26, so 2*bits(q) + bits(cols) + 1 <= 64 up to 2047 columns, and
-every lane of the elimination below is 8 bytes, which a memoryview reads.
+below 2^26, so its lanes (below) are 8 bytes, which a memoryview reads, up
+to 4096 columns.
 
 `rank_mod_p` packs each row into one Python int, entry c in the lane of
-bits [c*w, (c+1)*w), w a whole number of bytes with w >= 2*bits(p) +
-bits(cols) + 1 (rounded up to 4 or 8 bytes when it fits in 8).  Rows come
-in one at a time.  Each pivot row is stored reduced, lanes in [0, p) and 1
-in its pivot lane, and is zero in the pivot lanes of the pivots found before
-it; so reducing an incoming row against the pivots in the order they were
-found costs, per pivot, one lane extraction (x >> shift) & mask and one
-multiply-add x += g*t with 0 <= g < p.  A lane starts below p and gains less
-than p^2 per pivot, and there are at most cols pivots, so it stays below
-p + cols*p^2 <= 2^w: no lane carries into the next, and the rank is exact
-for every p.  The row is then unpacked once; its first lane that is nonzero
-mod p makes it a new pivot, and a row with none is dropped.
-Back-substitution runs on the same lanes with the same bound.  The check
-over Z lifts D X to symmetric residues in place and packs each pivot
-column of G once into signed lanes, one per row, wide enough for every
-lane of the difference, so that each column of G[:, C] (D X) costs one
-multiply-add per nonzero entry of D X; each free column of G is packed
+bits [c*w, (c+1)*w), w the narrowest native lane of 8, 16, 32 or 64 bits
+that holds (p-1) + cols*(p-1)^2, or a whole number of bytes past 64 bits:
+2 bytes mod 7 at 945 columns, where the bound is 34,026.  Rows come in one
+at a time.  A GramRow is packed straight from its exponent bytes: its power
+table is checked once, entry by entry, and turned into one bytes.translate
+table per byte of a lane that its residues need, so that a row costs one
+translate per such byte into an interleaved bytearray (one mod 7, four mod
+P) and no Python object per entry; a row that names an entry of its table
+that fails the check, and every row that is not a GramRow, is read entry by
+entry and refused with the same error.  Each pivot row is stored reduced,
+lanes in [0, p) and 1 in its pivot lane, and is zero in the pivot lanes of
+the pivots found before it; so reducing an incoming row against the pivots
+in the order they were found costs, per pivot, one lane extraction and one
+multiply-add x += g*t with 0 <= g < p.  A lane in the lower half of the row
+is extracted as (x & low) >> shift, low the mask of the lanes up to it, and
+one in the upper half as (x >> shift) & mask, so an extraction reads only
+the lanes on its shorter side.  A lane starts at most p - 1 and gains at
+most (p-1)^2 per pivot, and there are fewer than cols pivots, so it stays
+at most (p-1) + cols*(p-1)^2 < 2^w: no lane carries into the next, and the
+rank is exact for every p.  The row is then unpacked once and reduced mod
+p; a row with no nonzero lane is dropped, and otherwise its first nonzero
+lane makes it a new pivot.  Back-substitution runs on the same lanes with
+the same bound, and keeps each back-substituted row packed until all are
+done, then as its lanes, one row at a time: never a list of ints per row.
+The check over Z lifts D X to symmetric residues in place and packs each
+pivot column of G once into signed lanes, one per row, wide enough for
+every lane of the difference, so that each column of G[:, C] (D X) costs
+one multiply-add per nonzero entry of D X; each free column of G is packed
 only while it is checked, so the check holds r packed columns, not one per
-column of G.
+column of G.  The Hadamard bound and the lanes read max|g| of a GramRow
+from the entries of its power table that its bytes name.
 
 `level_rank` is the rank of one level at an integer delta, and
 `first_degenerate_level` walks n = 2, 3, ... and reports the first level at
@@ -180,20 +193,21 @@ def gram_matrix(n: int, delta, scaled: bool = False) -> list[GramRow]:
     delta = delta if scaled or not isinstance(delta, int) else Fraction(delta)  # int ** -k is a float
     rows = gram_exponents(n)
     powers = [None] * (n + 1)
-    for c in set().union(*rows):
-        powers[c] = delta ** (c + shift)
+    for c in range(n + 1):
+        if any(c in row for row in rows):  # a byte search per row, where a set of every entry reads 893k at n = 5
+            powers[c] = delta ** (c + shift)
     powers = tuple(powers)
     return [GramRow(row, powers) for row in rows]
 
 
-_LANE_FORMATS = {4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
 def _lane_bytes(bits: int) -> int:
-    """Bytes per lane for lanes of at least `bits` bits: 4 or 8 when that
-    is enough, so that array and memoryview read them natively."""
+    """Bytes per lane for lanes of at least `bits` bits: 1, 2, 4 or 8 when
+    that is enough, so that array and memoryview read them natively."""
     size = (bits + 7) // 8
-    return size if size > 8 else 4 if size <= 4 else 8
+    return size if size > 8 else 1 << (size - 1).bit_length()
 
 
 def _pack(values, size: int) -> int:
@@ -246,6 +260,48 @@ def _residues(row, i: int, cols: int, p: int, field: bool) -> list[int]:
     return residues
 
 
+def _translations(powers: tuple, p: int, field: bool) -> tuple[bytes, list[bytearray]]:
+    """How GramRows that read `powers` pack: the bytes c whose entry
+    powers[c] is an int, or an element of F_p when `field`, each entry
+    checked once; and for each byte k of a lane up to the last that some
+    residue needs, the bytes.translate table that maps every such c to byte
+    k of its residue."""
+    kind = PrimeFieldElement if field else int
+    residues = {
+        c: v.value if field else v % p
+        for c, v in enumerate(powers[:256])
+        if type(v) is kind and (not field or v.p == p)
+    }
+    tables = [bytearray(256) for _ in range((max(residues.values(), default=0).bit_length() + 7) // 8)]
+    for c, residue in residues.items():
+        for k, table in enumerate(tables):
+            table[c] = residue >> 8 * k & 255
+    return bytes(residues), tables
+
+
+def _packed_rows(matrix: list, cols: int, p: int, field: bool, size: int):
+    """Each row of a matrix as residues mod p packed into lanes of `size`
+    bytes, checked as `_residues` checks it.  A GramRow whose exponent
+    bytes name only checked entries of its power table is packed straight
+    from them, one bytes.translate per byte of a lane that its residues
+    need, written into an interleaved bytearray whose other bytes stay 0;
+    every other row goes through `_residues`, which refuses it with the same
+    error as any row."""
+    powers = None
+    for i, row in enumerate(matrix):
+        if type(row) is GramRow and len(row.exponents) == cols:
+            if row.powers is not powers:
+                powers = row.powers
+                named, tables = _translations(powers, p, field)
+                lanes = bytearray(size * cols)
+            if not row.exponents.translate(None, named):
+                for k, table in enumerate(tables):
+                    lanes[k::size] = row.exponents.translate(table)
+                yield int.from_bytes(lanes, "little")
+                continue
+        yield _pack(_residues(row, i, cols, p, field), size)
+
+
 def rank_mod_p(matrix: list[list], p: int) -> Echelon:
     """Row echelon form over F_p of a matrix of ints, or of PrimeFieldElements
     of F_p, by row-incremental elimination on rows packed into one int each
@@ -253,25 +309,24 @@ def rank_mod_p(matrix: list[list], p: int) -> Echelon:
     the rows after the rank is full."""
     cols = len(matrix[0]) if matrix else 0
     field = cols > 0 and isinstance(matrix[0][0], PrimeFieldElement)
-    size = _lane_bytes(2 * p.bit_length() + cols.bit_length() + 1)
+    size = _lane_bytes((p - 1 + cols * (p - 1) ** 2).bit_length())
     width = 8 * size
     mask = (1 << width) - 1
-    pivots = []  # (shift of the pivot lane, packed pivot row)
-    for i, row in enumerate(matrix):
-        residues = _residues(row, i, cols, p, field)
+    pivots = []  # (shift of the pivot lane, packed pivot row, mask of the lanes up to it or 0)
+    for x in _packed_rows(matrix, cols, p, field, size):
         if len(pivots) == cols:
             continue
-        x = _pack(residues, size)
-        for shift, t in pivots:
-            g = -(x >> shift & mask) % p
+        for shift, t, low in pivots:
+            g = -((x & low) >> shift if low else x >> shift & mask) % p
             if g:
                 x += g * t
         lanes = [v % p for v in _unpack(x, size, cols)]
-        c = next((c for c, v in enumerate(lanes) if v), None)
-        if c is not None:
+        if any(lanes):
+            c = lanes.index(next(filter(None, lanes)))
             inv = pow(lanes[c], -1, p)
-            pivots.append((width * c, _pack([v * inv % p for v in lanes], size)))
-    return Echelon(p, width, [shift // width for shift, _ in pivots], [t for _, t in pivots])
+            low = (1 << width * (c + 1)) - 1 if 2 * c < cols else 0
+            pivots.append((width * c, _pack([v * inv % p for v in lanes], size), low))
+    return Echelon(p, width, [shift // width for shift, _, _ in pivots], [t for _, t, _ in pivots])
 
 
 def _relations(echelon: Echelon, cols: int) -> list[list[int]]:
@@ -282,7 +337,6 @@ def _relations(echelon: Echelon, cols: int) -> list[list[int]]:
     p, size, columns = echelon.p, echelon.width // 8, echelon.columns
     pivot = set(columns)
     reduced = [0] * len(columns)
-    rows = [[]] * len(columns)
     for k in reversed(range(len(columns))):
         x = echelon.rows[k]
         lanes = _unpack(x, size, cols)
@@ -290,9 +344,10 @@ def _relations(echelon: Echelon, cols: int) -> list[list[int]]:
             g = -lanes[columns[j]] % p
             if g:
                 x += g * reduced[j]
-        rows[k] = [v % p for v in _unpack(x, size, cols)]
-        reduced[k] = _pack(rows[k], size)
-    return [[row[c] for row in rows] for c in range(cols) if c not in pivot]
+        reduced[k] = _pack([v % p for v in _unpack(x, size, cols)], size)
+    for k, x in enumerate(reduced):
+        reduced[k] = _unpack(x, size, cols)  # one row at a time, so the ints and the lanes are never all held
+    return [[row[c] for row in reduced] for c in range(cols) if c not in pivot]
 
 
 def _lane_size(count: int, top_x: int, d: int, top_g: int) -> int:
@@ -379,6 +434,14 @@ def _certified(matrix: list, echelon: Echelon, top_g: int) -> bool:
     return _combination_holds(basis, free_columns, relations, d)
 
 
+def _top_entry(row) -> int:
+    """max |g| over a row of ints; a GramRow reads it from the entries of
+    its power table that its exponent bytes name."""
+    if type(row) is GramRow:
+        return max(abs(v) for c, v in enumerate(row.powers) if c in row.exponents)
+    return max(map(abs, row))
+
+
 def _screen_primes():
     """The screen primes over Q: P = _SCREEN_PRIME, which needs no test,
     then the primes below it in descending order."""
@@ -418,7 +481,7 @@ def rank(matrix: list[list], p: int = 0) -> int:
         if r == full:
             return r
         if count == 1:
-            top_g = max(max(map(abs, row)) for row in matrix)
+            top_g = max(map(_top_entry, matrix))
             if top_g.bit_length() <= CERTIFY_MAX_BITS and _certified(matrix, screen, top_g):
                 return r
         product *= q

@@ -1,5 +1,6 @@
 """Tests for trace-form Gram matrices and exact rank computations."""
 
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -281,22 +282,56 @@ def test_rank_mod_p_matches_the_list_echelon_on_gram_matrices():
                     assert len(rank_mod_p(g, p).columns) == _reference_rank_mod_p(g, p), (n, delta, p)
 
 
-def test_rank_mod_p_lanes_do_not_carry_at_the_worst_case():
+def test_gram_rows_pack_as_their_entries_do():
+    # a GramRow is packed straight from its exponent bytes; the echelon,
+    # pivot columns and lanes, is that of the same entries as plain lists
+    for n in range(5):
+        for delta in range(-8, 9):
+            for p in (2, 3, 5, 7, 11, 13, _SCREEN_PRIME) if delta else ():
+                for entries in (delta, PrimeFieldElement(p, delta)):
+                    g = gram_matrix(n, entries, scaled=True)
+                    assert rank_mod_p(g, p) == rank_mod_p([list(row) for row in g], p), (n, delta, p, entries)
+
+
+def _worst_case(p: int, cols: int) -> list[list[int]]:
     """Pivot rows t_k = (0, ..., 0, 1, p-1, ..., p-1) with the 1 in column
     k, then v = sum t_k: every update adds (p-1) * t_k, so the last lane of v
     takes cols - 1 increments of (p-1)^2, the growth the lane width is sized
-    for.  v is in the span; v plus one in its last entry is not.  With 300
-    columns bits(cols) = 9 widens the lane past what 255 columns need."""
+    for.  v is in the span, so the rank is cols - 1."""
+    pivots = [[0] * k + [1] + [p - 1] * (cols - 1 - k) for k in range(cols - 1)]
+    return pivots + [[sum(col) % p for col in zip(*pivots)]]
+
+
+def test_rank_mod_p_lanes_do_not_carry_at_the_worst_case():
+    """v of `_worst_case` is in the span; v plus one in its last entry is
+    not.  With 300 columns bits(cols) = 9 widens the lane past what 255
+    columns need."""
     cols = 300
     for p in _RANK_PRIMES:
-        pivots = [[0] * k + [1] + [p - 1] * (cols - 1 - k) for k in range(cols - 1)]
-        v = [sum(col) % p for col in zip(*pivots)]
-        w = v[:-1] + [v[-1] + 1]
-        for last, expected in ((v, cols - 1), (w, cols)):
-            m = pivots + [last]
-            assert len(rank_mod_p(m, p).columns) == _reference_rank_mod_p(m, p) == expected
+        m = _worst_case(p, cols)
+        assert len(rank_mod_p(m, p).columns) == _reference_rank_mod_p(m, p) == cols - 1
+        m[-1][-1] += 1
+        assert len(rank_mod_p(m, p).columns) == _reference_rank_mod_p(m, p) == cols
         full = [[p - 1] * cols for _ in range(4)]
         assert len(rank_mod_p(full, p).columns) == _reference_rank_mod_p(full, p) == 1
+
+
+def test_rank_mod_p_lanes_do_not_carry_at_each_lane_size_boundary():
+    # a lane stays at most (p-1) + cols (p-1)^2: the largest cols for which
+    # that fits in 1 or 2 bytes takes that lane, and one column more takes
+    # the next size; the worst case does not carry at either
+    for p in (2, 3, 5, 17):
+        for size in (1, 2):
+            top = ((1 << 8 * size) - 1 - (p - 1)) // (p - 1) ** 2
+            if not 0 < top <= 300:  # p = 17 fits no column in a byte; p <= 5 fit thousands in 2
+                continue
+            for cols, width in ((top, 8 * size), (top + 1, 16 * size)):
+                m = _worst_case(p, cols)
+                echelon = rank_mod_p(m, p)
+                assert echelon.width == width and len(echelon.columns) == cols - 1, (p, cols)
+                m[-1][-1] += 1
+                echelon = rank_mod_p(m, p)
+                assert echelon.width == width and len(echelon.columns) == cols, (p, cols)
 
 
 @given(_integer_matrices(), st.sampled_from(_RANK_PRIMES))
@@ -375,9 +410,10 @@ def test_certificate_packs_the_columns_once(monkeypatch):
     monkeypatch.setattr(gram, "_packed_column", counted)
     screens = _screens(monkeypatch)
     # the relation has denominator D = 2, found before the one check: the
-    # pivot column and the free column are packed once each, in one size
+    # pivot column and the free column are packed once each, in the one size
+    # that fits D = 2, the lifted relation D X = 1 and entries up to 6
     assert rank([[2, 1], [4, 2], [6, 3]]) == 1
-    assert packs == [4, 4] and screens == [P]
+    assert packs == [gram._lane_size(1, 1, 2, 6)] * 2 and screens == [P]
     # the Gram matrix at delta = -1, n = 4 has D = 2 as well
     packs.clear()
     screens.clear()
@@ -465,6 +501,50 @@ def test_rank_refuses_malformed_matrices():
         rank([[1.5, 1], [1, 2]])
     with pytest.raises(ParameterError, match=r"^a matrix of ints has the entry Fraction\(1, 2\) in row 2$"):
         rank([[1, 0], [0, 1], [Fraction(1, 2), 0]], 7)
+
+
+def _refusal(matrix, p: int) -> str:
+    with pytest.raises(ParameterError) as refused:
+        rank(matrix, p)
+    return str(refused.value)
+
+
+def test_gram_rows_are_refused_as_their_entries_are():
+    # a GramRow whose bytes name an entry of its power table that is not an
+    # int, or not of the matrix's field, goes through the per-entry check:
+    # the same text and row number as the same entries given as lists
+    ints = gram_matrix(3, 4, scaled=True)
+    five = gram_matrix(3, PrimeFieldElement(5, 4), scaled=True)
+    assert rank(ints, 7) == rank(five) == 15
+    seven = PrimeFieldElement(7, 3)
+
+    def retabled(rows, c, entry):
+        powers = list(rows[0].powers)
+        powers[c] = entry
+        return [gram.GramRow(row.exponents, tuple(powers)) for row in rows]
+
+    cases = [
+        # c = n = 3 is every row's diagonal entry, so row 0 names it
+        (retabled(ints, 3, Fraction(64)), 7, r"a matrix of ints has the entry Fraction\(64, 1\) in row 0"),
+        (retabled(ints, 2, None), 7, r"a matrix of ints has the entry None in row \d+"),
+        (retabled(five, 1, seven), 5, r"the entry PrimeFieldElement\(p=7, value=3\) in row \d+ cannot be ranked over F_5"),
+        # rows with a second table, bad from row 15 on, after the rank is full
+        (ints + retabled(ints, 3, Fraction(1, 2)), 7, r"a matrix of ints has the entry Fraction\(1, 2\) in row 15"),
+        (five + retabled(five, 3, 8), 5, "a matrix of PrimeFieldElements has the entry 8 in row 15"),
+        (five + retabled(five, 3, seven), 5, r"the entry PrimeFieldElement\(p=7, value=3\) in row 15 cannot be ranked over F_5"),
+        # a short row after the rank is full
+        (ints + [gram.GramRow(ints[0].exponents[:-1], ints[0].powers)], 7,
+         "the matrix is ragged: row 15 has 14 entries and row 0 has 15"),
+    ]
+    for rows, p, text in cases:
+        refused = _refusal(rows, p)
+        assert re.fullmatch(text, refused), refused
+        assert refused == _refusal([list(row) for row in rows], p)
+    # rows with two good tables pack as their entries do, also when the
+    # second table's residues need fewer bytes of a lane than the first's
+    for first, second, p in ((4, 2, 7), (300, 4, _SCREEN_PRIME)):
+        mixed = gram_matrix(3, first, scaled=True)[:7] + gram_matrix(3, second, scaled=True)[7:]
+        assert rank_mod_p(mixed, p) == rank_mod_p([list(row) for row in mixed], p), (first, second, p)
 
 
 def test_rank_reads_a_prime_field_matrix_without_copying_it():
