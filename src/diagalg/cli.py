@@ -149,12 +149,9 @@ def render_verdict_json(family: str, spec, verdict: Verdict) -> str:
     data = {
         "family": family,
         "params": _params_summary(family, spec),
-        "m": None if verdict.m is UNBOUNDED else verdict.m,
+        "m": verdict.m,
         "unbounded": verdict.m is UNBOUNDED,
-        "constituents": [
-            {"name": c.name, "value": None if c.value is UNBOUNDED else c.value}
-            for c in verdict.constituents
-        ],
+        "constituents": [{"name": c.name, "value": c.value} for c in verdict.constituents],
         "witness": None
         if verdict.witness is None
         else {"partition": list(verdict.witness[0]), "box": list(verdict.witness[1])},

@@ -4,13 +4,14 @@ Each algebra in the family is semisimple exactly up to a level m computed
 as a minimum of simple quantities: the cap n_1 (where weights stop being
 evaluable) and the first levels at which specific box statistics make a
 weight factor vanish.  Which factor rule a spec selects and where its cap
-lies are decided in `weights`: `rule(spec)` resolves a spec into a `Rule`
-(family, N, eps, the vanishing modulus and its `cap`, the orders of a root
-of unity), and this module reads only that record, never the spec's
-variants.  The closed forms here give each such level in O(1) and
-its witness, the (shape, box) attaining it, in time linear in the level;
-a decision builds the witness of the minimum only, up to
-MAX_WITNESS_LEVEL.  The brute-force searches `m_bruteforce` and `mprime_bruteforce`
+lies are decided in `weights`: `rule(spec)` resolves an admissible spec into
+a `Rule` (family, N, eps, the vanishing modulus and its `cap`, the orders of
+a root of unity) and refuses any other, and this module reads only that
+record, never the spec's variants.  A bound is an int, or UNBOUNDED,
+which is None: semisimple at every level.  The closed forms here give
+each such level in O(1) and its witness, the (shape, box) attaining it,
+in time linear in the level; a decision builds the witness of the
+minimum only, up to MAX_WITNESS_LEVEL.  The brute-force searches `m_bruteforce` and `mprime_bruteforce`
 find the same pairs by an exhaustive scan of the partitions up to a
 limit; they are the reference that the tests and `verify` compare the
 closed forms against, and no decision calls them.  Kinds 0 and 1 scan every box of each partition
@@ -53,39 +54,22 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterator
 
-from .exactalg import Frozen, Record, RootSpec, signed_power_is_one
+from .exactalg import Record, RootSpec, signed_power_is_one
 from .partitions import Box, Partition, box_statistics, partitions_of
-from .weights import ParameterError, ParamSpec, Rule, rule, validate_params
+from .weights import ParameterError, ParamSpec, Rule, rule
 
+UNBOUNDED = None  # the bound of an algebra semisimple at every level
 
-class UnboundedType(Frozen):
-    """The 'semisimple for all n' value; min-identity, larger than any int."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Unbounded"
-
-
-UNBOUNDED = UnboundedType()
-
-Bound = int | UnboundedType
+Bound = int | None
 Witness = tuple[Partition, Box]
 Attained = tuple[Bound, Witness | None]
 Candidate = tuple[int, int, Box]  # a level, the rank of its shape there, and a box
 Part = tuple[str, list[Candidate]]  # a named closed-form constituent
 
 
-def bound_min(*bounds):
-    """Minimum of bounds, with UNBOUNDED as the identity."""
-    finite = [b for b in bounds if isinstance(b, int)]
-    return min(finite) if finite else UNBOUNDED
+def bound_min(*bounds: Bound) -> Bound:
+    """The least of the integer bounds, UNBOUNDED where there is none."""
+    return min((b for b in bounds if b is not UNBOUNDED), default=UNBOUNDED)
 
 
 # --- brute-force definitions -----------------------------------------------
@@ -346,15 +330,16 @@ class Constituent(Record):
 
     __slots__ = ("name", "value")
     name: str
-    value: int | UnboundedType
+    value: Bound
 
 
 class Verdict(Record):
     """The semisimplicity bound: the algebra at level n is semisimple if
-    and only if n <= m (UNBOUNDED meaning: for all n)."""
+    and only if n <= m; m is UNBOUNDED (None) when it is semisimple at
+    every level, and so is a constituent that never vanishes."""
 
     __slots__ = ("m", "constituents", "witness", "normalized")
-    m: int | UnboundedType
+    m: Bound
     constituents: tuple[Constituent, ...]
     witness: Witness | None
     normalized: tuple[tuple[str, int], ...]
@@ -371,7 +356,7 @@ def _brauer_parts(r: Rule) -> tuple[list[Part], tuple]:
     p = r.modulus
     if p == 0:
         return _m0_parts(r.N), ()
-    N0 = r.N % p  # in (0, p); N0 = 0 is rejected by validation
+    N0 = r.N % p  # in (0, p); N0 = 0 is refused by `rule`
     return _m0_parts(N0, N0 - p), (("N", N0),)
 
 
@@ -381,7 +366,7 @@ def _qbrauer_parts(r: Rule) -> tuple[list[Part], tuple]:
     e = r.modulus
     if e == 0:
         return _m0_parts(r.N), ()
-    N0 = r.N % e - e  # in (-e, 0); e | N is rejected by validation
+    N0 = r.N % e - e  # in (-e, 0); e | N is refused by `rule`
     return _m0_parts(N0, N0 - e, N0 + e), (("N", N0),)
 
 
@@ -413,14 +398,14 @@ _PARTS = {"brauer": _brauer_parts, "qbrauer": _qbrauer_parts, "bmw": _bmw_parts}
 
 
 def decide(spec: ParamSpec) -> Verdict:
-    """The semisimplicity bound of any spec, under the rule r =
-    weights.rule(spec) that it selects: q = +-1 selects the Brauer rule.
+    """The semisimplicity bound of any admissible spec, under the rule r =
+    weights.rule(spec) that it selects (which refuses any other spec):
+    q = +-1 selects the Brauer rule.
     The cap n1 = r.cap comes first, where there is one, then the family's
     closed forms; a spec with no integer N (a generic or non-integer delta,
     a generic r) gets n0 = UNBOUNDED instead of closed forms.  The witness
     is that of the first closed form attaining the minimum (the cap has
     none), and is the only one built."""
-    validate_params(spec)
     r = rule(spec)
     levels = [] if r.cap is None else [("n1", r.cap, [])]
     if r.N is None:  # n0 has no candidates, so it is UNBOUNDED

@@ -42,8 +42,7 @@ from functools import cache
 
 class Frozen:
     """Base of every immutable value in the package: the arithmetic values
-    of this module, the elements of the Brauer algebra, UNBOUNDED and every
-    `Record`.
+    of this module, the elements of the Brauer algebra and every `Record`.
 
     Assigning or deleting any attribute raises AttributeError, so a
     subclass's constructor writes its slots with `object.__setattr__`.  Copy
@@ -404,7 +403,7 @@ def qint(d: int) -> LaurentPoly:
 @cache
 def is_prime(n: int) -> bool:
     """Trial-division primality test, adequate for the small moduli here;
-    cached, since validate_params tests the characteristic of every weight a
+    cached, since weights.rule tests the characteristic of every weight a
     table or scan evaluates, and every PrimeFieldElement tests its modulus."""
     if n < 2:
         return False

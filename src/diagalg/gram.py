@@ -115,7 +115,7 @@ from operator import getitem
 from .branching import double_factorial_odd
 from .brauer import all_diagrams, compose_diagrams, full_closure_cycles, involute_diagram
 from .exactalg import PrimeFieldElement, Record, is_prime
-from .weights import BrauerParams, IntegerDelta, ParameterError, rule, validate_params
+from .weights import BrauerParams, IntegerDelta, ParameterError, rule
 
 _SCREEN_PRIME = 67_108_859  # the largest prime below 2^26: the char-0 screen
 MAX_LEVEL = 5  # (2*5-1)!! = 945 diagrams: the largest dense matrix built
@@ -509,13 +509,14 @@ def generic_structure_check(n: int) -> bool:
 
 
 def _checked_delta(params, n: int) -> int:
-    """The integer delta of `params`, once level n is known to be at least 0,
-    within the MAX_LEVEL budget and, in characteristic p, at most
-    n_1 = p - 1 (beyond that the form's hook denominators are meaningless).
-    Runs before any diagram is enumerated."""
+    """The integer delta of `params`, once `weights.rule` has resolved the
+    spec (refusing an inadmissible one) and level n is known to be at least
+    0, within the MAX_LEVEL budget and, in characteristic p, at most the
+    rule's cap n_1 = p - 1 (beyond that the form's hook denominators are
+    meaningless).  Runs before any diagram is enumerated."""
     if not isinstance(params, BrauerParams) or not isinstance(params.delta, IntegerDelta):
         raise ParameterError("Gram ranks need a Brauer spec with integer delta")
-    validate_params(params)
+    cap = rule(params).cap
     if n < 0:
         raise ParameterError(f"level n = {n} is negative")
     if n > MAX_LEVEL:
@@ -524,7 +525,6 @@ def _checked_delta(params, n: int) -> int:
             f"level n = {n} has (2n-1)!! = {count} diagrams; Gram matrices are limited "
             f"to {double_factorial_odd(MAX_LEVEL)} diagrams (n <= {MAX_LEVEL})"
         )
-    cap = rule(params).cap
     if cap is not None and n > cap:
         raise ParameterError(f"level n = {n} exceeds n_1 = {cap} in characteristic {params.characteristic}")
     return params.delta.value

@@ -27,10 +27,12 @@ decided in one place, `rule`, which resolves the spec into a `Rule`: the
 family, N and eps, and the modulus by which factors and hooks vanish (p in
 the Brauer rule, e at a root of unity, 0 otherwise), whose `cap` is the
 level n_1 = modulus - 1.  q = +-1 falls back to the Brauer rule, and a
-generic r leaves N symbolic.  The evaluation, the validation of delta and
-the decisions in `criteria` all read the rule from there, and no other
-module looks inside a spec to find it.  Evaluation at a root of unity is a
-pure congruence test on RootSpec.
+generic r leaves N symbolic.  `rule` also decides admissibility, as it
+resolves: a spec the theorems exclude gets a ParameterError and no Rule,
+so there is no separate validation pass.  The evaluation and the
+decisions in `criteria` read the rule from there, and no other module
+looks inside a spec to find it.  Evaluation at a root of unity is a pure
+congruence test on RootSpec.
 """
 
 from __future__ import annotations
@@ -159,10 +161,8 @@ def _validate_q(q: QParam, p: int) -> None:
         f = q.spec.f
         if not q.spec.field_consistent:
             raise ParameterError(f"ord(q) = ord(q^2) = {f} is impossible for even {f}")
-        if p and f % p == 0:
+        if p and f % p == 0:  # in characteristic 2 this refuses every even order
             raise ParameterError(f"no element of order {f} in characteristic {p}")
-        if p == 2 and f % 2 == 0:
-            raise ParameterError("even-order roots of unity do not exist in characteristic 2")
     elif isinstance(q, PlusMinusOne):
         _validate_delta(q.delta, p)
     elif not isinstance(q, NotRootOfUnity):
@@ -184,40 +184,6 @@ def _validate_r(r: RParam) -> None:
             raise ParameterError(f"sign must be +-1, got {r.eps}")
     elif not isinstance(r, GenericR):
         raise ParameterError(f"not an r parameter: {r!r}")
-
-
-def validate_params(spec: ParamSpec) -> None:
-    """Rejects parameter combinations excluded by the theorems.
-
-    Excluded are: a characteristic that is not 0 or a prime, or is at least
-    2^31; delta = 0 in the field (delta = 0 in characteristic 0, delta = 0
-    mod p in characteristic p), for the Brauer algebra and for q = +-1;
-    roots of unity that cannot exist in the given characteristic; a sign
-    of r other than +-1; q-Brauer r = +-1 off roots of unity and e | N at a
-    root of unity (both force delta = [N]_q = 0); BMW r = q^-1 or r = -q
-    (both force delta = 0); and a value that is not a parameter of its
-    slot.
-    """
-    p = spec.characteristic
-    _validate_characteristic(p)
-    if isinstance(spec, BrauerParams):
-        _validate_delta(spec.delta, p)
-        return
-    _validate_q(spec.q, p)
-    _validate_r(spec.r)
-    r = rule(spec)
-    if r.family == "brauer" or r.N is None:
-        return
-    if r.family == "qbrauer":  # delta = +-[N]_q vanishes iff [N]_q = 0
-        if r.modulus and r.N % r.modulus == 0:
-            raise ParameterError(f"e | N forces delta = [N]_q = 0 (e = {r.modulus})")
-        if r.N == 0:
-            raise ParameterError("r = +-1 forces delta = 0 in the q-Brauer algebra")
-    else:  # BMW: delta = 0 iff r = q^-1 (eps*q^N = 1) or r = -q (eps*q^(N-2) = -1)
-        if signed_power_is_one(r.eps, r.N, r.root, r.char2):
-            raise ParameterError("r = q^-1 is excluded (it forces delta = 0)")
-        if signed_power_is_one(-r.eps, r.N - 2, r.root, r.char2):
-            raise ParameterError("r = -q is excluded (it forces delta = 0)")
 
 
 # --- per-box factors ------------------------------------------------------
@@ -293,16 +259,52 @@ class Rule(Record):
 
 
 def rule(spec: ParamSpec) -> Rule:
-    """The rule a spec selects.  q = +-1 falls back to the Brauer rule at
-    its delta."""
+    """The rule an admissible spec selects; ParameterError for any other.
+    q = +-1 falls back to the Brauer rule at its delta.
+
+    Excluded are: a characteristic that is not 0 or a prime, or is at least
+    2^31; delta = 0 in the field (delta = 0 in characteristic 0, delta = 0
+    mod p in characteristic p), for the Brauer algebra and for q = +-1;
+    roots of unity that cannot exist in the given characteristic; a sign
+    of r other than +-1; q-Brauer r = +-1 off roots of unity and e | N at a
+    root of unity (both force delta = [N]_q = 0); BMW r = q^-1 or r = -q
+    (both force delta = 0); and a value that is not a parameter of its
+    slot.  The checks run as the spec resolves: the characteristic, then
+    delta, or q and then r, then the exclusions on N, and the first that
+    fails gives the message.
+    """
     p = spec.characteristic
-    if isinstance(spec, BrauerParams) or isinstance(spec.q, PlusMinusOne):
-        delta = spec.delta if isinstance(spec, BrauerParams) else spec.q.delta
+    _validate_characteristic(p)
+    if isinstance(spec, BrauerParams):
+        _validate_delta(spec.delta, p)
+        delta = spec.delta
+    else:
+        _validate_q(spec.q, p)
+        _validate_r(spec.r)
+        delta = spec.q.delta if isinstance(spec.q, PlusMinusOne) else None
+    if delta is not None:
         return Rule("brauer", delta.value if isinstance(delta, IntegerDelta) else None, 1, p, None, p == 2)
     family = "qbrauer" if isinstance(spec, QBrauerParams) else "bmw"
     root = spec.q.spec if isinstance(spec.q, RootOfUnity) else None
-    N, eps = (None, 1) if isinstance(spec.r, GenericR) else (spec.r.N, spec.r.eps)
-    return Rule(family, N, 1 if p == 2 else eps, root.e if root else 0, root, p == 2)
+    N, eps = (None, 1) if isinstance(spec.r, GenericR) else (spec.r.N, 1 if p == 2 else spec.r.eps)
+    e = root.e if root else 0
+    if N is not None and family == "qbrauer":  # delta = +-[N]_q vanishes iff [N]_q = 0
+        if e and N % e == 0:
+            raise ParameterError(f"e | N forces delta = [N]_q = 0 (e = {e})")
+        if N == 0:
+            raise ParameterError("r = +-1 forces delta = 0 in the q-Brauer algebra")
+    elif N is not None:  # BMW: delta = 0 iff r = q^-1 (eps*q^N = 1) or r = -q (eps*q^(N-2) = -1)
+        if signed_power_is_one(eps, N, root, p == 2):
+            raise ParameterError("r = q^-1 is excluded (it forces delta = 0)")
+        if signed_power_is_one(-eps, N - 2, root, p == 2):
+            raise ParameterError("r = -q is excluded (it forces delta = 0)")
+    return Rule(family, N, eps, e, root, p == 2)
+
+
+# Admissibility is checked by resolving: `rule` refuses what it cannot
+# resolve, so this is the same function under the name the benchmark's
+# tests import.
+validate_params = rule
 
 
 # --- symbolic weights ------------------------------------------------------
@@ -406,8 +408,7 @@ class WeightValue(Record):
     zero-ness is decided.
     """
 
-    __slots__ = ("shape", "evaluable", "is_zero", "value", "witness_box")
-    shape: Partition
+    __slots__ = ("evaluable", "is_zero", "value", "witness_box")
     evaluable: bool
     is_zero: bool | None
     value: Fraction | PrimeFieldElement | None
@@ -430,13 +431,12 @@ def evaluate_weight(la: Partition, spec: ParamSpec) -> WeightValue:
 
     Every factor vanishes by a congruence: mod p in the Brauer rule, and
     at a root of unity on the orders RootSpec(e, f)."""
-    validate_params(spec)
     r = rule(spec)
     factors = tuple(box_factors(r.family, la))
     if r.modulus and any(f.hook % r.modulus == 0 for f in factors):
-        return WeightValue(la, False, None, None, None)
+        return WeightValue(False, None, None, None)
     if r.N is None:
-        return WeightValue(la, True, False, None, None)
+        return WeightValue(True, False, None, None)
     witness = next((f.box for f in factors if any(_term_vanishes(k, r.N + s, r) for k, s in f.terms)), None)
     value = None
     if r.family == "brauer":  # the product of (delta + d)/h over the boxes
@@ -447,7 +447,7 @@ def evaluate_weight(la: Partition, spec: ParamSpec) -> WeightValue:
             den *= f.hook
         p = r.modulus
         value = PrimeFieldElement(p, num * pow(den, -1, p)) if p else Fraction(num, den)
-    return WeightValue(la, True, witness is not None, value, witness)
+    return WeightValue(True, witness is not None, value, witness)
 
 
 # --- levels ----------------------------------------------------------------
@@ -458,10 +458,9 @@ def vanishing_level(spec: ParamSpec, n_max: int) -> tuple[int, Partition, Box] |
     the shapes of size n, with a witness (n, la, box); None if no weight
     vanishes that low.  (A weight's vanishing depends only on the shape, so
     scanning exact sizes finds the first level.)"""
-    validate_params(spec)
+    cap = rule(spec).cap
     if n_max < 2:
         raise ParameterError(f"n_max must be at least 2, got {n_max}")
-    cap = rule(spec).cap
     top = n_max if cap is None else min(n_max, cap)
     for n in range(2, top + 1):
         for la in partitions_of(n):

@@ -15,7 +15,6 @@ from diagalg.criteria import (
     MAX_WITNESS_LEVEL,
     UNBOUNDED,
     Constituent,
-    UnboundedType,
     Verdict,
     bound_min,
     decide,
@@ -45,7 +44,7 @@ from diagalg.weights import (
 
 
 def test_unbounded_is_a_singleton_identity_for_min():
-    assert UnboundedType() is UNBOUNDED
+    assert UNBOUNDED is None
     assert bound_min() is UNBOUNDED
     assert bound_min(UNBOUNDED, UNBOUNDED) is UNBOUNDED
     assert bound_min(5, UNBOUNDED, 3) == 3

@@ -354,13 +354,12 @@ def test_record_repr_names_every_field():
 def test_records_are_immutable_and_copy_and_pickle_to_equals():
     # every value type: the records, and the values records hold (a Laurent
     # polynomial, a symbolic weight, a weight's value mod p, a cellular basis
-    # element's AlgebraElement with Laurent coefficients) and UNBOUNDED
+    # element's AlgebraElement with Laurent coefficients)
     values = _RECORDS + (
         LaurentPoly({1: 2, -1: 1}),
         RationalFunction(LaurentPoly({1: 2}), LaurentPoly({0: 1, 2: -3})),
         PrimeFieldElement(7, 3),
         AlgebraElement(1, {identity_diagram(1): DELTA}),
-        UNBOUNDED,
     )
     for value in values:
         before = repr(value)

@@ -120,3 +120,23 @@ def test_only_weights_reads_the_parameter_variants():
     assert _names_used(criteria) & variants == set()
     weights = ast.parse((src / "weights.py").read_text())
     assert "n1_cap" not in {node.name for node in weights.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_admissibility_is_decided_only_by_resolving():
+    # weights.rule checks a spec as it resolves it, so no Rule exists for an
+    # excluded spec; a second validation pass, or a caller that validates
+    # on its own, could drift from the rule it guards
+    src = Path(diagalg.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem != "weights":
+            found += [f"{path.stem}: {name}" for name in sorted(_names_used(ast.parse(path.read_text())))
+                      if name == "validate_params" or name.startswith("_validate_")]
+    assert found == []
+    weights = ast.parse((src / "weights.py").read_text())
+    callers = {node.name for node in weights.body if isinstance(node, ast.FunctionDef)
+               and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                       and call.func.id.startswith("_validate_") for call in ast.walk(node))}
+    # _validate_q checks the delta of q = +-1 through _validate_delta
+    assert callers == {"rule", "_validate_q"}
+    assert "validate_params" not in {node.name for node in weights.body if isinstance(node, ast.FunctionDef)}

@@ -145,6 +145,50 @@ def test_validate_params_bounds_the_characteristic():
             validate_params(BrauerParams(p, IntegerDelta(2)))
 
 
+_P = 2**31 + 11  # a prime past the trial-division budget
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # one spec per exclusion that rule's docstring lists
+        (BrauerParams(4, GenericDelta()), "characteristic must be 0 or prime, got 4"),
+        (BrauerParams(_P, IntegerDelta(2)),
+         f"characteristic must be below 2^31 (its primality test is trial division), got {_P}"),
+        (BrauerParams(0, IntegerDelta(0)), "delta = 0 vanishes in characteristic 0"),
+        (BrauerParams(5, IntegerDelta(10)), "delta = 10 vanishes in characteristic 5"),
+        (QBrauerParams(3, PlusMinusOne(IntegerDelta(6)), GenericR()), "delta = 6 vanishes in characteristic 3"),
+        (BMWParams(0, PlusMinusOne(IntegerDelta(0)), GenericR()), "delta = 0 vanishes in characteristic 0"),
+        (QBrauerParams(0, RootOfUnity(RootSpec(4, 4)), GenericR()), "ord(q) = ord(q^2) = 4 is impossible for even 4"),
+        (QBrauerParams(5, RootOfUnity(RootSpec(5, 5)), GenericR()), "no element of order 5 in characteristic 5"),
+        (BMWParams(2, RootOfUnity(RootSpec(3, 6)), GenericR()), "no element of order 6 in characteristic 2"),
+        (QBrauerParams(0, NotRootOfUnity(), SignedPower(2, 1)), "sign must be +-1, got 2"),
+        (QBrauerParams(0, NotRootOfUnity(), SignedPower(-1, 0)), "r = +-1 forces delta = 0 in the q-Brauer algebra"),
+        (QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(-1, 14)), "e | N forces delta = [N]_q = 0 (e = 7)"),
+        (BMWParams(0, NotRootOfUnity(), SignedPower(1, 0)), "r = q^-1 is excluded (it forces delta = 0)"),
+        (BMWParams(0, NotRootOfUnity(), SignedPower(-1, 2)), "r = -q is excluded (it forces delta = 0)"),
+        (BrauerParams(0, GenericR()), "not a delta parameter: GenericR()"),
+        (QBrauerParams(0, GenericDelta(), GenericR()), "not a q parameter: GenericDelta()"),
+        (BMWParams(0, NotRootOfUnity(), GenericDelta()), "not an r parameter: GenericDelta()"),
+        # a spec failing two checks is refused by the first, in the order
+        # characteristic, delta or q, r, the exclusions on N
+        (BrauerParams(4, IntegerDelta(0)), "characteristic must be 0 or prime, got 4"),
+        (QBrauerParams(0, PlusMinusOne(IntegerDelta(0)), SignedPower(2, 1)), "delta = 0 vanishes in characteristic 0"),
+        (QBrauerParams(5, RootOfUnity(RootSpec(5, 5)), SignedPower(3, 5)), "no element of order 5 in characteristic 5"),
+        (QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(2, 14)), "sign must be +-1, got 2"),
+        (QBrauerParams(0, RootOfUnity(RootSpec(7, 7)), SignedPower(1, 0)), "e | N forces delta = [N]_q = 0 (e = 7)"),
+        (BMWParams(0, RootOfUnity(RootSpec(2, 4)), SignedPower(1, 4)), "r = q^-1 is excluded (it forces delta = 0)"),
+    ],
+)
+def test_rule_refuses_what_it_cannot_resolve(spec, message):
+    # admissibility is decided as the spec resolves: no Rule exists for an
+    # excluded spec, and the first failing check gives the message
+    with pytest.raises(ParameterError) as refused:
+        rule(spec)
+    assert str(refused.value) == message
+    assert validate_params is rule
+
+
 def test_evaluate_brauer_char_zero():
     w = evaluate_weight((2,), BrauerParams(0, IntegerDelta(2)))
     assert w.evaluable and not w.is_zero and w.value == 2
